@@ -75,12 +75,12 @@ func BenchmarkMulNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkMulIGEP(b *testing.B) {
+func BenchmarkMulFused(b *testing.B) {
 	a, bb := randSquare(microN, 1), randSquare(microN, 2)
 	c := matrix.NewSquare[float64](microN)
 	b.SetBytes(int64(linalg.MulFlops(microN)))
 	for i := 0; i < b.N; i++ {
-		linalg.MulIGEP(c, a, bb, 64)
+		linalg.MulFused(c, a, bb, 64)
 	}
 }
 
@@ -93,12 +93,12 @@ func BenchmarkMulTiled(b *testing.B) {
 	}
 }
 
-func BenchmarkMulIGEPParallel(b *testing.B) {
+func BenchmarkMulFusedParallel(b *testing.B) {
 	a, bb := randSquare(microN, 1), randSquare(microN, 2)
 	c := matrix.NewSquare[float64](microN)
 	b.SetBytes(int64(linalg.MulFlops(microN)))
 	for i := 0; i < b.N; i++ {
-		linalg.MulIGEPParallel(c, a, bb, 64, 128)
+		linalg.MulFusedParallel(c, a, bb, 64, 128)
 	}
 }
 
@@ -144,8 +144,10 @@ func benchFW(b *testing.B, run func(*matrix.Dense[float64])) {
 	}
 }
 
-func BenchmarkFWGEP(b *testing.B)  { benchFW(b, apsp.FWGEP) }
-func BenchmarkFWIGEP(b *testing.B) { benchFW(b, func(d *matrix.Dense[float64]) { apsp.FWIGEP(d, 64) }) }
+func BenchmarkFWGEP(b *testing.B) { benchFW(b, apsp.FWGEP) }
+func BenchmarkFWFused(b *testing.B) {
+	benchFW(b, func(d *matrix.Dense[float64]) { apsp.FWFused(d, 64) })
+}
 
 // BenchmarkFacadeGeneric measures the generic-engine overhead relative
 // to the specialized kernels (interface dispatch + closure calls).

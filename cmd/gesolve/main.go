@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
@@ -31,17 +32,36 @@ import (
 )
 
 func main() {
-	base := flag.Int("base", 64, "I-GEP base-case / tile size")
-	algo := flag.String("algo", "igep", "factorization: igep, tiled or gep (ignored with -pivot)")
-	pivot := flag.String("pivot", "none", "row pivoting: none, partial or tournament")
-	random := flag.Int("random", 0, "solve a random diagonally dominant n×n system instead of reading stdin")
-	seed := flag.Int64("seed", 1, "seed for -random")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is gesolve with its arguments, output streams and exit status
+// explicit: the solution goes to stdout, diagnostics to stderr. Usage
+// errors exit 2, a singular matrix 3, any other failure 1.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gesolve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	base := fs.Int("base", 64, "I-GEP base-case / tile size (>= 1)")
+	algo := fs.String("algo", "igep", "factorization: igep, tiled or gep (ignored with -pivot)")
+	pivot := fs.String("pivot", "none", "row pivoting: none, partial or tournament")
+	random := fs.Int("random", 0, "solve a random diagonally dominant n×n system instead of reading stdin")
+	seed := fs.Int64("seed", 1, "seed for -random")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *base < 1 {
+		fmt.Fprintf(stderr, "gesolve: -base must be >= 1, got %d\n", *base)
+		fs.Usage()
+		return 2
+	}
 
 	a, b, err := loadSystem(*random, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gesolve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "gesolve: %v\n", err)
+		return 1
 	}
 	n := a.N()
 
@@ -56,11 +76,11 @@ func main() {
 		}
 		if err != nil {
 			if errors.Is(err, linalg.ErrSingular) {
-				fmt.Fprintf(os.Stderr, "gesolve: matrix is singular to working precision (%v)\n", err)
-				os.Exit(3)
+				fmt.Fprintf(stderr, "gesolve: matrix is singular to working precision (%v)\n", err)
+				return 3
 			}
-			fmt.Fprintf(os.Stderr, "gesolve: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "gesolve: %v\n", err)
+			return 1
 		}
 		x = f.Solve(b)
 	case "none":
@@ -79,8 +99,8 @@ func main() {
 		case "gep":
 			linalg.LUGEPOpt(padded)
 		default:
-			fmt.Fprintf(os.Stderr, "gesolve: unknown -algo %q\n", *algo)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "gesolve: unknown -algo %q\n", *algo)
+			return 2
 		}
 		lu := padded
 		if padded.N() != n {
@@ -88,16 +108,17 @@ func main() {
 		}
 		x = linalg.SolveLU(lu, b)
 	default:
-		fmt.Fprintf(os.Stderr, "gesolve: unknown -pivot %q\n", *pivot)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "gesolve: unknown -pivot %q\n", *pivot)
+		return 2
 	}
 
 	parts := make([]string, n)
 	for i, v := range x {
 		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
 	}
-	fmt.Println(strings.Join(parts, " "))
-	fmt.Fprintf(os.Stderr, "residual (max-norm of Ax-b): %g\n", linalg.Residual(a, x, b))
+	fmt.Fprintln(stdout, strings.Join(parts, " "))
+	fmt.Fprintf(stderr, "residual (max-norm of Ax-b): %g\n", linalg.Residual(a, x, b))
+	return 0
 }
 
 func loadSystem(random int, seed int64) (*matrix.Dense[float64], []float64, error) {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"gep/internal/linalg"
@@ -61,5 +63,27 @@ func TestLoadSystemErrors(t *testing.T) {
 		if err == nil {
 			t.Errorf("loadSystem accepted %q", in)
 		}
+	}
+}
+
+// TestRunRejectsBadBase: a base size below 1 is a usage error (exit
+// status 2 and a message naming the flag), never a panic from the
+// factorization, for every -algo that takes a base.
+func TestRunRejectsBadBase(t *testing.T) {
+	for _, algo := range []string{"igep", "tiled"} {
+		for _, base := range []string{"0", "-3"} {
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"-random", "8", "-algo", algo, "-base", base}, &stdout, &stderr)
+			if code != 2 {
+				t.Fatalf("-algo %s -base %s: exit %d, want 2", algo, base, code)
+			}
+			if stdout.Len() != 0 || !strings.Contains(stderr.String(), "-base must be >= 1") {
+				t.Fatalf("-algo %s -base %s: stdout %q, stderr %q", algo, base, stdout.String(), stderr.String())
+			}
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-random", "8", "-base", "1"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-base 1: exit %d, stderr %q", code, stderr.String())
 	}
 }

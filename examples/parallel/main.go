@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gep"
-	"gep/internal/linalg"
 	"gep/internal/sched"
 )
 
@@ -26,12 +25,12 @@ func main() {
 
 	serial := gep.NewMatrix[float64](n)
 	t0 := time.Now()
-	linalg.MulIGEP(serial, a, b, 64)
+	gep.Multiply(serial, a, b)
 	ds := time.Since(t0)
 
 	par := gep.NewMatrix[float64](n)
 	t0 = time.Now()
-	linalg.MulIGEPParallel(par, a, b, 64, 128)
+	gep.MultiplyParallel(par, a, b)
 	dp := time.Since(t0)
 
 	if !serial.EqualFunc(par, func(x, y float64) bool { return x == y }) {

@@ -21,7 +21,11 @@
 //
 // Parallel executes the multithreaded recursion of the paper
 // (span O(n log² n)); Multiply, FloydWarshall and Factorize expose the
-// tuned application kernels. Parallel execution runs on a
+// applications through the same engines with their fused ops, so every
+// entry point — serial or parallel, facade, gep-server or CLI — gives
+// the same bits for the same problem: per cell, updates apply in
+// ascending k, each rounded as in the op's UpdateFunc, exactly as the
+// Iterative loop applies them. Parallel execution runs on a
 // work-stealing fork-join scheduler: by default one process-wide
 // instance sized by GOMAXPROCS, or — for callers hosting concurrent
 // computations that must not contend for workers — per-computation
@@ -231,12 +235,13 @@ func Parallel[T any](c Grid[T], op Op[T], set UpdateSet, opts ...Option[T]) {
 // disjoint matrices (span O(n) when parallel). Sides must be equal
 // powers of two.
 func Multiply(c, a, b *Matrix[float64]) {
-	linalg.MulIGEP(c, a, b, 64)
+	linalg.MulFused(c, a, b, 64)
 }
 
-// MultiplyParallel is Multiply on goroutines.
+// MultiplyParallel is Multiply on goroutines; the result is
+// bit-identical to Multiply's.
 func MultiplyParallel(c, a, b *Matrix[float64]) {
-	linalg.MulIGEPParallel(c, a, b, 64, 128)
+	linalg.MulFusedParallel(c, a, b, 64, 128)
 }
 
 // MultiplyStrassen computes c = a·b (overwriting c, which must not
@@ -263,29 +268,30 @@ func FloydWarshall(d *Matrix[float64]) {
 		return
 	}
 	if matrix.IsPow2(n) {
-		apsp.FWIGEPTiled(d, 64)
+		apsp.FWFused(d, 64)
 		return
 	}
 	p := matrix.PadPow2Diag(d, apsp.Inf, 0)
-	apsp.FWIGEPTiled(p, 64)
+	apsp.FWFused(p, 64)
 	d.CopyFrom(p.Sub(0, 0, n, n))
 }
 
 // FloydWarshallParallel is FloydWarshall on goroutines (multithreaded
-// I-GEP with the Figure-6 schedule, on the work-stealing runtime).
-// Any side length is accepted; non-power-of-two inputs are padded the
-// same way FloydWarshall pads them.
+// I-GEP with the Figure-6 schedule, on the work-stealing runtime);
+// the result is bit-identical to FloydWarshall's. Any side length is
+// accepted; non-power-of-two inputs are padded the same way
+// FloydWarshall pads them.
 func FloydWarshallParallel(d *Matrix[float64]) {
 	n := d.N()
 	if n == 0 {
 		return
 	}
 	if matrix.IsPow2(n) {
-		apsp.FWParallel(d, 64, 128)
+		apsp.FWFusedParallel(d, 64, 128)
 		return
 	}
 	p := matrix.PadPow2Diag(d, apsp.Inf, 0)
-	apsp.FWParallel(p, 64, 128)
+	apsp.FWFusedParallel(p, 64, 128)
 	d.CopyFrom(p.Sub(0, 0, n, n))
 }
 
@@ -297,8 +303,8 @@ func Factorize(a *Matrix[float64]) {
 	linalg.LUIGEP(a, 64)
 }
 
-// FactorizeParallel is Factorize on goroutines. The side must be a
-// power of two.
+// FactorizeParallel is Factorize on goroutines; the factors are
+// bit-identical to Factorize's. The side must be a power of two.
 func FactorizeParallel(a *Matrix[float64]) {
 	linalg.LUIGEPParallel(a, 64, 128)
 }

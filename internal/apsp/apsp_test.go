@@ -6,7 +6,9 @@ import (
 	"sort"
 	"testing"
 
+	"gep/internal/core"
 	"gep/internal/matrix"
+	"gep/internal/ooc"
 )
 
 func exactEq(a, b *matrix.Dense[float64]) bool {
@@ -14,8 +16,9 @@ func exactEq(a, b *matrix.Dense[float64]) bool {
 }
 
 // TestFWVariantsMatchDijkstra is the cross-algorithm oracle check:
-// every Floyd-Warshall variant must agree exactly (integer weights)
-// with all-pairs Dijkstra.
+// every Floyd-Warshall variant — the iterative loops and the I-GEP
+// engine at several base sizes, serial and parallel — must agree
+// exactly (integer weights) with all-pairs Dijkstra.
 func TestFWVariantsMatchDijkstra(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 16, 32, 64} {
 		for _, p := range []float64{0.05, 0.3, 0.9} {
@@ -25,9 +28,11 @@ func TestFWVariantsMatchDijkstra(t *testing.T) {
 			variants := map[string]func(d *matrix.Dense[float64]){
 				"gep":      FWGEP,
 				"gep-pure": FWGEPPure,
-				"igep1":    func(d *matrix.Dense[float64]) { FWIGEP(d, 1) },
-				"igep8":    func(d *matrix.Dense[float64]) { FWIGEP(d, 8) },
-				"par":      func(d *matrix.Dense[float64]) { FWParallel(d, 4, 8) },
+				"igep1":    func(d *matrix.Dense[float64]) { FWFused(d, 1) },
+				"igep2":    func(d *matrix.Dense[float64]) { FWFused(d, 2) },
+				"igep8":    func(d *matrix.Dense[float64]) { FWFused(d, 8) },
+				"igep64":   func(d *matrix.Dense[float64]) { FWFused(d, 64) },
+				"par":      func(d *matrix.Dense[float64]) { FWFusedParallel(d, 4, 8) },
 			}
 			for name, fw := range variants {
 				d := g.DistanceMatrix()
@@ -64,7 +69,7 @@ func TestFWNegativeEdges(t *testing.T) {
 	want := g.DistanceMatrix()
 	FWGEP(want)
 	got := g.DistanceMatrix()
-	FWIGEP(got, 2)
+	FWFused(got, 2)
 	if !exactEq(want, got) {
 		t.Fatal("negative-edge I-GEP differs from iterative FW")
 	}
@@ -181,14 +186,18 @@ func TestDistanceMatrixParallelEdges(t *testing.T) {
 func TestFWParallelBitwiseMatchesSerial(t *testing.T) {
 	g := Random(64, 0.2, 100, 5)
 	s := g.DistanceMatrix()
-	FWIGEP(s, 8)
+	FWFused(s, 8)
 	p := g.DistanceMatrix()
-	FWParallel(p, 8, 16)
+	FWFusedParallel(p, 8, 16)
 	if !exactEq(s, p) {
 		t.Fatal("parallel FW differs from serial")
 	}
 }
 
+// TestFWIGEPTiledMatchesOracle runs I-GEP Floyd-Warshall over the
+// bit-interleaved (Morton-tiled) layout with tile side = base — the
+// tile-granular engine of internal/ooc, whose base case is one tile —
+// and checks it against all-pairs Dijkstra at several tile sides.
 func TestFWIGEPTiledMatchesOracle(t *testing.T) {
 	for _, n := range []int{4, 16, 64} {
 		for _, base := range []int{2, 8, 64} {
@@ -197,8 +206,24 @@ func TestFWIGEPTiledMatchesOracle(t *testing.T) {
 			}
 			g := Random(n, 0.3, 100, int64(n+base))
 			want := AllPairsDijkstra(g)
-			d := g.DistanceMatrix()
-			FWIGEPTiled(d, base)
+			s, err := ooc.Create(t.TempDir(), ooc.Config{PageSize: 512, CacheSize: 1 << 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := ooc.NewMatrix(s, n, 0, ooc.MortonTiledLayout(base))
+			if err := m.LoadTiles(g.DistanceMatrix()); err != nil {
+				t.Fatal(err)
+			}
+			if err := ooc.RunIGEP(m, core.MinPlus[float64]{}, core.Full{}, ooc.RunOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			d, err := m.Unload()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 			if !exactEq(want, d) {
 				t.Fatalf("n=%d base=%d: tiled FW differs from oracle", n, base)
 			}
@@ -307,9 +332,9 @@ func TestFWMatchesJohnsonNegativeWeights(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, fw := range map[string]func(d *matrix.Dense[float64]){
-			"gep":   FWGEP,
-			"igep":  func(d *matrix.Dense[float64]) { FWIGEP(d, 4) },
-			"tiled": func(d *matrix.Dense[float64]) { FWIGEPTiled(d, 8) },
+			"gep":  FWGEP,
+			"igep": func(d *matrix.Dense[float64]) { FWFused(d, 4) },
+			"par":  func(d *matrix.Dense[float64]) { FWFusedParallel(d, 8, 8) },
 		} {
 			d := g.DistanceMatrix()
 			fw(d)

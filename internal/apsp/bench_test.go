@@ -25,11 +25,8 @@ func benchFWVariant(b *testing.B, run func(*matrix.Dense[float64])) {
 
 func BenchmarkFWGEPPureKernel(b *testing.B) { benchFWVariant(b, FWGEPPure) }
 func BenchmarkFWGEPKernel(b *testing.B)     { benchFWVariant(b, FWGEP) }
-func BenchmarkFWIGEPKernel(b *testing.B) {
-	benchFWVariant(b, func(d *matrix.Dense[float64]) { FWIGEP(d, 64) })
-}
-func BenchmarkFWIGEPTiledKernel(b *testing.B) {
-	benchFWVariant(b, func(d *matrix.Dense[float64]) { FWIGEPTiled(d, 64) })
+func BenchmarkFWFusedKernel(b *testing.B) {
+	benchFWVariant(b, func(d *matrix.Dense[float64]) { FWFused(d, 64) })
 }
 
 func BenchmarkDijkstraAllPairs(b *testing.B) {

@@ -1,19 +1,21 @@
 // Package apsp implements all-pairs shortest paths: the paper's §4.1
-// workload. It provides Floyd-Warshall in the three compared forms
-// (iterative GEP, cache-oblivious I-GEP, and parallel I-GEP), graph
-// generation and I/O, an independent Dijkstra oracle for verification,
-// and path reconstruction.
+// workload. It provides Floyd-Warshall in the compared forms (the
+// iterative GEP loops and the cache-oblivious I-GEP engine, serial and
+// parallel), graph generation and I/O, an independent Dijkstra oracle
+// for verification, and path reconstruction.
 //
 // Key types and entry points:
 //
 //   - Graph: adjacency-list directed weighted graph, with Random
 //     generation, ParseEdgeList/WriteEdgeList I/O, and DistanceMatrix
 //     to produce the n×n input the GEP solvers update in place.
-//   - FWGEPPure / FWGEP / FWIGEP / FWIGEPTiled / FWParallel: the
-//     Floyd-Warshall ladder measured in Figures 8-9 — textbook triple
-//     loop, loop-optimized GEP, cache-oblivious I-GEP recursion, the
-//     Morton-tiled variant (§4.2), and the multithreaded A/B/C/D
-//     recursion of Figure 6.
+//   - FWGEPPure / FWGEP / FWFused / FWFusedParallel: the
+//     Floyd-Warshall ladder measured in Figure 8 — textbook triple
+//     loop, loop-optimized GEP, and the cache-oblivious I-GEP engine
+//     with the fused min-plus op, serially and on the multithreaded
+//     A/B/C/D recursion of Figure 6. FWFused is the one I-GEP path:
+//     Solve, the facade, gep-server and cmd/apsp run it, and it equals
+//     the iterative loop with the min-plus function bit for bit.
 //   - Dijkstra / AllPairsDijkstra / BellmanFord / Johnson: independent
 //     oracles used by the tests to validate every Floyd-Warshall
 //     variant, including graphs with negative edges.

@@ -6,11 +6,12 @@ import (
 	"gep/internal/par"
 )
 
-// FWFused runs Floyd-Warshall through the generic RunIGEP engine with
-// the fused min-plus op: the engine's recursion with a closed-form
-// block kernel instead of a per-element indirect call. The side must
-// be a power of two. Output is bit-identical to the generic engine
-// with the same op (min-plus is order-insensitive per cell anyway).
+// FWFused is cache-oblivious Floyd-Warshall, the one I-GEP path for
+// it: the RunIGEP engine with the fused min-plus op, whose base cases
+// are closed-form block kernels. The side must be a power of two (pad
+// with matrix.PadPow2Diag(d, Inf, 0) otherwise) and base at least 1.
+// Each cell's updates apply in ascending k, so the output equals the
+// iterative loop core.RunGEP with the bare min-plus Func bit for bit.
 func FWFused(d *matrix.Dense[float64], base int) {
 	core.RunIGEP[float64](d, core.MinPlus[float64]{}, core.Full{},
 		core.WithBaseSize[float64](base))

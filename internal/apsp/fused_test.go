@@ -3,23 +3,23 @@ package apsp
 import (
 	"testing"
 
+	"gep/internal/core"
 	"gep/internal/par"
 )
 
-// TestFWFusedMatchesHandKernel: the engine-backed fused entry point
-// must agree exactly with the hand-specialized recursion (min-plus is
-// order-insensitive per cell, so all correct variants are bitwise
-// equal) and therefore with the Dijkstra oracle transitively.
-func TestFWFusedMatchesHandKernel(t *testing.T) {
+// TestFWFusedMatchesGEP: the engine applies each cell's updates in
+// ascending k, so at every base size it must equal, bit for bit, the
+// iterative GEP loop G run with the bare min-plus Func.
+func TestFWFusedMatchesGEP(t *testing.T) {
 	for _, n := range []int{4, 16, 64} {
 		for _, base := range []int{1, 8, 64} {
 			g := Random(n, 0.25, 100, int64(7*n+base))
 			want := g.DistanceMatrix()
-			FWIGEP(want, 8)
+			core.RunGEP[float64](want, core.MinPlus[float64]{}.Func(), core.Full{})
 			got := g.DistanceMatrix()
 			FWFused(got, base)
 			if !exactEq(want, got) {
-				t.Fatalf("n=%d base=%d: fused FW differs from hand kernel", n, base)
+				t.Fatalf("n=%d base=%d: fused FW differs from the G loop", n, base)
 			}
 		}
 	}

@@ -1,15 +1,12 @@
 package apsp
 
-import (
-	"fmt"
+import "gep/internal/matrix"
 
-	"gep/internal/matrix"
-	"gep/internal/par"
-)
-
-// Floyd-Warshall in the paper's compared forms. All operate in place
-// on a distance matrix as produced by Graph.DistanceMatrix. The update
-// set is Full and f is min-plus: d[i][j] = min(d[i][j], d[i][k]+d[k][j]).
+// Floyd-Warshall in the paper's compared forms: the iterative GEP
+// baselines here, the cache-oblivious I-GEP engine in fused.go. All
+// operate in place on a distance matrix as produced by
+// Graph.DistanceMatrix. The update set is Full and f is min-plus:
+// d[i][j] = min(d[i][j], d[i][k]+d[k][j]).
 
 // FWFlops returns the operation count (one add + one compare per
 // update) used as the figure-of-merit denominator.
@@ -52,139 +49,10 @@ func FWGEPPure(d *matrix.Dense[float64]) {
 	}
 }
 
-// FWIGEP is cache-oblivious Floyd-Warshall: the I-GEP recursion with a
-// G-order iterative kernel at base×base blocks. n must be a power of
-// two (pad with matrix.PadPow2Diag(d, Inf, 0) otherwise).
-func FWIGEP(d *matrix.Dense[float64], base int) {
-	n := d.N()
-	if n == 0 {
-		return
-	}
-	if !matrix.IsPow2(n) {
-		panic(fmt.Sprintf("apsp: FWIGEP needs power-of-two n, got %d", n))
-	}
-	if base < 1 {
-		base = 1
-	}
-	fwRec(d, 0, 0, 0, n, base, 0, nil)
-}
-
-// FWParallel is multithreaded I-GEP Floyd-Warshall (the A/B/C/D
-// parallel structure of Figure 6) spawning goroutines down to grain.
-func FWParallel(d *matrix.Dense[float64], base, grain int) {
-	FWParallelOn(nil, d, base, grain)
-}
-
-// FWParallelOn is FWParallel with all forks confined to rt (nil = the
-// default runtime).
-func FWParallelOn(rt *par.Runtime, d *matrix.Dense[float64], base, grain int) {
-	n := d.N()
-	if n == 0 {
-		return
-	}
-	if !matrix.IsPow2(n) {
-		panic(fmt.Sprintf("apsp: FWParallel needs power-of-two n, got %d", n))
-	}
-	if base < 1 {
-		base = 1
-	}
-	if grain < base {
-		grain = base
-	}
-	fwRec(d, 0, 0, 0, n, base, grain, par.Or(rt))
-}
-
-// fwRec is the Floyd-Warshall-specialized I-GEP recursion; grain = 0
-// runs serially, otherwise parallel groups fork on rt (nil is allowed
-// only when grain = 0).
-func fwRec(d *matrix.Dense[float64], xi, xj, k0, s, base, grain int, rt *par.Runtime) {
-	if s <= base {
-		fwKernel(d, xi, xj, k0, s)
-		return
-	}
-	h := s / 2
-	parOn := grain > 0 && s > grain
-	run2 := func(f1, f2 func()) {
-		if !parOn {
-			f1()
-			f2()
-			return
-		}
-		rt.Do(f1, f2)
-	}
-	run4 := func(fs ...func()) {
-		if !parOn {
-			for _, f := range fs {
-				f()
-			}
-			return
-		}
-		rt.Do(fs...)
-	}
-	iK, jK := xi == k0, xj == k0
-	switch {
-	case iK && jK: // A
-		fwRec(d, xi, xj, k0, h, base, grain, rt)
-		run2(func() { fwRec(d, xi, xj+h, k0, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj, k0, h, base, grain, rt) })
-		fwRec(d, xi+h, xj+h, k0, h, base, grain, rt)
-		fwRec(d, xi+h, xj+h, k0+h, h, base, grain, rt)
-		run2(func() { fwRec(d, xi+h, xj, k0+h, h, base, grain, rt) },
-			func() { fwRec(d, xi, xj+h, k0+h, h, base, grain, rt) })
-		fwRec(d, xi, xj, k0+h, h, base, grain, rt)
-	case iK: // B
-		run2(func() { fwRec(d, xi, xj, k0, h, base, grain, rt) },
-			func() { fwRec(d, xi, xj+h, k0, h, base, grain, rt) })
-		run2(func() { fwRec(d, xi+h, xj, k0, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj+h, k0, h, base, grain, rt) })
-		run2(func() { fwRec(d, xi+h, xj, k0+h, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj+h, k0+h, h, base, grain, rt) })
-		run2(func() { fwRec(d, xi, xj, k0+h, h, base, grain, rt) },
-			func() { fwRec(d, xi, xj+h, k0+h, h, base, grain, rt) })
-	case jK: // C
-		run2(func() { fwRec(d, xi, xj, k0, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj, k0, h, base, grain, rt) })
-		run2(func() { fwRec(d, xi, xj+h, k0, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj+h, k0, h, base, grain, rt) })
-		run2(func() { fwRec(d, xi, xj+h, k0+h, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj+h, k0+h, h, base, grain, rt) })
-		run2(func() { fwRec(d, xi, xj, k0+h, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj, k0+h, h, base, grain, rt) })
-	default: // D
-		run4(func() { fwRec(d, xi, xj, k0, h, base, grain, rt) },
-			func() { fwRec(d, xi, xj+h, k0, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj, k0, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj+h, k0, h, base, grain, rt) })
-		run4(func() { fwRec(d, xi, xj, k0+h, h, base, grain, rt) },
-			func() { fwRec(d, xi, xj+h, k0+h, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj, k0+h, h, base, grain, rt) },
-			func() { fwRec(d, xi+h, xj+h, k0+h, h, base, grain, rt) })
-	}
-}
-
-// fwKernel applies the block's min-plus updates in G order.
-func fwKernel(d *matrix.Dense[float64], xi, xj, k0, s int) {
-	for k := k0; k < k0+s; k++ {
-		dk := d.Row(k)[xj : xj+s]
-		for i := xi; i < xi+s; i++ {
-			di := d.Row(i)
-			dik := di[k]
-			if dik == Inf {
-				continue
-			}
-			dij := di[xj : xj+s]
-			for j, dkj := range dk {
-				if t := dik + dkj; t < dij[j] {
-					dij[j] = t
-				}
-			}
-		}
-	}
-}
-
 // Solve computes all-pairs shortest path distances for g with
-// cache-oblivious Floyd-Warshall, handling non-power-of-two sizes by
-// padding. base <= 0 selects a reasonable default kernel size.
+// cache-oblivious Floyd-Warshall (FWFused), handling non-power-of-two
+// sizes by padding. base <= 0 selects a reasonable default kernel
+// size.
 func Solve(g *Graph, base int) *matrix.Dense[float64] {
 	if base <= 0 {
 		base = 32
@@ -195,10 +63,10 @@ func Solve(g *Graph, base int) *matrix.Dense[float64] {
 		return d
 	}
 	if matrix.IsPow2(n) {
-		FWIGEP(d, base)
+		FWFused(d, base)
 		return d
 	}
 	p := matrix.PadPow2Diag(d, Inf, 0)
-	FWIGEP(p, base)
+	FWFused(p, base)
 	return matrix.Crop(p, n)
 }

@@ -44,13 +44,13 @@ func runAblationBase(w io.Writer, scale Scale) error {
 		bases = []int{8, 16, 32, 64, 128, 256, 512, 1024}
 	}
 	a, b := randDense(n, 11), randDense(n, 12)
-	fmt.Fprintf(w, "MulIGEP at n=%d, varying base-size (paper found 64-128 optimal):\n\n", n)
+	fmt.Fprintf(w, "I-GEP MM (MulFused) at n=%d, varying base-size (paper found 64-128 optimal):\n\n", n)
 	var t Table
 	t.Header("base", "time", "GFLOPS")
 	for _, base := range bases {
 		d, met := TimeBestMetered(2, func() {
 			c := matrix.NewSquare[float64](n)
-			linalg.MulIGEP(c, a, b, base)
+			linalg.MulFused(c, a, b, base)
 		})
 		Record(Row{Engine: "MulIGEP", N: n, Param: fmt.Sprintf("base=%d", base),
 			Wall: d, GFLOPS: GFLOPS(linalg.MulFlops(n), d), Metrics: met})
@@ -74,7 +74,7 @@ func runAblationLayout(w io.Writer, scale Scale) error {
 	t.Header("layout", "time", "GFLOPS")
 	dRow := TimeBest(2, func() {
 		c := matrix.NewSquare[float64](n)
-		linalg.MulIGEP(c, a, b, base)
+		linalg.MulFused(c, a, b, base)
 	})
 	Record(Row{Engine: "MulIGEP", N: n, Param: "layout=row-major",
 		Wall: dRow, GFLOPS: GFLOPS(linalg.MulFlops(n), dRow)})
@@ -167,7 +167,7 @@ func runAblationGrain(w io.Writer, scale Scale) error {
 		gr := grain
 		d, met := TimeBestMetered(2, func() {
 			m := in.Clone()
-			apsp.FWParallel(m, 32, gr)
+			apsp.FWFusedParallel(m, 32, gr)
 		})
 		Record(Row{Engine: "FWParallel", N: n, Param: fmt.Sprintf("grain=%d", gr),
 			Wall: d, Metrics: met})

@@ -101,7 +101,7 @@ func runFig11(w io.Writer, scale Scale) error {
 			run  func(c *matrix.Dense[float64])
 		}{
 			{"GEP", func(c *matrix.Dense[float64]) { linalg.MulNaive(c, a, b) }},
-			{"I-GEP(b=64)", func(c *matrix.Dense[float64]) { linalg.MulIGEP(c, a, b, 64) }},
+			{"I-GEP(b=64)", func(c *matrix.Dense[float64]) { linalg.MulFused(c, a, b, 64) }},
 			{"tiled(64)", func(c *matrix.Dense[float64]) { linalg.MulTiled(c, a, b, 64) }},
 		} {
 			d, met := TimeBestMetered(reps, func() {

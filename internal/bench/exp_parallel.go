@@ -80,11 +80,11 @@ func runFig12(w io.Writer, scale Scale) error {
 		a, b := randDense(nReal, 3), randDense(nReal, 4)
 		ds, metS := TimeBestMetered(2, func() {
 			c := newZero(nReal)
-			linalg.MulIGEP(c, a, b, 32)
+			linalg.MulFused(c, a, b, 32)
 		})
 		dp, metP := TimeBestMetered(2, func() {
 			c := newZero(nReal)
-			linalg.MulIGEPParallel(c, a, b, 32, 64)
+			linalg.MulFusedParallel(c, a, b, 32, 64)
 		})
 		record("MM", ds, dp, metS, metP)
 	}
@@ -105,11 +105,11 @@ func runFig12(w io.Writer, scale Scale) error {
 		in := g.DistanceMatrix()
 		ds, metS := TimeBestMetered(2, func() {
 			d := in.Clone()
-			apsp.FWIGEP(d, 32)
+			apsp.FWFused(d, 32)
 		})
 		dp, metP := TimeBestMetered(2, func() {
 			d := in.Clone()
-			apsp.FWParallel(d, 32, 64)
+			apsp.FWFusedParallel(d, 32, 64)
 		})
 		record("FW", ds, dp, metS, metP)
 	}

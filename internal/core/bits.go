@@ -203,13 +203,7 @@ func (Closure) BitsKernel(b *matrix.Bits, rg Ranger, tw, i0, j0, k0, s int) bool
 	kernelBitsWordCount.Inc()
 	for k := k0; k < k0+s; k++ {
 		for i := i0; i < i0+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < j0 {
-				lo = j0
-			}
-			if hi > j0+s {
-				hi = j0 + s
-			}
+			lo, hi := clampJRange(rg, i, k, j0, s)
 			if lo >= hi || !b.At(i, k) {
 				continue
 			}
@@ -252,13 +246,7 @@ func (GF2Elim) BlockKernel(data []bool, stride int, rg Ranger, i0, j0, k0, s int
 	for k := k0; k < k0+s; k++ {
 		ck := data[k*stride:]
 		for i := i0; i < i0+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < j0 {
-				lo = j0
-			}
-			if hi > j0+s {
-				hi = j0 + s
-			}
+			lo, hi := clampJRange(rg, i, k, j0, s)
 			if lo >= hi {
 				continue
 			}
@@ -305,13 +293,7 @@ func (GF2Elim) BitsKernel(b *matrix.Bits, rg Ranger, tw, i0, j0, k0, s int) bool
 	kernelBitsWordCount.Inc()
 	for k := k0; k < k0+s; k++ {
 		for i := i0; i < i0+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < j0 {
-				lo = j0
-			}
-			if hi > j0+s {
-				hi = j0 + s
-			}
+			lo, hi := clampJRange(rg, i, k, j0, s)
 			if lo >= hi {
 				continue
 			}

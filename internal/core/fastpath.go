@@ -6,9 +6,10 @@ import "gep/internal/matrix"
 // through the Grid interface, which costs an interface dispatch and a
 // bounds check per element access, and consult set.Contains — another
 // interface call — per ⟨i,j,k⟩. The recursion already achieves the
-// optimal O(n³/(B√M)) miss bound; these kernels close the remaining
-// per-element constant-factor gap to the hand-specialized kernels in
-// internal/linalg (§4.2's "iterative kernel quality" concern):
+// optimal O(n³/(B√M)) miss bound; these kernels close most of the
+// remaining per-element constant-factor gap to tight iterative loops
+// (§4.2's "iterative kernel quality" concern), and the fused kernels
+// of ops.go close the rest:
 //
 //   - when the grid is a *matrix.Dense[T] (detected once per run via
 //     matrix.Flat), base-case blocks run over the row-major backing
@@ -29,8 +30,10 @@ import "gep/internal/matrix"
 // the kernel-hierarchy order fused → flat → generic: the op's fused
 // closed-form kernel when one bound (and accepts the block), the
 // flat-slice kernel with the indirect per-element call when storage is
-// dense, and the Grid-interface kernel otherwise. All three produce
-// bit-identical results (see ops.go and the differential tests).
+// dense, and the Grid-interface kernel otherwise. A D block goes to
+// the op's disjoint kernel (see dKernelOf), every other block to its
+// in-place block kernel. All tiers produce bit-identical results (see
+// ops.go and the differential tests).
 func baseCase[T any](c matrix.Grid[T], f UpdateFunc[T], set UpdateSet, cfg *config[T], i0, j0, k0, s int) {
 	if cfg.baseHook != nil && cfg.baseHook(i0, j0, k0, s) {
 		return
@@ -42,15 +45,42 @@ func baseCase[T any](c matrix.Grid[T], f UpdateFunc[T], set UpdateSet, cfg *conf
 		igepKernel(c, f, set, i0, j0, k0, s)
 		return
 	}
-	if cfg.flatData != nil {
-		if cfg.blockOp != nil && cfg.blockOp.BlockKernel(cfg.flatData, cfg.flatStride, cfg.ranger, i0, j0, k0, s) {
+	if d, st := cfg.flatData, cfg.flatStride; d != nil {
+		if cfg.dOp != nil && i0 != k0 && j0 != k0 && cfg.dOp.DisjointKernel(d, st, d, st, d, st, d, st, cfg.ranger, i0, j0, k0, s) {
 			kernelFusedCount.Inc()
 			return
 		}
-		igepKernelFlat(cfg.flatData, cfg.flatStride, cfg.ranger, f, set, i0, j0, k0, s)
+		if cfg.blockOp != nil && cfg.blockOp.BlockKernel(d, st, cfg.ranger, i0, j0, k0, s) {
+			kernelFusedCount.Inc()
+			return
+		}
+		igepKernelFlat(d, st, cfg.ranger, f, set, i0, j0, k0, s)
 		return
 	}
 	igepKernel(c, f, set, i0, j0, k0, s)
+}
+
+// offPivoter is an op whose update off the pivot row and column
+// (i ≠ k, j ≠ k) has a disjoint kernel of its own: LUFactor, whose
+// j == k division never occurs there.
+type offPivoter[T any] interface {
+	offPivot() DisjointKerneler[T]
+}
+
+// dKernelOf returns the fused kernel for the D blocks of an in-place
+// run: base cases with i0 ≠ k0 and j0 ≠ k0 (input conditions 2.1 make
+// the row and column ranges then disjoint from the k-range). There
+// X = c[I,J] is written while U = c[I,K], V = c[K,J] and W = c[K,K] lie
+// outside X and stay fixed, which is RunDisjoint's base case, and no
+// update has i == k or j == k. It is the one place the in-core engines
+// (bindFast) and the tile kernel (TileKernel) pick that kernel. nil
+// when the op has none.
+func dKernelOf[T any](op Op[T]) DisjointKerneler[T] {
+	if p, ok := op.(offPivoter[T]); ok {
+		return p.offPivot()
+	}
+	dk, _ := op.(DisjointKerneler[T])
+	return dk
 }
 
 // igepKernelFlat is igepKernel over flat row-major storage. rg may be
@@ -86,13 +116,7 @@ func igepKernelFlatRange[T any](data []T, stride int, rg Ranger, f UpdateFunc[T]
 	for k := k0; k < k0+s; k++ {
 		ck := data[k*stride:]
 		for i := i0; i < i0+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < j0 {
-				lo = j0
-			}
-			if hi > j0+s {
-				hi = j0 + s
-			}
+			lo, hi := clampJRange(rg, i, k, j0, s)
 			if lo >= hi {
 				continue
 			}
@@ -159,13 +183,7 @@ func (st *disjointState[T]) kernelFlat(xi, xj, k0, s int) {
 			xrow := st.fx.row(i)
 			u := st.fu.at(i, k)
 			if rg != nil {
-				lo, hi := rg.JRange(i, k)
-				if lo < xj {
-					lo = xj
-				}
-				if hi > xj+s {
-					hi = xj + s
-				}
+				lo, hi := clampJRange(rg, i, k, xj, s)
 				for j := lo; j < hi; j++ {
 					xrow[j] = st.f(i, j, k, xrow[j], u, vk[j], w)
 				}

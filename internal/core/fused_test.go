@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -124,9 +125,9 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFusedDisjointBitIdentical covers the RunDisjoint rung: the 4×4
-// register-tiled multiply and the rank-1 min-plus kernel against the
-// bare-Func flat path and the naive loop.
+// TestFusedDisjointBitIdentical covers the RunDisjoint rung: the
+// covered-block row kernels and the rank-1 loops against the bare-Func
+// flat path.
 func TestFusedDisjointBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ops := map[string]Op[float64]{
@@ -233,4 +234,175 @@ func FuzzFusedVsGeneric(fz *testing.F) {
 			t.Fatalf("op=%s n=%d base=%d: fused diverged from flat", tc.name, n, base)
 		}
 	})
+}
+
+// TestProductsRoundedTwice pins the two-rounding contract of ops.go on
+// every architecture: with x = 1+2⁻²⁶ and u = v = 1+2⁻²⁷ the exact
+// product is 1+2⁻²⁶+2⁻⁵⁴, so x − round(u·v) is exactly 0, while a fused
+// multiply-subtract (one rounding) gives −2⁻⁵⁴ (and x + u·v with
+// x = −(1+2⁻²⁶) gives +2⁻⁵⁴). Each op runs through its Func and through
+// every fused kernel the engines dispatch: the in-place block kernels
+// (RunGEP, RunIGEP), the D-block disjoint kernels (RunIGEP with base 4
+// at n = 8), the covered-block row kernels with and without a k tail
+// (RunDisjoint, DisjointBlock at sides 5 and 6) and the rank-1 loop of a
+// partially covered block (RunDisjoint over the Gaussian set).
+func TestProductsRoundedTwice(t *testing.T) {
+	const x, u = 1 + 0x1p-26, 1 + 0x1p-27
+	funcs := map[string]struct {
+		f    UpdateFunc[float64]
+		x, w float64
+	}{
+		"muladd":    {MulAdd[float64]{}.Func(), -x, 1},
+		"mulsub":    {MulSub[float64]{}.Func(), x, 1},
+		"gausselim": {GaussElim[float64]{}.Func(), x, 1},
+		"lufactor":  {LUFactor[float64]{}.Func(), x, 1},
+	}
+	for name, c := range funcs {
+		if got := c.f(1, 2, 0, c.x, u, u, c.w); got != 0 {
+			t.Errorf("%s Func: x ± u·v = %g, want exactly 0", name, got)
+		}
+	}
+
+	// In place, n = 8: c[0][0] = 1, row 0 holds v, column 0 holds u,
+	// the other cells x (off the diagonal) or x+1 (on it). The k = 0
+	// updates leave every off-diagonal cell of rows and columns 1..7 at
+	// x − round(u·v) = 0 and the diagonal at 1; later k change nothing.
+	const n = 8
+	inPlace := func(xv, diag float64) *matrix.Dense[float64] {
+		m := matrix.NewSquare[float64](n)
+		m.Apply(func(i, j int, _ float64) float64 {
+			switch {
+			case i == 0 && j == 0:
+				return 1
+			case i == 0:
+				return u
+			case j == 0:
+				return u
+			case i == j:
+				return diag
+			}
+			return xv
+		})
+		return m
+	}
+	check := func(label string, m *matrix.Dense[float64], want func(i, j int) float64) {
+		t.Helper()
+		for i := 0; i < m.N(); i++ {
+			for j := 0; j < m.N(); j++ {
+				if got := m.At(i, j); !sameBits(got, want(i, j)) {
+					t.Fatalf("%s: c[%d][%d] = %g, want %g", label, i, j, got, want(i, j))
+				}
+			}
+		}
+	}
+	wantInPlace := func(init *matrix.Dense[float64]) func(i, j int) float64 {
+		return func(i, j int) float64 {
+			switch {
+			case i == 0 || j == 0:
+				return init.At(i, j)
+			case i == j:
+				return 1
+			}
+			return 0
+		}
+	}
+	for name, c := range map[string]struct {
+		op       Op[float64]
+		set      UpdateSet
+		xv, diag float64
+	}{
+		"muladd":    {MulAdd[float64]{}, Gaussian{}, -x, 1 - x},
+		"gausselim": {GaussElim[float64]{}, Gaussian{}, x, x + 1},
+		"lufactor":  {LUFactor[float64]{}, LU{}, x, x + 1},
+	} {
+		init := inPlace(c.xv, c.diag)
+		for label, run := range map[string]func(m *matrix.Dense[float64]){
+			"gep":       func(m *matrix.Dense[float64]) { RunGEP(m, c.op, c.set) },
+			"igep-b8":   func(m *matrix.Dense[float64]) { RunIGEP(m, c.op, c.set, WithBaseSize[float64](8)) },
+			"igep-b4":   func(m *matrix.Dense[float64]) { RunIGEP(m, c.op, c.set, WithBaseSize[float64](4)) },
+			"abcd-b4":   func(m *matrix.Dense[float64]) { RunABCD(m, c.op, c.set, WithBaseSize[float64](4)) },
+			"bare-func": func(m *matrix.Dense[float64]) { RunGEP(m, c.op.Func(), c.set) },
+		} {
+			m := init.Clone()
+			run(m)
+			check(name+"/"+label, m, wantInPlace(init))
+		}
+	}
+
+	// Disjoint: X = ∓x everywhere, U holds u at one column per row (the
+	// column cycles through every unrolled slot and the tail) and V is
+	// u everywhere, so each cell is ∓x ± round(u·v) = 0 plus products
+	// with zero.
+	for name, c := range map[string]struct {
+		op Op[float64]
+		xv float64
+	}{
+		"muladd": {MulAdd[float64]{}, -x},
+		"mulsub": {MulSub[float64]{}, x},
+	} {
+		for _, s := range []int{5, 6, 8} {
+			xm, um, vm := matrix.NewSquare[float64](s), matrix.NewSquare[float64](s), matrix.NewSquare[float64](s)
+			xm.Fill(c.xv)
+			vm.Fill(u)
+			for i := 0; i < s; i++ {
+				um.Set(i, (3*i+1)%s, u)
+			}
+			zero := func(int, int) float64 { return 0 }
+			m := xm.Clone()
+			DisjointBlock[float64](c.op, Full{}, m.Data(), s, um.Data(), s, vm.Data(), s, vm.Data(), s, s)
+			check(fmt.Sprintf("%s/disjoint-block-s%d", name, s), m, zero)
+			if s != 8 {
+				continue
+			}
+			for _, base := range []int{4, 8} {
+				m := xm.Clone()
+				RunDisjoint[float64](m, um, vm, vm, c.op, Full{}, WithBaseSize[float64](base))
+				check(fmt.Sprintf("%s/disjoint-b%d", name, base), m, zero)
+			}
+			// Gaussian set: cell (i,j) takes only k < min(i,j), so row 0,
+			// column 0 and the cells whose u column is not below them
+			// keep ∓x; the rank-1 loop serves these partial blocks.
+			m = xm.Clone()
+			RunDisjoint[float64](m, um, vm, vm, c.op, Gaussian{}, WithBaseSize[float64](4))
+			check(name+"/disjoint-gaussian", m, func(i, j int) float64 {
+				if k := (3*i + 1) % s; k < i && k < j {
+					return 0
+				}
+				return c.xv
+			})
+		}
+	}
+}
+
+// TestBlockCoveredMatchesScan: the O(1) coverage answers for the
+// standard sets (and for tile-local shiftSet views of them) must equal
+// the per-(i,k) JRange scan every other Ranger gets.
+func TestBlockCoveredMatchesScan(t *testing.T) {
+	scan := func(rg Ranger, xi, xj, k0, s int) bool {
+		for k := k0; k < k0+s; k++ {
+			for i := xi; i < xi+s; i++ {
+				if lo, hi := rg.JRange(i, k); lo > xj || hi < xj+s {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, rg := range []Ranger{Full{}, LU{}, Gaussian{}} {
+		for _, s := range []int{1, 2, 4} {
+			for xi := 0; xi < 16; xi += s {
+				for xj := 0; xj < 16; xj += s {
+					for k0 := 0; k0 < 16; k0 += s {
+						if got, want := blockCovered(rg, xi, xj, k0, s), scan(rg, xi, xj, k0, s); got != want {
+							t.Fatalf("%T block (%d,%d,%d,%d): covered %v, scan %v", rg, xi, xj, k0, s, got, want)
+						}
+						local := shiftSet{rg: rg, di: xi, dj: xj, dk: k0}
+						if got, want := blockCovered(local, 0, 0, 0, s), scan(local, 0, 0, 0, s); got != want {
+							t.Fatalf("%T tile (%d,%d,%d,%d): covered %v, scan %v", rg, xi, xj, k0, s, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }

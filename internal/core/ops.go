@@ -2,23 +2,26 @@ package core
 
 // Fused update ops. The engines' hot loops pay one indirect UpdateFunc
 // call per element on top of the flat-slice addressing of fastpath.go —
-// the dominant remaining constant against hand-specialized kernels
-// (§4.2 of the paper reaches competitive constants only with tight
-// iterative kernels). An Op bundles the update function with optional
+// the dominant remaining constant against tight iterative kernels
+// (§4.2 of the paper reaches competitive constants only with them). An Op bundles the update function with optional
 // closed-form block kernels the engines can substitute for the whole
 // base case: the indirect call disappears, the update arithmetic sits
 // inline in the loop, and the compiler keeps the operands in registers.
 //
 // The dispatch contract, enforced by the differential tests in
-// ops_test.go: a fused kernel must apply the same updates, in the same
-// order, reading the same cell states, with the same floating-point
-// rounding sequence, as the generic kernel running the op's Func —
-// outputs are bit-identical, so callers can switch freely between the
-// generic oracle and the fused kernels. Kernels therefore use explicit
-// temporaries (t := u*v; x + t) everywhere: Go only fuses a multiply
-// and an add into one FMA (one rounding instead of two) when they form
-// a single expression, so the temporary pins the two-rounding semantics
-// of the generic Func on every architecture.
+// fused_test.go: a fused kernel must apply the same updates, in the
+// same order, reading the same cell states, with the same
+// floating-point rounding sequence, as the generic kernel running the
+// op's Func — outputs are bit-identical, so callers can switch freely
+// between the generic oracle and the fused kernels. Per cell the
+// updates run in ascending k, each rounded as in Func; no kernel
+// reassociates a sum. Every product is therefore rounded by an
+// explicit conversion, x + T(u*v): the Go spec lets an implementation
+// fuse a multiply and an add into one FMA (one rounding instead of
+// two), even across statements through a temporary, and an explicit
+// floating-point conversion is the construct that forbids it. amd64
+// never fuses, so there the conversion compiles to nothing; on arm64
+// it keeps FMULD and FADDD/FSUBD where FMADDD/FMSUBD would appear.
 //
 // A plain UpdateFunc is itself an Op (Func returns the function), so
 // every engine accepts either; unknown ops and wrapper grids simply run
@@ -73,9 +76,9 @@ type Real interface {
 }
 
 // MinPlus is the Floyd-Warshall op: f(x,u,v,w) = min(x, u+v). Its
-// fused kernels hoist u = c[i,k] out of the j loop and run it 4-way
-// unrolled; min is insensitive to the w argument, so no pivot handling
-// is needed beyond the register reload at j == k.
+// fused kernels hoist u = c[i,k] out of the j loop and relax whole row
+// segments with minPlusRow; min is insensitive to the w argument, so
+// no pivot handling is needed beyond the register reload at j == k.
 type MinPlus[T Real] struct{}
 
 // Func implements Op.
@@ -99,51 +102,22 @@ func (MinPlus[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s int
 	for k := k0; k < k0+s; k++ {
 		ck := data[k*stride:]
 		for i := i0; i < i0+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < j0 {
-				lo = j0
-			}
-			if hi > j0+s {
-				hi = j0 + s
-			}
+			lo, hi := clampJRange(rg, i, k, j0, s)
 			if lo >= hi {
 				continue
 			}
 			ci := data[i*stride:]
 			u := ci[k]
-			j := lo
 			if k >= lo && k < hi {
-				for ; j < k; j++ {
-					if d := u + ck[j]; d < ci[j] {
-						ci[j] = d
-					}
-				}
+				minPlusRow(ci[lo:k], ck[lo:k], u)
 				// j == k: x = u and v = c[k,k]; the write may change u.
 				if d := u + ck[k]; d < u {
 					ci[k] = d
 					u = d
 				}
-				j = k + 1
+				lo = k + 1
 			}
-			for ; j+3 < hi; j += 4 {
-				if d := u + ck[j]; d < ci[j] {
-					ci[j] = d
-				}
-				if d := u + ck[j+1]; d < ci[j+1] {
-					ci[j+1] = d
-				}
-				if d := u + ck[j+2]; d < ci[j+2] {
-					ci[j+2] = d
-				}
-				if d := u + ck[j+3]; d < ci[j+3] {
-					ci[j+3] = d
-				}
-			}
-			for ; j < hi; j++ {
-				if d := u + ck[j]; d < ci[j] {
-					ci[j] = d
-				}
-			}
+			minPlusRow(ci[lo:hi], ck[lo:hi], u)
 		}
 	}
 	return true
@@ -151,63 +125,76 @@ func (MinPlus[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s int
 
 // DisjointKernel implements DisjointKerneler: the disjoint-grid variant
 // needs no j == k split (only X is written), so u = U[i,k] is
-// loop-invariant across the whole row.
+// loop-invariant across the whole row segment. A block fully covered
+// by the update set runs minPlusRows; a partially covered one takes
+// the Ranger interval per (i,k).
 func (MinPlus[T]) DisjointKernel(x []T, xs int, u []T, us int, v []T, vs int, _ []T, _ int, rg Ranger, xi, xj, k0, s int) bool {
 	if rg == nil {
 		return false
 	}
+	if blockCovered(rg, xi, xj, k0, s) {
+		minPlusRows(x, xs, u, us, v, vs, xi, xj, k0, s)
+		return true
+	}
 	for k := k0; k < k0+s; k++ {
 		vk := v[k*vs:]
 		for i := xi; i < xi+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < xj {
-				lo = xj
-			}
-			if hi > xj+s {
-				hi = xj + s
-			}
-			if lo >= hi {
-				continue
-			}
-			xr := x[i*xs:]
-			ui := u[i*us+k]
-			j := lo
-			for ; j+3 < hi; j += 4 {
-				if d := ui + vk[j]; d < xr[j] {
-					xr[j] = d
-				}
-				if d := ui + vk[j+1]; d < xr[j+1] {
-					xr[j+1] = d
-				}
-				if d := ui + vk[j+2]; d < xr[j+2] {
-					xr[j+2] = d
-				}
-				if d := ui + vk[j+3]; d < xr[j+3] {
-					xr[j+3] = d
-				}
-			}
-			for ; j < hi; j++ {
-				if d := ui + vk[j]; d < xr[j] {
-					xr[j] = d
-				}
+			if lo, hi := clampJRange(rg, i, k, xj, s); lo < hi {
+				minPlusRow(x[i*xs+lo:i*xs+hi], vk[lo:hi], u[i*us+k])
 			}
 		}
 	}
 	return true
 }
 
+// minPlusRows is the covered-block min-plus kernel: one X row at a
+// time, unrolled 4 ways over k, so each cell is relaxed by four k in
+// ascending order while held in a register and stored once per four k
+// (storing an unchanged value is harmless: only X is written).
+func minPlusRows[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0, s int) {
+	for i := xi; i < xi+s; i++ {
+		xr := x[i*xs+xj:][:s]
+		ur := u[i*us+k0:][:s]
+		k := 0
+		for ; k+3 < s; k += 4 {
+			a0, a1, a2, a3 := ur[k], ur[k+1], ur[k+2], ur[k+3]
+			b0 := v[(k0+k)*vs+xj:][:len(xr)]
+			b1 := v[(k0+k+1)*vs+xj:][:len(xr)]
+			b2 := v[(k0+k+2)*vs+xj:][:len(xr)]
+			b3 := v[(k0+k+3)*vs+xj:][:len(xr)]
+			for j, c := range xr {
+				if d := a0 + b0[j]; d < c {
+					c = d
+				}
+				if d := a1 + b1[j]; d < c {
+					c = d
+				}
+				if d := a2 + b2[j]; d < c {
+					c = d
+				}
+				if d := a3 + b3[j]; d < c {
+					c = d
+				}
+				xr[j] = c
+			}
+		}
+		for ; k < s; k++ {
+			minPlusRow(xr, v[(k0+k)*vs+xj:][:s], ur[k])
+		}
+	}
+}
+
 // MulAdd is the matrix-multiplication op: f(x,u,v,w) = x + u·v with
 // the product rounded before the add (two roundings — the generic
-// semantics; see the package comment on FMA). Its disjoint kernel is a
-// 4×4 register-tiled micro-kernel when the block is fully covered by
-// the update set, and a 4-way unrolled rank-1 loop otherwise.
+// semantics; see the package comment on FMA). Its disjoint kernel runs
+// mulAddRows, a row kernel unrolled over k, when the block is fully
+// covered by the update set, and a rank-1 loop otherwise.
 type MulAdd[T Real] struct{}
 
 // Func implements Op.
 func (MulAdd[T]) Func() UpdateFunc[T] {
 	return func(_, _, _ int, x, u, v, _ T) T {
-		t := u * v
-		return x + t
+		return x + T(u*v)
 	}
 }
 
@@ -222,193 +209,117 @@ func (MulAdd[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s int)
 	for k := k0; k < k0+s; k++ {
 		ck := data[k*stride:]
 		for i := i0; i < i0+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < j0 {
-				lo = j0
-			}
-			if hi > j0+s {
-				hi = j0 + s
-			}
+			lo, hi := clampJRange(rg, i, k, j0, s)
 			if lo >= hi {
 				continue
 			}
 			ci := data[i*stride:]
 			u := ci[k]
-			j := lo
 			if k >= lo && k < hi {
-				for ; j < k; j++ {
-					t := u * ck[j]
-					ci[j] += t
-				}
+				addRow(ci[lo:k], ck[lo:k], u)
 				// j == k: x = u and v = c[k,k]; the write changes u.
-				t := u * ck[k]
-				ci[k] = u + t
+				ci[k] = u + T(u*ck[k])
 				u = ci[k]
-				j = k + 1
+				lo = k + 1
 			}
-			for ; j+3 < hi; j += 4 {
-				t0 := u * ck[j]
-				ci[j] += t0
-				t1 := u * ck[j+1]
-				ci[j+1] += t1
-				t2 := u * ck[j+2]
-				ci[j+2] += t2
-				t3 := u * ck[j+3]
-				ci[j+3] += t3
-			}
-			for ; j < hi; j++ {
-				t := u * ck[j]
-				ci[j] += t
-			}
+			addRow(ci[lo:hi], ck[lo:hi], u)
 		}
 	}
 	return true
 }
 
-// DisjointKernel implements DisjointKerneler. When every ⟨i,j,k⟩ of the
-// block is a member and the side is a multiple of 4, it runs the 4×4
-// register-tiled micro-kernel: 16 accumulators live across the k loop,
-// so each X cell is loaded and stored once per block instead of once
-// per k. Per cell the accumulator applies the same ascending-k sequence
-// of (round(u·v), round(x+t)) steps as the generic path, so the tiling
-// does not change a single bit. Partially covered blocks take the
-// rank-1 fused loop, which handles the Ranger interval per (i,k).
+// DisjointKernel implements DisjointKerneler. A block fully covered by
+// the update set runs mulAddRows; a partially covered one takes the
+// rank-1 loop, which handles the Ranger interval per (i,k).
 func (MulAdd[T]) DisjointKernel(x []T, xs int, u []T, us int, v []T, vs int, _ []T, _ int, rg Ranger, xi, xj, k0, s int) bool {
 	if rg == nil {
 		return false
 	}
-	if s%4 == 0 && blockCovered(rg, xi, xj, k0, s) {
-		mulTile4x4(x, xs, u, us, v, vs, xi, xj, k0, s)
+	if blockCovered(rg, xi, xj, k0, s) {
+		mulAddRows(x, xs, u, us, v, vs, xi, xj, k0, s)
 		return true
 	}
 	for k := k0; k < k0+s; k++ {
 		vk := v[k*vs:]
 		for i := xi; i < xi+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < xj {
-				lo = xj
-			}
-			if hi > xj+s {
-				hi = xj + s
-			}
-			if lo >= hi {
-				continue
-			}
-			xr := x[i*xs:]
-			ui := u[i*us+k]
-			j := lo
-			for ; j+3 < hi; j += 4 {
-				t0 := ui * vk[j]
-				xr[j] += t0
-				t1 := ui * vk[j+1]
-				xr[j+1] += t1
-				t2 := ui * vk[j+2]
-				xr[j+2] += t2
-				t3 := ui * vk[j+3]
-				xr[j+3] += t3
-			}
-			for ; j < hi; j++ {
-				t := ui * vk[j]
-				xr[j] += t
+			if lo, hi := clampJRange(rg, i, k, xj, s); lo < hi {
+				addRow(x[i*xs+lo:i*xs+hi], vk[lo:hi], u[i*us+k])
 			}
 		}
 	}
 	return true
 }
 
-// blockCovered reports whether the update set contains every ⟨i,j,k⟩ of
-// the block — the precondition of the register-tiled micro-kernel. Full
-// answers in O(1); other Rangers are scanned per (i,k), an O(s²) test
-// against the block's O(s³) work.
-func blockCovered(rg Ranger, xi, xj, k0, s int) bool {
-	if _, ok := rg.(Full); ok {
-		return true
-	}
-	for k := k0; k < k0+s; k++ {
-		for i := xi; i < xi+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo > xj || hi < xj+s {
-				return false
+// mulAddRows is the covered-block multiply kernel:
+// X[i, xj:xj+s] += U[i, k0:k0+s]·V[k0:k0+s, xj:xj+s], two X rows at a
+// time, unrolled 4 ways over k. Each cell accumulates
+// ((x + a0·b0) + a1·b1) + a2·b2 + a3·b3 with every product and sum
+// rounded, in strict k order — exactly the generic path's sequence —
+// while the X rows are loaded and stored once per four values of k
+// instead of once per k, and each V element loaded serves both rows.
+// The dependence chain per cell is four adds per four k, as long as a
+// reassociated a0·b0 + a1·b1 + a2·b2 + a3·b3 sum; the independent cells
+// of the rows overlap those chains.
+func mulAddRows[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0, s int) {
+	i := xi
+	for ; i+1 < xi+s; i += 2 {
+		xr0 := x[i*xs+xj:][:s]
+		xr1 := x[(i+1)*xs+xj:][:s]
+		ur0 := u[i*us+k0:][:s]
+		ur1 := u[(i+1)*us+k0:][:s]
+		k := 0
+		for ; k+3 < s; k += 4 {
+			a00, a01, a02, a03 := ur0[k], ur0[k+1], ur0[k+2], ur0[k+3]
+			a10, a11, a12, a13 := ur1[k], ur1[k+1], ur1[k+2], ur1[k+3]
+			b0 := v[(k0+k)*vs+xj:][:len(xr0)]
+			b1 := v[(k0+k+1)*vs+xj:][:len(xr0)]
+			b2 := v[(k0+k+2)*vs+xj:][:len(xr0)]
+			b3 := v[(k0+k+3)*vs+xj:][:len(xr0)]
+			xr1 := xr1[:len(xr0)]
+			for j, c0 := range xr0 {
+				c1 := xr1[j]
+				b := b0[j]
+				c0 += T(a00 * b)
+				c1 += T(a10 * b)
+				b = b1[j]
+				c0 += T(a01 * b)
+				c1 += T(a11 * b)
+				b = b2[j]
+				c0 += T(a02 * b)
+				c1 += T(a12 * b)
+				b = b3[j]
+				c0 += T(a03 * b)
+				c1 += T(a13 * b)
+				xr0[j], xr1[j] = c0, c1
 			}
 		}
+		for ; k < s; k++ {
+			b := v[(k0+k)*vs+xj:][:s]
+			addRow(xr0, b, ur0[k])
+			addRow(xr1, b, ur1[k])
+		}
 	}
-	return true
-}
-
-// mulTile4x4 is the register-tiled disjoint multiply micro-kernel:
-// X[4×4] += U[4×s]·V[s×4], accumulators in registers, k innermost.
-func mulTile4x4[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0, s int) {
-	for i := xi; i < xi+s; i += 4 {
-		x0, x1, x2, x3 := x[i*xs:], x[(i+1)*xs:], x[(i+2)*xs:], x[(i+3)*xs:]
-		u0, u1, u2, u3 := u[i*us:], u[(i+1)*us:], u[(i+2)*us:], u[(i+3)*us:]
-		for j := xj; j < xj+s; j += 4 {
-			c00, c01, c02, c03 := x0[j], x0[j+1], x0[j+2], x0[j+3]
-			c10, c11, c12, c13 := x1[j], x1[j+1], x1[j+2], x1[j+3]
-			c20, c21, c22, c23 := x2[j], x2[j+1], x2[j+2], x2[j+3]
-			c30, c31, c32, c33 := x3[j], x3[j+1], x3[j+2], x3[j+3]
-			for k := k0; k < k0+s; k++ {
-				vk := v[k*vs:]
-				b0, b1, b2, b3 := vk[j], vk[j+1], vk[j+2], vk[j+3]
-				a := u0[k]
-				t0 := a * b0
-				c00 += t0
-				t1 := a * b1
-				c01 += t1
-				t2 := a * b2
-				c02 += t2
-				t3 := a * b3
-				c03 += t3
-				a = u1[k]
-				t0 = a * b0
-				c10 += t0
-				t1 = a * b1
-				c11 += t1
-				t2 = a * b2
-				c12 += t2
-				t3 = a * b3
-				c13 += t3
-				a = u2[k]
-				t0 = a * b0
-				c20 += t0
-				t1 = a * b1
-				c21 += t1
-				t2 = a * b2
-				c22 += t2
-				t3 = a * b3
-				c23 += t3
-				a = u3[k]
-				t0 = a * b0
-				c30 += t0
-				t1 = a * b1
-				c31 += t1
-				t2 = a * b2
-				c32 += t2
-				t3 = a * b3
-				c33 += t3
-			}
-			x0[j], x0[j+1], x0[j+2], x0[j+3] = c00, c01, c02, c03
-			x1[j], x1[j+1], x1[j+2], x1[j+3] = c10, c11, c12, c13
-			x2[j], x2[j+1], x2[j+2], x2[j+3] = c20, c21, c22, c23
-			x3[j], x3[j+1], x3[j+2], x3[j+3] = c30, c31, c32, c33
+	if i < xi+s { // odd side: the last row alone
+		xr := x[i*xs+xj:][:s]
+		for k, a := range u[i*us+k0:][:s] {
+			addRow(xr, v[(k0+k)*vs+xj:][:s], a)
 		}
 	}
 }
 
 // MulSub is the multiply-subtract op: f(x,u,v,w) = x − u·v with the
 // product rounded before the subtraction (two roundings, as with
-// MulAdd). It is the Schur-complement update C −= L·U that blocked
-// factorizations with pivoting (linalg.FactorCA) issue against
-// disjoint panels, expressed as an engine op so the trailing update
-// keeps the fused kernel tier and its counters. The disjoint kernel
-// mirrors MulAdd's: a 4×4 register-tiled micro-kernel on fully covered
-// blocks, a 4-way unrolled rank-1 loop otherwise.
+// MulAdd). It is the Schur-complement update C −= L·U: blocked
+// factorizations with pivoting (linalg.FactorCA) issue it against
+// disjoint panels, and it is the whole update of an in-place LU D
+// block (see LUFactor). The disjoint kernel mirrors MulAdd's:
+// mulSubRows on fully covered blocks, a rank-1 loop otherwise.
 type MulSub[T Real] struct{}
 
 // Func implements Op.
 func (MulSub[T]) Func() UpdateFunc[T] {
 	return func(_, _, _ int, x, u, v, _ T) T {
-		t := u * v
-		return x - t
+		return x - T(u*v)
 	}
 }
 
@@ -418,100 +329,67 @@ func (MulSub[T]) DisjointKernel(x []T, xs int, u []T, us int, v []T, vs int, _ [
 	if rg == nil {
 		return false
 	}
-	if s%4 == 0 && blockCovered(rg, xi, xj, k0, s) {
-		mulSubTile4x4(x, xs, u, us, v, vs, xi, xj, k0, s)
+	if blockCovered(rg, xi, xj, k0, s) {
+		mulSubRows(x, xs, u, us, v, vs, xi, xj, k0, s)
 		return true
 	}
 	for k := k0; k < k0+s; k++ {
 		vk := v[k*vs:]
 		for i := xi; i < xi+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < xj {
-				lo = xj
-			}
-			if hi > xj+s {
-				hi = xj + s
-			}
-			if lo >= hi {
-				continue
-			}
-			xr := x[i*xs:]
-			ui := u[i*us+k]
-			j := lo
-			for ; j+3 < hi; j += 4 {
-				t0 := ui * vk[j]
-				xr[j] -= t0
-				t1 := ui * vk[j+1]
-				xr[j+1] -= t1
-				t2 := ui * vk[j+2]
-				xr[j+2] -= t2
-				t3 := ui * vk[j+3]
-				xr[j+3] -= t3
-			}
-			for ; j < hi; j++ {
-				t := ui * vk[j]
-				xr[j] -= t
+			if lo, hi := clampJRange(rg, i, k, xj, s); lo < hi {
+				subRow(x[i*xs+lo:i*xs+hi], vk[lo:hi], u[i*us+k])
 			}
 		}
 	}
 	return true
 }
 
-// mulSubTile4x4 is mulTile4x4 with subtracting accumulators:
-// X[4×4] −= U[4×s]·V[s×4].
-func mulSubTile4x4[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0, s int) {
-	for i := xi; i < xi+s; i += 4 {
-		x0, x1, x2, x3 := x[i*xs:], x[(i+1)*xs:], x[(i+2)*xs:], x[(i+3)*xs:]
-		u0, u1, u2, u3 := u[i*us:], u[(i+1)*us:], u[(i+2)*us:], u[(i+3)*us:]
-		for j := xj; j < xj+s; j += 4 {
-			c00, c01, c02, c03 := x0[j], x0[j+1], x0[j+2], x0[j+3]
-			c10, c11, c12, c13 := x1[j], x1[j+1], x1[j+2], x1[j+3]
-			c20, c21, c22, c23 := x2[j], x2[j+1], x2[j+2], x2[j+3]
-			c30, c31, c32, c33 := x3[j], x3[j+1], x3[j+2], x3[j+3]
-			for k := k0; k < k0+s; k++ {
-				vk := v[k*vs:]
-				b0, b1, b2, b3 := vk[j], vk[j+1], vk[j+2], vk[j+3]
-				a := u0[k]
-				t0 := a * b0
-				c00 -= t0
-				t1 := a * b1
-				c01 -= t1
-				t2 := a * b2
-				c02 -= t2
-				t3 := a * b3
-				c03 -= t3
-				a = u1[k]
-				t0 = a * b0
-				c10 -= t0
-				t1 = a * b1
-				c11 -= t1
-				t2 = a * b2
-				c12 -= t2
-				t3 = a * b3
-				c13 -= t3
-				a = u2[k]
-				t0 = a * b0
-				c20 -= t0
-				t1 = a * b1
-				c21 -= t1
-				t2 = a * b2
-				c22 -= t2
-				t3 = a * b3
-				c23 -= t3
-				a = u3[k]
-				t0 = a * b0
-				c30 -= t0
-				t1 = a * b1
-				c31 -= t1
-				t2 = a * b2
-				c32 -= t2
-				t3 = a * b3
-				c33 -= t3
+// mulSubRows is mulAddRows with subtracting accumulation:
+// X[i, xj:xj+s] −= U[i, k0:k0+s]·V[k0:k0+s, xj:xj+s], in strict k
+// order per cell.
+func mulSubRows[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0, s int) {
+	i := xi
+	for ; i+1 < xi+s; i += 2 {
+		xr0 := x[i*xs+xj:][:s]
+		xr1 := x[(i+1)*xs+xj:][:s]
+		ur0 := u[i*us+k0:][:s]
+		ur1 := u[(i+1)*us+k0:][:s]
+		k := 0
+		for ; k+3 < s; k += 4 {
+			a00, a01, a02, a03 := ur0[k], ur0[k+1], ur0[k+2], ur0[k+3]
+			a10, a11, a12, a13 := ur1[k], ur1[k+1], ur1[k+2], ur1[k+3]
+			b0 := v[(k0+k)*vs+xj:][:len(xr0)]
+			b1 := v[(k0+k+1)*vs+xj:][:len(xr0)]
+			b2 := v[(k0+k+2)*vs+xj:][:len(xr0)]
+			b3 := v[(k0+k+3)*vs+xj:][:len(xr0)]
+			xr1 := xr1[:len(xr0)]
+			for j, c0 := range xr0 {
+				c1 := xr1[j]
+				b := b0[j]
+				c0 -= T(a00 * b)
+				c1 -= T(a10 * b)
+				b = b1[j]
+				c0 -= T(a01 * b)
+				c1 -= T(a11 * b)
+				b = b2[j]
+				c0 -= T(a02 * b)
+				c1 -= T(a12 * b)
+				b = b3[j]
+				c0 -= T(a03 * b)
+				c1 -= T(a13 * b)
+				xr0[j], xr1[j] = c0, c1
 			}
-			x0[j], x0[j+1], x0[j+2], x0[j+3] = c00, c01, c02, c03
-			x1[j], x1[j+1], x1[j+2], x1[j+3] = c10, c11, c12, c13
-			x2[j], x2[j+1], x2[j+2], x2[j+3] = c20, c21, c22, c23
-			x3[j], x3[j+1], x3[j+2], x3[j+3] = c30, c31, c32, c33
+		}
+		for ; k < s; k++ {
+			b := v[(k0+k)*vs+xj:][:s]
+			subRow(xr0, b, ur0[k])
+			subRow(xr1, b, ur1[k])
+		}
+	}
+	if i < xi+s { // odd side: the last row alone
+		xr := x[i*xs+xj:][:s]
+		for k, a := range u[i*us+k0:][:s] {
+			subRow(xr, v[(k0+k)*vs+xj:][:s], a)
 		}
 	}
 }
@@ -527,8 +405,7 @@ type GaussElim[T Real] struct{}
 func (GaussElim[T]) Func() UpdateFunc[T] {
 	return func(_, _, _ int, x, u, v, w T) T {
 		m := u / w
-		t := m * v
-		return x - t
+		return x - T(m*v)
 	}
 }
 
@@ -543,47 +420,22 @@ func (GaussElim[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s i
 	for k := k0; k < k0+s; k++ {
 		ck := data[k*stride:]
 		for i := i0; i < i0+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < j0 {
-				lo = j0
-			}
-			if hi > j0+s {
-				hi = j0 + s
-			}
+			lo, hi := clampJRange(rg, i, k, j0, s)
 			if lo >= hi {
 				continue
 			}
 			ci := data[i*stride:]
 			u, w := ci[k], ck[k]
-			j := lo
 			if k >= lo && k < hi {
 				m := u / w
-				for ; j < k; j++ {
-					t := m * ck[j]
-					ci[j] -= t
-				}
+				subRow(ci[lo:k], ck[lo:k], m)
 				// j == k: x = u, v = w; the write changes u (and w when
 				// i == k, as ci and ck are then the same row).
-				t := m * w
-				ci[k] = u - t
+				ci[k] = u - T(m*w)
 				u, w = ci[k], ck[k]
-				j = k + 1
+				lo = k + 1
 			}
-			m := u / w
-			for ; j+3 < hi; j += 4 {
-				t0 := m * ck[j]
-				ci[j] -= t0
-				t1 := m * ck[j+1]
-				ci[j+1] -= t1
-				t2 := m * ck[j+2]
-				ci[j+2] -= t2
-				t3 := m * ck[j+3]
-				ci[j+3] -= t3
-			}
-			for ; j < hi; j++ {
-				t := m * ck[j]
-				ci[j] -= t
-			}
+			subRow(ci[lo:hi], ck[lo:hi], u/w)
 		}
 	}
 	return true
@@ -595,7 +447,9 @@ func (GaussElim[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s i
 //	             x - u·v  if j != k  (elimination with the multiplier)
 //
 // The fused kernel computes the multiplier at the interval's j == k
-// head and then runs the elimination with u = l_ik registered.
+// head and then runs the elimination with u = l_ik registered. An
+// in-place D block has no j == k update, so there the LU update is
+// MulSub's and runs MulSub's disjoint kernel (see dKernelOf).
 type LUFactor[T Real] struct{}
 
 // Func implements Op.
@@ -604,10 +458,13 @@ func (LUFactor[T]) Func() UpdateFunc[T] {
 		if j == k {
 			return x / w
 		}
-		t := u * v
-		return x - t
+		return x - T(u*v)
 	}
 }
+
+// offPivot implements offPivoter: off the pivot column the LU update
+// is x − u·v, MulSub's.
+func (LUFactor[T]) offPivot() DisjointKerneler[T] { return MulSub[T]{} }
 
 // BlockKernel implements BlockKerneler.
 func (LUFactor[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s int) bool {
@@ -617,43 +474,87 @@ func (LUFactor[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s in
 	for k := k0; k < k0+s; k++ {
 		ck := data[k*stride:]
 		for i := i0; i < i0+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < j0 {
-				lo = j0
-			}
-			if hi > j0+s {
-				hi = j0 + s
-			}
+			lo, hi := clampJRange(rg, i, k, j0, s)
 			if lo >= hi {
 				continue
 			}
 			ci := data[i*stride:]
-			u, w := ci[k], ck[k]
-			j := lo
+			u := ci[k]
 			if k >= lo && k < hi {
-				for ; j < k; j++ {
-					t := u * ck[j]
-					ci[j] -= t
-				}
+				subRow(ci[lo:k], ck[lo:k], u)
 				// j == k: x = u, so the multiplier is u/w. The
 				// elimination phase below no longer needs w.
-				ci[k] = u / w
+				ci[k] = u / ck[k]
 				u = ci[k]
-				j = k + 1
+				lo = k + 1
 			}
-			for ; j+3 < hi; j += 4 {
-				t0 := u * ck[j]
-				ci[j] -= t0
-				t1 := u * ck[j+1]
-				ci[j+1] -= t1
-				t2 := u * ck[j+2]
-				ci[j+2] -= t2
-				t3 := u * ck[j+3]
-				ci[j+3] -= t3
-			}
-			for ; j < hi; j++ {
-				t := u * ck[j]
-				ci[j] -= t
+			subRow(ci[lo:hi], ck[lo:hi], u)
+		}
+	}
+	return true
+}
+
+// Row helpers of the fused kernels: one update per element of vr over
+// the matching prefix of xr, in ascending j. The re-slice to len(vr)
+// lets the compiler drop every bounds check in the loop. xr and vr may
+// be the same row (an in-place block with i == k): each element is
+// read right before its own update, as in the generic path.
+
+// minPlusRow sets xr[j] = min(xr[j], u + vr[j]).
+func minPlusRow[T Real](xr, vr []T, u T) {
+	xr = xr[:len(vr)]
+	for j, v := range vr {
+		if d := u + v; d < xr[j] {
+			xr[j] = d
+		}
+	}
+}
+
+// addRow sets xr[j] = xr[j] + round(u·vr[j]).
+func addRow[T Real](xr, vr []T, u T) {
+	xr = xr[:len(vr)]
+	for j, v := range vr {
+		xr[j] += T(u * v)
+	}
+}
+
+// subRow sets xr[j] = xr[j] − round(u·vr[j]).
+func subRow[T Real](xr, vr []T, u T) {
+	xr = xr[:len(vr)]
+	for j, v := range vr {
+		xr[j] -= T(u * v)
+	}
+}
+
+// clampJRange returns the set's column interval for (i, k) clipped to
+// the block's columns [j0, j0+s).
+func clampJRange(rg Ranger, i, k, j0, s int) (lo, hi int) {
+	lo, hi = rg.JRange(i, k)
+	return max(lo, j0), min(hi, j0+s)
+}
+
+// blockCovered reports whether the update set contains every ⟨i,j,k⟩ of
+// the block — the precondition of the covered-block kernels. The
+// standard sets answer in O(1) (a tile's shiftSet by translating the
+// block); other Rangers are scanned per (i,k), an O(s²) test against
+// the block's O(s³) work.
+func blockCovered(rg Ranger, xi, xj, k0, s int) bool {
+	kMax := k0 + s - 1
+	switch r := rg.(type) {
+	case Full:
+		return true
+	case LU:
+		return kMax < xi && kMax <= xj
+	case Gaussian:
+		return kMax < xi && kMax < xj
+	case shiftSet:
+		return blockCovered(r.rg, xi+r.di, xj+r.dj, k0+r.dk, s)
+	}
+	for k := k0; k < k0+s; k++ {
+		for i := xi; i < xi+s; i++ {
+			lo, hi := rg.JRange(i, k)
+			if lo > xj || hi < xj+s {
+				return false
 			}
 		}
 	}
@@ -682,13 +583,7 @@ func (Closure) BlockKernel(data []bool, stride int, rg Ranger, i0, j0, k0, s int
 	for k := k0; k < k0+s; k++ {
 		ck := data[k*stride:]
 		for i := i0; i < i0+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < j0 {
-				lo = j0
-			}
-			if hi > j0+s {
-				hi = j0 + s
-			}
+			lo, hi := clampJRange(rg, i, k, j0, s)
 			if lo >= hi {
 				continue
 			}

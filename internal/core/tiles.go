@@ -35,9 +35,10 @@ package core
 //
 // Dispatch follows the kernel hierarchy of fastpath.go: the op's
 // fused closed-form kernel when the block shape admits one (BlockKernel
-// on the diagonal, DisjointKernel when all four quadrants are
-// distinct), the Ranger-hoisted flat loop otherwise, and the
-// per-element Contains loop for sets without column intervals.
+// on the diagonal, the D-block kernel of dKernelOf when all four
+// quadrants are distinct, as in the in-core engines), the
+// Ranger-hoisted flat loop otherwise, and the per-element Contains
+// loop for sets without column intervals.
 func TileKernel[T any](op Op[T], set UpdateSet, x, u, v, w []T, i0, j0, k0, s int) {
 	rg, _ := set.(Ranger)
 	if rg != nil {
@@ -53,7 +54,7 @@ func TileKernel[T any](op Op[T], set UpdateSet, x, u, v, w []T, i0, j0, k0, s in
 		} else if i0 != k0 && j0 != k0 {
 			// All four quadrants distinct: X is written, U, V, W are
 			// read-only — the RunDisjoint shape.
-			if dk, ok := op.(DisjointKerneler[T]); ok && dk.DisjointKernel(x, s, u, s, v, s, w, s, local, 0, 0, 0, s) {
+			if dk := dKernelOf(op); dk != nil && dk.DisjointKernel(x, s, u, s, v, s, w, s, local, 0, 0, 0, s) {
 				kernelTileFusedCount.Inc()
 				return
 			}
@@ -107,13 +108,7 @@ func tileKernelRange[T any](x, u, v, w []T, rg Ranger, f UpdateFunc[T], i0, j0, 
 		vk := v[(k-k0)*s:]
 		wv := w[(k-k0)*s+(k-k0)]
 		for i := i0; i < i0+s; i++ {
-			lo, hi := rg.JRange(i, k)
-			if lo < j0 {
-				lo = j0
-			}
-			if hi > j0+s {
-				hi = j0 + s
-			}
+			lo, hi := clampJRange(rg, i, k, j0, s)
 			if lo >= hi {
 				continue
 			}

@@ -82,13 +82,14 @@ type config[T any] struct {
 
 	// flatData/flatStride are the row-major backing of the grid when it
 	// is a *matrix.Dense[T] (flatData == nil otherwise); ranger is the
-	// set's Ranger view when it has one; blockOp is the op's fused
-	// in-place kernel when the op provides one and flat storage bound.
-	// All are bound by bindFast.
+	// set's Ranger view when it has one; blockOp and dOp are the op's
+	// fused in-place and D-block kernels when the op provides them and
+	// flat storage bound. All are bound by bindFast.
 	flatData   []T
 	flatStride int
 	ranger     Ranger
 	blockOp    BlockKerneler[T]
+	dOp        DisjointKerneler[T]
 
 	// bits/bitsOp bind the packed fast path when the grid is a
 	// *matrix.Bits (T = bool only) and the op provides a word-parallel
@@ -101,7 +102,8 @@ type config[T any] struct {
 
 // bindFast resolves the fast-path hooks for one run: flat storage via
 // the matrix.Flat type assertion, the set's optional Ranger, and the
-// op's optional fused block kernel (only meaningful over flat storage).
+// op's optional fused block and D-block kernels (only meaningful over
+// flat storage).
 // Wrapper grids (cache simulators, tracers, out-of-core stores),
 // unknown sets and bare UpdateFuncs simply leave the generic path in
 // place. It also resolves the automatic base size.
@@ -116,6 +118,7 @@ func (c *config[T]) bindFast(g matrix.Grid[T], set UpdateSet, op Op[T]) {
 	c.ranger, _ = set.(Ranger)
 	if c.flatData != nil {
 		c.blockOp, _ = op.(BlockKerneler[T])
+		c.dOp = dKernelOf(op)
 	}
 	c.resolveBaseSize(c.flatData != nil)
 }

@@ -47,11 +47,11 @@ func BenchmarkMulJKIKernel(b *testing.B) {
 	}
 }
 
-func BenchmarkMulIGEPKernel(b *testing.B) {
+func BenchmarkMulFusedKernel(b *testing.B) {
 	a, bb, c := benchInput(1), benchInput(2), matrix.NewSquare[float64](benchN)
 	b.SetBytes(int64(MulFlops(benchN)))
 	for i := 0; i < b.N; i++ {
-		MulIGEP(c, a, bb, 64)
+		MulFused(c, a, bb, 64)
 	}
 }
 

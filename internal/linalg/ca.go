@@ -49,9 +49,9 @@ type caCfg struct {
 type CAOption func(*caCfg)
 
 // WithPanelWidth sets the block-column width b: pivot rows are chosen
-// b at a time and the trailing update runs on b-deep Schur tiles.
-// Multiples of 4 keep the register-tiled micro-kernel eligible; the
-// default is 32.
+// b at a time and the trailing update runs on b-deep Schur tiles
+// through the fused row kernel (multiples of 4 use its k-unrolled
+// body throughout); the default is 32.
 func WithPanelWidth(b int) CAOption {
 	return func(c *caCfg) {
 		if b > 0 {

@@ -1,28 +1,29 @@
-// Package linalg contains the specialized float64 kernels used by the
-// paper's performance experiments (§4.2): square matrix multiplication
-// and Gaussian elimination / LU decomposition without pivoting, each in
+// Package linalg contains the float64 linear algebra of the paper's
+// performance experiments (§4.2): square matrix multiplication and
+// Gaussian elimination / LU decomposition without pivoting, each in
 // three forms —
 //
 //   - the naive GEP-style triple loop (the paper's "GEP" baseline),
 //   - a cache-aware tiled kernel with register blocking (our stand-in
 //     for the hand-tuned BLAS the paper compares against; see
 //     DESIGN.md §4 for the substitution argument), and
-//   - the cache-oblivious I-GEP recursion with an iterative base-case
-//     kernel (the paper's optimized I-GEP, §4.2).
-//
-// The generic framework in internal/core runs these same computations
-// through interfaces; this package mirrors the paper's per-application
-// hand-specialized C code so the timing experiments measure kernel
-// quality rather than interface dispatch.
+//   - the cache-oblivious I-GEP recursion (fused.go): the generic
+//     engines of internal/core with a fused update op, whose base
+//     cases are closed-form kernels. It is the one I-GEP path for each
+//     computation — the facade, gep-server and gesolve all run it —
+//     and it applies each cell's updates in ascending k, so its output
+//     equals the iterative loop G with the op's function bit for bit
+//     (DESIGN.md §10).
 //
 // Key entry points:
 //
-//   - MulNaive / MulJKI / MulTiled / MulTiledMorton / MulIGEP /
-//     MulIGEPParallel: C += A·B in the forms Figure 11 compares, with
-//     MulFlops as the GFLOPS denominator.
+//   - MulNaive / MulJKI / MulTiled / MulTiledMorton / MulFused /
+//     MulFusedParallel: C += A·B in the forms Figure 11 and the layout
+//     ablation compare, with MulFlops as the GFLOPS denominator.
 //   - LUGEP / LUGEPOpt / LUTiled / LUIGEP / LUIGEPParallel: in-place
 //     LU decomposition without pivoting (Figure 10), with GEFlops as
-//     the denominator.
+//     the denominator; GaussFused runs the Gaussian set (no stored
+//     multipliers).
 //   - Factor / SolveLU / Determinant / Invert: the consumers that make
 //     the LU output useful and testable against known identities.
 //   - GaussGF2Fused / GaussGF2FusedParallel: unpivoted elimination

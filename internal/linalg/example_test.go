@@ -55,11 +55,11 @@ func ExampleFactor() {
 	// Output: 2 3
 }
 
-func ExampleMulIGEP() {
+func ExampleMulFused() {
 	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
 	b := matrix.FromRows([][]float64{{5, 6}, {7, 8}})
 	c := matrix.NewSquare[float64](2)
-	linalg.MulIGEP(c, a, b, 1)
+	linalg.MulFused(c, a, b, 1)
 	fmt.Println(c.At(0, 0), c.At(1, 1))
 	// Output: 19 50
 }

@@ -1,17 +1,21 @@
 package linalg
 
-// Engine-backed entry points: the same computations as the
-// hand-specialized kernels in this package, expressed through the
-// generic core engines with the fused update ops. They exist so the
-// benchmarks (and downstream users who want the engines' generality —
-// wrapper grids, traces, out-of-core stores) get the closed-form block
-// kernels without writing per-application recursions.
+// The cache-oblivious I-GEP entry points: matrix multiplication, LU
+// decomposition and Gaussian elimination, each the one path for its
+// computation — the facade, gep-server, gesolve and the benchmarks all
+// call these. Each runs the generic core engines (RunDisjoint,
+// RunIGEP, RunABCD) with a fused update op, so every base case is a
+// closed-form kernel and every cell applies its updates in ascending
+// k, each rounded as in the op's Func: the output equals the iterative
+// GEP loop G run with that bare Func (core.RunGEP for the in-place
+// ops) bit for bit, at every base size, grain and worker count
+// (DESIGN.md §10). Side lengths must be powers of two, and base sizes
+// at least 1.
 //
 // Every parallel entry point has an ...On sibling taking an optional
-// *par.Runtime: nil runs on the process-wide default runtime (the
-// historical behavior), a non-nil runtime confines all forks to that
-// runtime's worker budget — the per-job isolation internal/serve is
-// built on.
+// *par.Runtime: nil runs on the process-wide default runtime, a
+// non-nil runtime confines all forks to that runtime's worker budget —
+// the per-job isolation internal/serve is built on.
 
 import (
 	"gep/internal/core"
@@ -20,9 +24,11 @@ import (
 )
 
 // MulFused computes c += a·b through RunDisjoint with the fused
-// multiply-accumulate op (4×4 register-tiled micro-kernel on fully
-// covered blocks). Sides must be equal powers of two. The result is
-// bit-identical to the generic engine with the same op.
+// multiply-accumulate op: the all-D instantiation of I-GEP on disjoint
+// matrices, which needs no cache parameters and incurs O(n³/(B√M))
+// misses. The two k-halves of every quadrant are sequenced, so each
+// cell's additions stay in increasing k order (no associativity is
+// assumed, as the paper notes).
 func MulFused(c, a, b *matrix.Dense[float64], base int) {
 	checkMulDims(c, a, b)
 	core.RunDisjoint[float64](c, a, b, b, core.MulAdd[float64]{}, core.Full{},
@@ -47,24 +53,27 @@ func MulFusedParallelOn(rt *par.Runtime, c, a, b *matrix.Dense[float64], base, g
 		core.WithRuntime[float64](rt))
 }
 
-// LUFused performs in-place LU decomposition (multipliers below the
-// diagonal) through RunIGEP with the fused LU op over the LU set.
-func LUFused(c *matrix.Dense[float64], base int) {
+// LUIGEP performs in-place LU decomposition without pivoting through
+// RunIGEP with the fused LU op over the LU set {k < i ∧ k <= j}: the
+// multipliers end strictly below the diagonal (unit diagonal of L
+// implicit) and U on and above it. The input must be factorizable
+// without pivoting (e.g. diagonally dominant).
+func LUIGEP(c *matrix.Dense[float64], base int) {
 	core.RunIGEP[float64](c, core.LUFactor[float64]{}, core.LU{},
 		core.WithBaseSize[float64](base))
 }
 
-// LUFusedParallel is LUFused through the multithreaded A/B/C/D
-// recursion (Figure 6) on the work-stealing runtime. RunABCD refines
-// the same partial order as RunIGEP, so results are bit-identical to
-// LUFused at every worker count.
-func LUFusedParallel(c *matrix.Dense[float64], base, grain int) {
-	LUFusedParallelOn(nil, c, base, grain)
+// LUIGEPParallel is LUIGEP through the multithreaded A/B/C/D recursion
+// (Figure 6) on the work-stealing runtime. RunABCD refines the same
+// partial order as RunIGEP, so results are bit-identical to LUIGEP at
+// every worker count.
+func LUIGEPParallel(c *matrix.Dense[float64], base, grain int) {
+	LUIGEPParallelOn(nil, c, base, grain)
 }
 
-// LUFusedParallelOn is LUFusedParallel with all forks confined to rt
+// LUIGEPParallelOn is LUIGEPParallel with all forks confined to rt
 // (nil = the default runtime).
-func LUFusedParallelOn(rt *par.Runtime, c *matrix.Dense[float64], base, grain int) {
+func LUIGEPParallelOn(rt *par.Runtime, c *matrix.Dense[float64], base, grain int) {
 	core.RunABCD[float64](c, core.LUFactor[float64]{}, core.LU{},
 		core.WithBaseSize[float64](base), core.WithParallel[float64](grain),
 		core.WithRuntime[float64](rt))

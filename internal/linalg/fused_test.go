@@ -9,9 +9,9 @@ import (
 	"gep/internal/par"
 )
 
-// Differential tests for the engine-backed fused entry points
-// (fused.go) against this package's hand kernels and the iterative
-// GEP reference semantics.
+// Differential tests for the engine entry points (fused.go) against
+// the iterative GEP reference semantics: the loop G run with the op's
+// bare Func.
 
 func TestMulFusedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
@@ -27,30 +27,30 @@ func TestMulFusedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestLUFusedBitwiseMatchesGEP: the engine's LU op keeps the division
-// in the j == k update exactly as written GEP performs it, so the
-// fused path is bitwise equal to LUGEP (not LUGEPOpt, which hoists a
-// reciprocal and rounds differently).
+// TestLUFusedBitwiseMatchesGEP: LUIGEP runs the fused LU op, which
+// keeps the division in the j == k update exactly as written GEP
+// performs it and sends D blocks to MulSub's kernel, so at every base
+// size it is bitwise equal to the G loop with the bare LUFactor Func
+// (not to LUGEPOpt, which hoists a reciprocal and rounds differently).
 func TestLUFusedBitwiseMatchesGEP(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, n := range []int{4, 16, 64} {
 		a := diagDominant(rng, n)
 		want := a.Clone()
-		LUGEP(want)
+		core.RunGEP[float64](want, core.LUFactor[float64]{}.Func(), core.LU{})
 		for _, base := range []int{1, 8, 64} {
 			got := a.Clone()
-			LUFused(got, base)
+			LUIGEP(got, base)
 			if !want.EqualFunc(got, func(x, y float64) bool { return x == y }) {
-				t.Fatalf("n=%d base=%d: LUFused not bitwise equal to LUGEP", n, base)
+				t.Fatalf("n=%d base=%d: LUIGEP not bitwise equal to the G loop", n, base)
 			}
 		}
 	}
 }
 
-// TestGaussFusedMatchesIterative: the Gaussian set has no hand kernel
-// here (no multipliers are stored), so the oracle is the iterative
-// GEP loop nest with the same op — the reference semantics every
-// engine must preserve.
+// TestGaussFusedMatchesIterative: the oracle is the iterative GEP
+// loop nest with the same op — the reference semantics every engine
+// must preserve.
 func TestGaussFusedMatchesIterative(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for _, n := range []int{4, 16, 64} {
@@ -81,7 +81,7 @@ func TestFusedParallelMatchesSerial(t *testing.T) {
 	wantMul := matrix.NewSquare[float64](n)
 	MulFused(wantMul, a, b, base)
 	wantLU := lu.Clone()
-	LUFused(wantLU, base)
+	LUIGEP(wantLU, base)
 	wantGauss := lu.Clone()
 	GaussFused(wantGauss, base)
 
@@ -94,9 +94,9 @@ func TestFusedParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("p=%d: MulFusedParallel differs from MulFused", p)
 		}
 		gotLU := lu.Clone()
-		LUFusedParallel(gotLU, base, grain)
+		LUIGEPParallel(gotLU, base, grain)
 		if !wantLU.EqualFunc(gotLU, eq) {
-			t.Fatalf("p=%d: LUFusedParallel differs from LUFused", p)
+			t.Fatalf("p=%d: LUIGEPParallel differs from LUIGEP", p)
 		}
 		gotGauss := lu.Clone()
 		GaussFusedParallel(gotGauss, base, grain)

@@ -5,12 +5,12 @@ import (
 	"math"
 
 	"gep/internal/matrix"
-	"gep/internal/par"
 )
 
 // Gaussian elimination / LU decomposition without pivoting, in the
 // paper's three forms (§4.2, Figure 10): naive GEP, cache-aware tiled
-// ("BLAS substitute"), and cache-oblivious I-GEP. All variants compute
+// ("BLAS substitute"), and cache-oblivious I-GEP (LUIGEP, fused.go,
+// through the core engine). All variants compute
 // the in-place LU factorization: after the call, the strict lower
 // triangle holds L (unit diagonal implicit) and the upper triangle
 // holds U. Inputs must be factorizable without pivoting (e.g.
@@ -133,161 +133,6 @@ func negMulBlock(c *matrix.Dense[float64], i0, i1, k0, k1, j0, j1 int) {
 			uk := c.Row(k)[j0:j1]
 			for j := range ci {
 				ci[j] -= lk * uk[j]
-			}
-		}
-	}
-}
-
-// LUIGEP is the cache-oblivious I-GEP factorization: the A/B/C/D
-// recursion of Figure 6 specialized to the LU update set
-// {k < i ∧ k <= j}, with a G-order iterative kernel at base×base
-// blocks. n must be a power of two.
-func LUIGEP(c *matrix.Dense[float64], base int) {
-	n := c.N()
-	if n == 0 {
-		return
-	}
-	if !matrix.IsPow2(n) {
-		panic(fmt.Sprintf("linalg: LUIGEP needs power-of-two n, got %d", n))
-	}
-	if base < 1 {
-		base = 1
-	}
-	luRec(c, 0, 0, 0, n, base, 0, nil)
-}
-
-// LUIGEPParallel runs the same recursion with Figure 6's parallel
-// groups on goroutines down to the given grain.
-func LUIGEPParallel(c *matrix.Dense[float64], base, grain int) {
-	LUIGEPParallelOn(nil, c, base, grain)
-}
-
-// LUIGEPParallelOn is LUIGEPParallel with all forks confined to rt
-// (nil = the default runtime).
-func LUIGEPParallelOn(rt *par.Runtime, c *matrix.Dense[float64], base, grain int) {
-	n := c.N()
-	if n == 0 {
-		return
-	}
-	if !matrix.IsPow2(n) {
-		panic(fmt.Sprintf("linalg: LUIGEPParallel needs power-of-two n, got %d", n))
-	}
-	if base < 1 {
-		base = 1
-	}
-	if grain < base {
-		grain = base
-	}
-	luRec(c, 0, 0, 0, n, base, grain, par.Or(rt))
-}
-
-// luRec is the LU-specialized multithreaded I-GEP recursion. grain = 0
-// disables parallelism; otherwise parallel groups spawn while s > grain
-// as fork-join groups on rt (nil is allowed only when grain = 0).
-func luRec(c *matrix.Dense[float64], xi, xj, k0, s, base, grain int, rt *par.Runtime) {
-	// Prune using the LU set's box test: need some i > k and j >= k.
-	if xi+s-1 <= k0 || xj+s-1 < k0 {
-		return
-	}
-	if s <= base {
-		if xi >= k0+s && xj >= k0+s {
-			// Pure D block: every multiplier c[i,k] and pivot row
-			// entry c[k,j] is already final, so the block update is
-			// exactly C -= L·U — run the register-blocked GEMM kernel
-			// (the paper's optimized iterative base case).
-			negMulBlock(c, xi, xi+s, k0, k0+s, xj, xj+s)
-			return
-		}
-		luKernel(c, xi, xj, k0, s)
-		return
-	}
-	h := s / 2
-	parOn := grain > 0 && s > grain
-	run2 := func(f1, f2 func()) {
-		if !parOn {
-			f1()
-			f2()
-			return
-		}
-		rt.Do(f1, f2)
-	}
-	run4 := func(fs ...func()) {
-		if !parOn {
-			for _, f := range fs {
-				f()
-			}
-			return
-		}
-		rt.Do(fs...)
-	}
-	iK, jK := xi == k0, xj == k0
-	switch {
-	case iK && jK: // A
-		luRec(c, xi, xj, k0, h, base, grain, rt)
-		run2(func() { luRec(c, xi, xj+h, k0, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj, k0, h, base, grain, rt) })
-		luRec(c, xi+h, xj+h, k0, h, base, grain, rt)
-		luRec(c, xi+h, xj+h, k0+h, h, base, grain, rt)
-		run2(func() { luRec(c, xi+h, xj, k0+h, h, base, grain, rt) },
-			func() { luRec(c, xi, xj+h, k0+h, h, base, grain, rt) })
-		luRec(c, xi, xj, k0+h, h, base, grain, rt)
-	case iK: // B
-		run2(func() { luRec(c, xi, xj, k0, h, base, grain, rt) },
-			func() { luRec(c, xi, xj+h, k0, h, base, grain, rt) })
-		run2(func() { luRec(c, xi+h, xj, k0, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj+h, k0, h, base, grain, rt) })
-		run2(func() { luRec(c, xi+h, xj, k0+h, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj+h, k0+h, h, base, grain, rt) })
-		run2(func() { luRec(c, xi, xj, k0+h, h, base, grain, rt) },
-			func() { luRec(c, xi, xj+h, k0+h, h, base, grain, rt) })
-	case jK: // C
-		run2(func() { luRec(c, xi, xj, k0, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj, k0, h, base, grain, rt) })
-		run2(func() { luRec(c, xi, xj+h, k0, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj+h, k0, h, base, grain, rt) })
-		run2(func() { luRec(c, xi, xj+h, k0+h, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj+h, k0+h, h, base, grain, rt) })
-		run2(func() { luRec(c, xi, xj, k0+h, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj, k0+h, h, base, grain, rt) })
-	default: // D
-		run4(func() { luRec(c, xi, xj, k0, h, base, grain, rt) },
-			func() { luRec(c, xi, xj+h, k0, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj, k0, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj+h, k0, h, base, grain, rt) })
-		run4(func() { luRec(c, xi, xj, k0+h, h, base, grain, rt) },
-			func() { luRec(c, xi, xj+h, k0+h, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj, k0+h, h, base, grain, rt) },
-			func() { luRec(c, xi+h, xj+h, k0+h, h, base, grain, rt) })
-	}
-}
-
-// luKernel applies, in G order, all LU-set updates with i ∈ [xi,xi+s),
-// j ∈ [xj,xj+s), k ∈ [k0,k0+s). It covers every block kind: the index
-// bounds realize the membership conditions k < i, k <= j.
-func luKernel(c *matrix.Dense[float64], xi, xj, k0, s int) {
-	for k := k0; k < k0+s; k++ {
-		ck := c.Row(k)
-		iLo := xi
-		if k+1 > iLo {
-			iLo = k + 1
-		}
-		jLo := xj
-		if k+1 > jLo {
-			jLo = k + 1
-		}
-		hasMult := k >= xj && k < xj+s // the j == k (division) update
-		var inv float64
-		if hasMult {
-			inv = 1 / ck[k]
-		}
-		for i := iLo; i < xi+s; i++ {
-			ci := c.Row(i)
-			if hasMult {
-				ci[k] *= inv
-			}
-			m := ci[k]
-			for j := jLo; j < xj+s; j++ {
-				ci[j] -= m * ck[j]
 			}
 		}
 	}

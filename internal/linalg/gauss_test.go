@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gep/internal/core"
 	"gep/internal/matrix"
 )
 
@@ -89,20 +90,21 @@ func TestLUVariantsAgree(t *testing.T) {
 	}
 }
 
-// TestLUIGEPBitwiseMatchesGEPOpt: I-GEP for LU performs the identical
-// operations on identical operand values (the paper's exactness for
-// this instance), with reciprocal-multiplication multipliers matching
-// LUGEPOpt's.
-func TestLUIGEPBitwiseMatchesGEPOpt(t *testing.T) {
+// TestLUIGEPBitwiseMatchesGEP: the pure I-GEP recursion for LU
+// (base 1) performs the identical operations on identical operand
+// values as the iterative loop G (the paper's exactness for this
+// instance), so it is bitwise equal to G run with the bare LUFactor
+// Func.
+func TestLUIGEPBitwiseMatchesGEP(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, n := range []int{4, 16, 64} {
 		a := diagDominant(rng, n)
 		ref := a.Clone()
-		LUGEPOpt(ref)
+		core.RunGEP[float64](ref, core.LUFactor[float64]{}.Func(), core.LU{})
 		got := a.Clone()
 		LUIGEP(got, 1)
 		if !ref.EqualFunc(got, func(x, y float64) bool { return x == y }) {
-			t.Fatalf("n=%d: LUIGEP(base=1) not bitwise equal to LUGEPOpt", n)
+			t.Fatalf("n=%d: LUIGEP(base=1) not bitwise equal to the G loop", n)
 		}
 	}
 }

@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"gep/internal/matrix"
-	"gep/internal/par"
 )
 
-// Flops returns the floating-point operation count of an n×n matrix
+// MulFlops returns the floating-point operation count of an n×n matrix
 // multiplication (the figure-of-merit denominator for Figure 11).
 func MulFlops(n int) float64 { return 2 * float64(n) * float64(n) * float64(n) }
 
@@ -99,96 +98,10 @@ func mulBlock(c, a, b *matrix.Dense[float64], i0, i1, k0, k1, j0, j1 int) {
 	}
 }
 
-// MulIGEP computes C += A·B with the cache-oblivious 8-way recursion
-// (the all-D instantiation of I-GEP on disjoint matrices) switching to
-// the register-blocked iterative kernel at base×base subproblems.
-// It needs no cache parameters: the recursion adapts to every level of
-// the hierarchy, giving O(n³/(B√M)) misses. n must be a power of two.
-func MulIGEP(c, a, b *matrix.Dense[float64], base int) {
-	n := checkMulDims(c, a, b)
-	if n == 0 {
-		return
-	}
-	if !matrix.IsPow2(n) {
-		panic(fmt.Sprintf("linalg: MulIGEP needs power-of-two n, got %d", n))
-	}
-	if base < 1 {
-		base = 1
-	}
-	mulRec(c, a, b, 0, 0, 0, n, base)
-}
-
-// mulRec handles C[i0:,j0:] += A[i0:,k0:]·B[k0:,j0:] on s×s blocks.
-// The two k-halves are sequenced (each cell's additions stay in
-// increasing k order, as the paper notes — no associativity assumed);
-// the four quadrants within a half are independent.
-func mulRec(c, a, b *matrix.Dense[float64], i0, j0, k0, s, base int) {
-	if s <= base {
-		mulBlock(c, a, b, i0, i0+s, k0, k0+s, j0, j0+s)
-		return
-	}
-	h := s / 2
-	mulRec(c, a, b, i0, j0, k0, h, base)
-	mulRec(c, a, b, i0, j0+h, k0, h, base)
-	mulRec(c, a, b, i0+h, j0, k0, h, base)
-	mulRec(c, a, b, i0+h, j0+h, k0, h, base)
-	mulRec(c, a, b, i0, j0, k0+h, h, base)
-	mulRec(c, a, b, i0, j0+h, k0+h, h, base)
-	mulRec(c, a, b, i0+h, j0, k0+h, h, base)
-	mulRec(c, a, b, i0+h, j0+h, k0+h, h, base)
-}
-
-// MulIGEPParallel is MulIGEP with the quadrants of each k-half run on
-// goroutines down to the given grain — the multithreaded I-GEP for
-// matrix multiplication with span O(n) (§3).
-func MulIGEPParallel(c, a, b *matrix.Dense[float64], base, grain int) {
-	MulIGEPParallelOn(nil, c, a, b, base, grain)
-}
-
-// MulIGEPParallelOn is MulIGEPParallel with all forks confined to rt
-// (nil = the default runtime).
-func MulIGEPParallelOn(rt *par.Runtime, c, a, b *matrix.Dense[float64], base, grain int) {
-	n := checkMulDims(c, a, b)
-	if n == 0 {
-		return
-	}
-	if !matrix.IsPow2(n) {
-		panic(fmt.Sprintf("linalg: MulIGEPParallel needs power-of-two n, got %d", n))
-	}
-	if base < 1 {
-		base = 1
-	}
-	if grain < base {
-		grain = base
-	}
-	mulRecPar(c, a, b, 0, 0, 0, n, base, grain, par.Or(rt))
-}
-
-// mulRecPar runs the quadrants of each k-half as a fork-join group on
-// the work-stealing runtime of internal/par: forks land on the
-// caller's worker deque (or run inline past the depth cutoff), so deep
-// recursions never create one goroutine per spawn.
-func mulRecPar(c, a, b *matrix.Dense[float64], i0, j0, k0, s, base, grain int, rt *par.Runtime) {
-	if s <= grain {
-		mulRec(c, a, b, i0, j0, k0, s, base)
-		return
-	}
-	h := s / 2
-	for _, kh := range []int{k0, k0 + h} {
-		kh := kh
-		rt.Do(
-			func() { mulRecPar(c, a, b, i0, j0, kh, h, base, grain, rt) },
-			func() { mulRecPar(c, a, b, i0, j0+h, kh, h, base, grain, rt) },
-			func() { mulRecPar(c, a, b, i0+h, j0, kh, h, base, grain, rt) },
-			func() { mulRecPar(c, a, b, i0+h, j0+h, kh, h, base, grain, rt) },
-		)
-	}
-}
-
-// MulTiledMorton multiplies with the same recursion as MulIGEP but
-// over bit-interleaved (Morton-tiled) operands, the paper's §4.2
-// layout optimization; conversion costs are the caller's to include,
-// as the paper does.
+// MulTiledMorton multiplies with the all-D 8-way recursion of MulFused
+// but over bit-interleaved (Morton-tiled) operands, the paper's §4.2
+// layout optimization, kept as the comparator of the layout ablation;
+// conversion costs are the caller's to include, as the paper does.
 func MulTiledMorton(c, a, b *matrix.Tiled[float64], base int) {
 	n := c.N()
 	if a.N() != n || b.N() != n {

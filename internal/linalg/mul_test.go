@@ -43,13 +43,13 @@ func TestMulVariantsAgree(t *testing.T) {
 
 		for _, base := range []int{1, 2, 8, 64} {
 			got = matrix.NewSquare[float64](n)
-			MulIGEP(got, a, b, base)
-			approxEqual(t, want, got, n, "MulIGEP")
+			MulFused(got, a, b, base)
+			approxEqual(t, want, got, n, "MulFused")
 		}
 
 		got = matrix.NewSquare[float64](n)
-		MulIGEPParallel(got, a, b, 4, 8)
-		approxEqual(t, want, got, n, "MulIGEPParallel")
+		MulFusedParallel(got, a, b, 4, 8)
+		approxEqual(t, want, got, n, "MulFusedParallel")
 	}
 }
 
@@ -61,11 +61,11 @@ func TestMulParallelBitwiseMatchesSerial(t *testing.T) {
 	n := 64
 	a, b := randDense(rng, n), randDense(rng, n)
 	serial := matrix.NewSquare[float64](n)
-	MulIGEP(serial, a, b, 8)
+	MulFused(serial, a, b, 8)
 	par := matrix.NewSquare[float64](n)
-	MulIGEPParallel(par, a, b, 8, 16)
+	MulFusedParallel(par, a, b, 8, 16)
 	if !serial.EqualFunc(par, func(x, y float64) bool { return x == y }) {
-		t.Fatal("parallel MulIGEP not bitwise equal to serial")
+		t.Fatal("parallel MulFused not bitwise equal to serial")
 	}
 }
 
@@ -79,7 +79,7 @@ func TestMulAccumulates(t *testing.T) {
 	want := matrix.NewSquare[float64](n)
 	want.Fill(1)
 	MulNaive(want, a, b)
-	MulIGEP(c, a, b, 2)
+	MulFused(c, a, b, 2)
 	approxEqual(t, want, c, n, "accumulation")
 }
 
@@ -114,12 +114,12 @@ func TestMulIdentity(t *testing.T) {
 		id.Set(i, i, 1)
 	}
 	c := matrix.NewSquare[float64](n)
-	MulIGEP(c, a, id, 4)
+	MulFused(c, a, id, 4)
 	if !c.EqualFunc(a, func(x, y float64) bool { return x == y }) {
 		t.Fatal("A·I != A")
 	}
 	c = matrix.NewSquare[float64](n)
-	MulIGEP(c, id, a, 4)
+	MulFused(c, id, a, 4)
 	if !c.EqualFunc(a, func(x, y float64) bool { return x == y }) {
 		t.Fatal("I·A != A")
 	}
@@ -131,6 +131,8 @@ func TestMulFlops(t *testing.T) {
 	}
 }
 
+// TestMulIGEPValidation: the I-GEP multiply (MulFused) rejects a
+// non-power-of-two side.
 func TestMulIGEPValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -138,7 +140,7 @@ func TestMulIGEPValidation(t *testing.T) {
 		}
 	}()
 	m := matrix.NewSquare[float64](6)
-	MulIGEP(m, m, m, 2)
+	MulFused(m, m, m, 2)
 }
 
 func TestMulNumericalSanity(t *testing.T) {
@@ -152,7 +154,7 @@ func TestMulNumericalSanity(t *testing.T) {
 		t.Fatalf("naive 2x2 product wrong: %v", c)
 	}
 	c = matrix.NewSquare[float64](2)
-	MulIGEP(c, a, b, 1)
+	MulFused(c, a, b, 1)
 	if MaxAbsDiff(c, want) != 0 {
 		t.Fatalf("I-GEP 2x2 product wrong: %v", c)
 	}

@@ -424,8 +424,16 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the counters (cache contents are kept).
-func (s *Store) ResetStats() { s.stats = storeStats{} }
+// ResetStats zeroes the counters (cache contents are kept). It first
+// joins the background reads and write-backs still in flight, so no
+// transfer started before the reset is counted after it.
+func (s *Store) ResetStats() {
+	for _, w := range s.tc.waits {
+		w()
+	}
+	s.tc.waits = s.tc.waits[:0]
+	s.stats = storeStats{}
+}
 
 // IOTime returns the modeled disk time for the transfers counted so
 // far: every transfer — page or tile — pays one seek plus its size

@@ -35,7 +35,7 @@
 // runtime's counters live in its own metrics.Registry, and
 // "par.spawn.pooled" == "par.local" + "par.steal" + "par.help" holds
 // per registry. Engines accept a runtime through their ...On entry
-// points (e.g. linalg.LUFusedParallelOn) or core.WithRuntime; passing
+// points (e.g. linalg.LUIGEPParallelOn) or core.WithRuntime; passing
 // nil means the default instance.
 //
 // A non-default Runtime has a lifecycle: Close drains its workers and

@@ -94,7 +94,8 @@ type Result struct {
 }
 
 // ops maps an op name to its validation needs and executor. Engines
-// run at the facade's tuned base/grain (64/128).
+// run at execBase/execGrain (see below); the output bits do not depend
+// on either.
 var ops = map[string]struct {
 	pow2    bool // n must be a power of two
 	needsN  bool
@@ -320,7 +321,7 @@ func execLU(s *Spec, rt *par.Runtime) (*Result, error) {
 		}
 		return &Result{Data: finite(out)}, nil
 	}
-	linalg.LUFusedParallelOn(rt, m, execBase, execGrain)
+	linalg.LUIGEPParallelOn(rt, m, execBase, execGrain)
 	return &Result{Data: finite(m)}, nil
 }
 
