@@ -20,6 +20,7 @@ import (
 	"gep"
 	"gep/internal/apsp"
 	"gep/internal/bench"
+	"gep/internal/core"
 	"gep/internal/linalg"
 	"gep/internal/matrix"
 	"gep/internal/sched"
@@ -98,7 +99,7 @@ func BenchmarkMulFusedParallel(b *testing.B) {
 	c := matrix.NewSquare[float64](microN)
 	b.SetBytes(int64(linalg.MulFlops(microN)))
 	for i := 0; i < b.N; i++ {
-		linalg.MulFusedParallel(c, a, bb, 64, 128)
+		linalg.MulFused(c, a, bb, 64, core.WithParallel[float64](128))
 	}
 }
 

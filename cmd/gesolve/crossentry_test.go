@@ -94,7 +94,9 @@ func cropFlat(data []float64, p, n int) []float64 {
 }
 
 // TestCrossEntryBitwise is the one-code-path check: for every op and
-// size (100 runs padded to 128), each entry point — the facade serial
+// size (100 runs padded to 128: by the entry itself for the facade's
+// LU and APSP, by the caller for multiply and the power-of-two server
+// jobs), each entry point — the facade serial
 // and parallel, a gep-server job, the apsp.Solve path of cmd/apsp,
 // gesolve -algo igep — produces the bits of the iterative loop G run
 // with the op's bare Func (core.RunGEP). APSP weights are integers, so
@@ -133,18 +135,18 @@ func TestCrossEntryBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Identity padding leaves the leading factors' updates, and
-			// their order, unchanged.
-			ap := matrix.PadPow2Diag(a, 0, 1)
 			want := a.Clone()
 			core.RunGEP[float64](want, core.LUFactor[float64]{}.Func(), core.LU{})
 			got := entries{}
-			f := ap.Clone()
+			f := a.Clone()
 			gep.Factorize(f)
 			got["facade"] = cells(f, n)
-			f = ap.Clone()
+			f = a.Clone()
 			gep.FactorizeParallel(f)
 			got["facade-parallel"] = cells(f, n)
+			// The job needs a power-of-two side. Identity padding leaves
+			// the leading factors' updates, and their order, unchanged.
+			ap := matrix.PadPow2Diag(a, 0, 1)
 			got["serve"] = cropFlat(runJob(t, srv, serve.Spec{Op: "lu", N: p, Data: ap.Data()}), p, n)
 
 			// The solution vector: facade Solve and gesolve, against

@@ -84,27 +84,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		x = f.Solve(b)
 	case "none":
-		// The I-GEP factorization needs a power-of-two side: pad with
-		// an identity block, which leaves the leading system unchanged.
-		work := a.Clone()
-		padded := work
-		if !matrix.IsPow2(n) && *algo == "igep" {
-			padded = matrix.PadPow2Diag(work, 0, 1)
-		}
+		lu := a.Clone()
 		switch *algo {
 		case "igep":
-			linalg.LUIGEP(padded, *base)
+			linalg.LUIGEP(lu, *base)
 		case "tiled":
-			linalg.LUTiled(padded, *base)
+			linalg.LUTiled(lu, *base)
 		case "gep":
-			linalg.LUGEPOpt(padded)
+			linalg.LUGEPOpt(lu)
 		default:
 			fmt.Fprintf(stderr, "gesolve: unknown -algo %q\n", *algo)
 			return 2
-		}
-		lu := padded
-		if padded.N() != n {
-			lu = matrix.Crop(padded, n)
 		}
 		x = linalg.SolveLU(lu, b)
 	default:

@@ -134,7 +134,9 @@ func WithBaseSize[T any](b int) Option[T] { return core.WithBaseSize[T](b) }
 func WithPrune[T any](on bool) Option[T] { return core.WithPrune[T](on) }
 
 // WithParallel enables goroutine execution of Parallel's independent
-// recursive calls down to the given grain.
+// recursive calls down to the given grain. Over a BitMatrix the grain
+// is raised to 64, one word, and the matrix must be word-aligned, so
+// concurrent calls never write the same word.
 func WithParallel[T any](grain int) Option[T] { return core.WithParallel[T](grain) }
 
 // Runtime is one instance of the work-stealing fork-join scheduler the
@@ -241,7 +243,7 @@ func Multiply(c, a, b *Matrix[float64]) {
 // MultiplyParallel is Multiply on goroutines; the result is
 // bit-identical to Multiply's.
 func MultiplyParallel(c, a, b *Matrix[float64]) {
-	linalg.MulFusedParallel(c, a, b, 64, 128)
+	linalg.MulFused(c, a, b, 64, core.WithParallel[float64](128))
 }
 
 // MultiplyStrassen computes c = a·b (overwriting c, which must not
@@ -262,67 +264,34 @@ func MultiplyStrassenParallel(c, a, b *Matrix[float64]) {
 // FloydWarshall computes all-pairs shortest path distances in place:
 // d holds edge weights (+Inf for no edge, 0 diagonal) and is replaced
 // by shortest-path distances. Any side length is accepted.
-func FloydWarshall(d *Matrix[float64]) {
-	n := d.N()
-	if n == 0 {
-		return
-	}
-	if matrix.IsPow2(n) {
-		apsp.FWFused(d, 64)
-		return
-	}
-	p := matrix.PadPow2Diag(d, apsp.Inf, 0)
-	apsp.FWFused(p, 64)
-	d.CopyFrom(p.Sub(0, 0, n, n))
-}
+func FloydWarshall(d *Matrix[float64]) { apsp.FWFused(d, 64) }
 
 // FloydWarshallParallel is FloydWarshall on goroutines (multithreaded
 // I-GEP with the Figure-6 schedule, on the work-stealing runtime);
 // the result is bit-identical to FloydWarshall's. Any side length is
-// accepted; non-power-of-two inputs are padded the same way
-// FloydWarshall pads them.
+// accepted.
 func FloydWarshallParallel(d *Matrix[float64]) {
-	n := d.N()
-	if n == 0 {
-		return
-	}
-	if matrix.IsPow2(n) {
-		apsp.FWFusedParallel(d, 64, 128)
-		return
-	}
-	p := matrix.PadPow2Diag(d, apsp.Inf, 0)
-	apsp.FWFusedParallel(p, 64, 128)
-	d.CopyFrom(p.Sub(0, 0, n, n))
+	apsp.FWFused(d, 64, core.WithParallel[float64](128))
 }
 
 // Factorize performs in-place LU decomposition without pivoting
 // (L strictly below the diagonal with implicit unit diagonal, U on and
-// above). The matrix must be factorizable without pivoting; the side
-// must be a power of two (use Pad with diag 1 otherwise).
-func Factorize(a *Matrix[float64]) {
-	linalg.LUIGEP(a, 64)
-}
+// above). The matrix must be factorizable without pivoting. Any side
+// length is accepted: other sides are factored padded with an
+// identity block, which leaves the leading factors unchanged.
+func Factorize(a *Matrix[float64]) { linalg.LUIGEP(a, 64) }
 
 // FactorizeParallel is Factorize on goroutines; the factors are
-// bit-identical to Factorize's. The side must be a power of two.
+// bit-identical to Factorize's. Any side length is accepted.
 func FactorizeParallel(a *Matrix[float64]) {
-	linalg.LUIGEPParallel(a, 64, 128)
+	linalg.LUIGEP(a, 64, core.WithParallel[float64](128))
 }
 
 // Solve solves A·x = b by cache-oblivious LU factorization followed by
 // forward and backward substitution; a is overwritten with its
 // factors. Any side length is accepted.
 func Solve(a *Matrix[float64], b []float64) []float64 {
-	n := a.N()
-	if matrix.IsPow2(n) {
-		linalg.LUIGEP(a, 64)
-		return linalg.SolveLU(a, b)
-	}
-	p := matrix.PadPow2Diag(a, 0, 1)
-	linalg.LUIGEP(p, 64)
-	// Crop the factors directly back into a (one copy through a view,
-	// not Crop-then-CopyFrom) and solve from them in place.
-	a.CopyFrom(p.Sub(0, 0, n, n))
+	linalg.LUIGEP(a, 64)
 	return linalg.SolveLU(a, b)
 }
 
@@ -369,22 +338,20 @@ func TransitiveClosure(reach *Matrix[bool]) { apsp.TransitiveClosure(reach) }
 // (multithreaded I-GEP on the work-stealing runtime); bit-identical to
 // the serial path at every worker count. Any side length is accepted.
 func TransitiveClosureParallel(reach *Matrix[bool]) {
-	apsp.ClosureParallel(reach, 64)
+	apsp.TransitiveClosure(reach, core.WithParallel[bool](64))
 }
 
 // TransitiveClosurePacked is TransitiveClosure over packed storage:
 // word-parallel row unions plus the four-Russians table base case,
 // typically tens of times faster than the element-wise path and
 // bit-for-bit equal to it. Any side length is accepted.
-func TransitiveClosurePacked(reach *BitMatrix) {
-	apsp.TransitiveClosurePacked(reach, -1)
-}
+func TransitiveClosurePacked(reach *BitMatrix) { apsp.TransitiveClosurePacked(reach) }
 
 // TransitiveClosurePackedParallel is TransitiveClosurePacked on
 // goroutines. reach must be word-aligned (true for any matrix from
 // NewBitMatrix or PackMatrix; only mid-word sub-views are not).
 func TransitiveClosurePackedParallel(reach *BitMatrix) {
-	apsp.ClosurePackedParallel(reach, -1, 64)
+	apsp.TransitiveClosurePacked(reach, core.WithParallel[bool](64))
 }
 
 // SolveGF2 solves A·x = b over GF(2) (XOR linear systems) with

@@ -219,6 +219,40 @@ func TestSolveNonPow2(t *testing.T) {
 	}
 }
 
+// TestParallelPackedClosureNoRace forks the packed closure with a grain
+// of 8 columns, so without the word-alignment rule sibling quadrants
+// would write the same uint64 concurrently (go test -race reports it,
+// and updates can be lost). The engine raises the grain to one word,
+// so the result must equal the serial run bit for bit.
+func TestParallelPackedClosureNoRace(t *testing.T) {
+	const n = 256
+	rng := rand.New(rand.NewSource(12))
+	src := gep.NewBitMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			src.Set(i, j, i == j || rng.Intn(100) < 2)
+		}
+	}
+	want := src.Clone()
+	gep.Parallel[bool](want, gep.ClosureOp(), gep.Full, gep.WithBaseSize[bool](8))
+	rt := gep.NewRuntime(4)
+	defer rt.Close()
+	for name, opts := range map[string][]gep.Option[bool]{
+		"default runtime": {gep.WithBaseSize[bool](8), gep.WithParallel[bool](8)},
+		"own runtime":     {gep.WithBaseSize[bool](8), gep.WithParallel[bool](8), gep.WithRuntime[bool](rt)},
+	} {
+		got := src.Clone()
+		gep.Parallel[bool](got, gep.ClosureOp(), gep.Full, opts...)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if got.At(i, j) != want.At(i, j) {
+					t.Fatalf("%s: cell (%d,%d) = %v, serial run has %v", name, i, j, got.At(i, j), want.At(i, j))
+				}
+			}
+		}
+	}
+}
+
 func TestPadCrop(t *testing.T) {
 	m := gep.FromRows([][]int{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	p := gep.Pad(m, 0, 1)
@@ -308,35 +342,36 @@ func TestGeneralParallelFacade(t *testing.T) {
 }
 
 func TestParallelFacadeWrappers(t *testing.T) {
-	n := 128
 	rng := rand.New(rand.NewSource(11))
-	d := gep.NewMatrix[float64](n)
-	d.Apply(func(i, j int, _ float64) float64 {
-		if i == j {
-			return 0
+	for _, n := range []int{128, 100} {
+		d := gep.NewMatrix[float64](n)
+		d.Apply(func(i, j int, _ float64) float64 {
+			if i == j {
+				return 0
+			}
+			return float64(rng.Intn(500) + 1)
+		})
+		serial := d.Clone()
+		gep.FloydWarshall(serial)
+		par := d.Clone()
+		gep.FloydWarshallParallel(par)
+		if !par.EqualFunc(serial, func(a, b float64) bool { return a == b }) {
+			t.Fatalf("n=%d: FloydWarshallParallel differs from FloydWarshall", n)
 		}
-		return float64(rng.Intn(500) + 1)
-	})
-	serial := d.Clone()
-	gep.FloydWarshall(serial)
-	par := d.Clone()
-	gep.FloydWarshallParallel(par)
-	if !par.EqualFunc(serial, func(a, b float64) bool { return a == b }) {
-		t.Fatal("FloydWarshallParallel differs from FloydWarshall")
-	}
 
-	a := gep.NewMatrix[float64](n)
-	a.Apply(func(i, j int, _ float64) float64 {
-		if i == j {
-			return float64(2 * n)
+		a := gep.NewMatrix[float64](n)
+		a.Apply(func(i, j int, _ float64) float64 {
+			if i == j {
+				return float64(2 * n)
+			}
+			return rng.Float64()
+		})
+		s := a.Clone()
+		gep.Factorize(s)
+		p := a.Clone()
+		gep.FactorizeParallel(p)
+		if !p.EqualFunc(s, func(x, y float64) bool { return x == y }) {
+			t.Fatalf("n=%d: FactorizeParallel differs from Factorize", n)
 		}
-		return rng.Float64()
-	})
-	s := a.Clone()
-	gep.Factorize(s)
-	p := a.Clone()
-	gep.FactorizeParallel(p)
-	if !p.EqualFunc(s, func(x, y float64) bool { return x == y }) {
-		t.Fatal("FactorizeParallel differs from Factorize")
 	}
 }

@@ -2,6 +2,7 @@ package apsp
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,10 +10,16 @@ import (
 	"gep/internal/core"
 	"gep/internal/matrix"
 	"gep/internal/ooc"
+	"gep/internal/par"
 )
 
 func exactEq(a, b *matrix.Dense[float64]) bool {
 	return a.EqualFunc(b, func(x, y float64) bool { return x == y })
+}
+
+// bitEq compares on Float64bits: it tells −0 from +0 and matches NaNs.
+func bitEq(a, b *matrix.Dense[float64]) bool {
+	return a.EqualFunc(b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestFWVariantsMatchDijkstra is the cross-algorithm oracle check:
@@ -32,7 +39,7 @@ func TestFWVariantsMatchDijkstra(t *testing.T) {
 				"igep2":    func(d *matrix.Dense[float64]) { FWFused(d, 2) },
 				"igep8":    func(d *matrix.Dense[float64]) { FWFused(d, 8) },
 				"igep64":   func(d *matrix.Dense[float64]) { FWFused(d, 64) },
-				"par":      func(d *matrix.Dense[float64]) { FWFusedParallel(d, 4, 8) },
+				"par":      func(d *matrix.Dense[float64]) { FWFused(d, 4, core.WithParallel[float64](8)) },
 			}
 			for name, fw := range variants {
 				d := g.DistanceMatrix()
@@ -183,14 +190,29 @@ func TestDistanceMatrixParallelEdges(t *testing.T) {
 	}
 }
 
+// TestFWParallelBitwiseMatchesSerial: forking, on the default runtime
+// or on a runtime of its own, changes only scheduling, never values;
+// and at a side other than a power of two FWFused gives the bits of
+// the explicit pad, run and crop.
 func TestFWParallelBitwiseMatchesSerial(t *testing.T) {
-	g := Random(64, 0.2, 100, 5)
-	s := g.DistanceMatrix()
-	FWFused(s, 8)
-	p := g.DistanceMatrix()
-	FWFusedParallel(p, 8, 16)
-	if !exactEq(s, p) {
-		t.Fatal("parallel FW differs from serial")
+	rt := par.NewRuntime(2)
+	defer rt.Close()
+	for _, n := range []int{64, 100} {
+		g := Random(n, 0.2, 100, 5)
+		padded := matrix.PadPow2Diag(g.DistanceMatrix(), Inf, 0)
+		FWFused(padded, 8)
+		want := matrix.Crop(padded, n)
+		for name, opts := range map[string][]core.Option[float64]{
+			"serial":   nil,
+			"parallel": {core.WithParallel[float64](16)},
+			"runtime":  {core.WithParallel[float64](16), core.WithRuntime[float64](rt)},
+		} {
+			got := g.DistanceMatrix()
+			FWFused(got, 8, opts...)
+			if !bitEq(want, got) {
+				t.Fatalf("n=%d %s: FW differs from the padded serial run", n, name)
+			}
+		}
 	}
 }
 
@@ -334,7 +356,7 @@ func TestFWMatchesJohnsonNegativeWeights(t *testing.T) {
 		for name, fw := range map[string]func(d *matrix.Dense[float64]){
 			"gep":  FWGEP,
 			"igep": func(d *matrix.Dense[float64]) { FWFused(d, 4) },
-			"par":  func(d *matrix.Dense[float64]) { FWFusedParallel(d, 8, 8) },
+			"par":  func(d *matrix.Dense[float64]) { FWFused(d, 8, core.WithParallel[float64](8)) },
 		} {
 			d := g.DistanceMatrix()
 			fw(d)

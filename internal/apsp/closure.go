@@ -3,7 +3,6 @@ package apsp
 import (
 	"gep/internal/core"
 	"gep/internal/matrix"
-	"gep/internal/par"
 )
 
 // Transitive closure (Warshall's algorithm): the boolean-semiring
@@ -14,62 +13,17 @@ import (
 // initially hold edge presence (the diagonal is forced true). Any side
 // length is accepted; the computation is cache-oblivious and runs the
 // fused core.Closure kernel (base cases skip whole rows whose c[i,k] is
-// false instead of calling the update per element).
-func TransitiveClosure(reach *matrix.Dense[bool]) {
-	n := reach.N()
-	if n == 0 {
-		return
-	}
-	forceDiag(reach, n)
-	if matrix.IsPow2(n) {
-		core.RunIGEP[bool](reach, core.Closure{}, core.Full{})
-		return
-	}
-	// PadPow2Diag forces the padded diagonal in the same pass as the
-	// pad, and the result is cropped directly back into reach through a
-	// Sub view — one padded allocation, one copy back, no Crop clone.
-	p := matrix.PadPow2Diag(reach, false, true)
-	core.RunIGEP[bool](p, core.Closure{}, core.Full{})
-	reach.CopyFrom(p.Sub(0, 0, n, n))
-}
-
-// ClosureParallel is TransitiveClosure through the multithreaded
-// A/B/C/D recursion (Figure 6) on the work-stealing runtime
-// (internal/par). RunABCD refines the same partial order as RunIGEP,
-// so the output is bit-identical to TransitiveClosure at every worker
-// count. grain is the subproblem side below which recursion runs
-// serially.
-func ClosureParallel(reach *matrix.Dense[bool], grain int) {
-	ClosureParallelOn(nil, reach, grain)
-}
-
-// ClosureParallelOn is ClosureParallel with all forks confined to rt
-// (nil = the default runtime).
-func ClosureParallelOn(rt *par.Runtime, reach *matrix.Dense[bool], grain int) {
-	n := reach.N()
-	if n == 0 {
-		return
-	}
-	forceDiag(reach, n)
-	run := func(m *matrix.Dense[bool]) {
-		core.RunABCD[bool](m, core.Closure{}, core.Full{},
-			core.WithParallel[bool](grain), core.WithRuntime[bool](rt))
-	}
-	if matrix.IsPow2(n) {
-		run(reach)
-		return
-	}
-	p := matrix.PadPow2Diag(reach, false, true)
-	run(p)
-	reach.CopyFrom(p.Sub(0, 0, n, n))
-}
-
-// forceDiag sets the first n diagonal cells true (every vertex reaches
-// itself).
-func forceDiag(reach *matrix.Dense[bool], n int) {
-	for i := 0; i < n; i++ {
+// false instead of calling the update per element) through the
+// A/B/C/D recursion (RunABCD). Without options it runs serially;
+// core.WithParallel forks the Figure-6 schedule and core.WithRuntime
+// confines the forks to one runtime, with the same output bits.
+func TransitiveClosure(reach *matrix.Dense[bool], opts ...core.Option[bool]) {
+	for i := 0; i < reach.N(); i++ {
 		reach.Set(i, i, true)
 	}
+	matrix.OnPow2(reach, false, true, func(m *matrix.Dense[bool]) {
+		core.RunABCD[bool](m, core.Closure{}, core.Full{}, opts...)
+	})
 }
 
 // Reachability returns the closure matrix of g without modifying it.

@@ -3,32 +3,21 @@ package apsp
 import (
 	"gep/internal/core"
 	"gep/internal/matrix"
-	"gep/internal/par"
 )
 
 // FWFused is cache-oblivious Floyd-Warshall, the one I-GEP path for
-// it: the RunIGEP engine with the fused min-plus op, whose base cases
-// are closed-form block kernels. The side must be a power of two (pad
-// with matrix.PadPow2Diag(d, Inf, 0) otherwise) and base at least 1.
-// Each cell's updates apply in ascending k, so the output equals the
-// iterative loop core.RunGEP with the bare min-plus Func bit for bit.
-func FWFused(d *matrix.Dense[float64], base int) {
-	core.RunIGEP[float64](d, core.MinPlus[float64]{}, core.Full{},
-		core.WithBaseSize[float64](base))
-}
-
-// FWFusedParallel is FWFused through the multithreaded A/B/C/D
-// recursion (Figure 6) on the work-stealing runtime (internal/par).
-// RunABCD refines the same partial order as RunIGEP, so the output is
-// bit-identical to FWFused at every worker count.
-func FWFusedParallel(d *matrix.Dense[float64], base, grain int) {
-	FWFusedParallelOn(nil, d, base, grain)
-}
-
-// FWFusedParallelOn is FWFusedParallel with all forks confined to rt
-// (nil = the default runtime).
-func FWFusedParallelOn(rt *par.Runtime, d *matrix.Dense[float64], base, grain int) {
-	core.RunABCD[float64](d, core.MinPlus[float64]{}, core.Full{},
-		core.WithBaseSize[float64](base), core.WithParallel[float64](grain),
-		core.WithRuntime[float64](rt))
+// it: the A/B/C/D recursion (RunABCD) with the fused min-plus op, whose
+// base cases are closed-form block kernels. base must be at least 1.
+// Any side is accepted: a side that is not a power of two runs padded
+// with +Inf off the diagonal and 0 on it, which leaves the leading
+// distances unchanged. Each cell's updates apply in ascending k, so the output
+// equals the iterative loop core.RunGEP with the bare min-plus Func
+// bit for bit. Without options it runs serially; core.WithParallel
+// forks the Figure-6 schedule (span O(n log² n)) and core.WithRuntime
+// confines the forks to one runtime, with the same output bits.
+func FWFused(d *matrix.Dense[float64], base int, opts ...core.Option[float64]) {
+	opts = append([]core.Option[float64]{core.WithBaseSize[float64](base)}, opts...)
+	matrix.OnPow2(d, Inf, 0, func(m *matrix.Dense[float64]) {
+		core.RunABCD[float64](m, core.MinPlus[float64]{}, core.Full{}, opts...)
+	})
 }

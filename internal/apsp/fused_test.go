@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"fmt"
 	"testing"
 
 	"gep/internal/core"
@@ -25,21 +26,28 @@ func TestFWFusedMatchesGEP(t *testing.T) {
 	}
 }
 
-// TestFWFusedParallelMatchesSerial: the parallel entry point runs the
-// same updates through the work-stealing runtime, so at every worker
-// count the result must be bitwise equal to the serial fused path.
+// TestFWFusedParallelMatchesSerial: with WithParallel the entry point
+// runs the same updates through the work-stealing runtime, so at every
+// worker count, and on a runtime of its own, the result must be
+// bitwise equal to the serial run.
 func TestFWFusedParallelMatchesSerial(t *testing.T) {
 	defer par.ResetWorkers()
 	const n, base, grain = 64, 8, 16
 	g := Random(n, 0.25, 100, 99)
 	want := g.DistanceMatrix()
 	FWFused(want, base)
-	for _, p := range []int{1, 2, 4} {
-		par.SetWorkers(p)
+	check := func(label string, opts ...core.Option[float64]) {
 		got := g.DistanceMatrix()
-		FWFusedParallel(got, base, grain)
+		FWFused(got, base, opts...)
 		if !exactEq(want, got) {
-			t.Fatalf("p=%d: FWFusedParallel differs from FWFused", p)
+			t.Fatalf("%s: parallel FWFused differs from serial", label)
 		}
 	}
+	for _, p := range []int{1, 2, 4} {
+		par.SetWorkers(p)
+		check(fmt.Sprintf("p=%d", p), core.WithParallel[float64](grain))
+	}
+	rt := par.NewRuntime(2)
+	defer rt.Close()
+	check("own runtime", core.WithParallel[float64](grain), core.WithRuntime[float64](rt))
 }

@@ -50,23 +50,13 @@ func FWGEPPure(d *matrix.Dense[float64]) {
 }
 
 // Solve computes all-pairs shortest path distances for g with
-// cache-oblivious Floyd-Warshall (FWFused), handling non-power-of-two
-// sizes by padding. base <= 0 selects a reasonable default kernel
-// size.
+// cache-oblivious Floyd-Warshall (FWFused). base <= 0 selects a
+// reasonable default kernel size.
 func Solve(g *Graph, base int) *matrix.Dense[float64] {
 	if base <= 0 {
 		base = 32
 	}
 	d := g.DistanceMatrix()
-	n := g.N
-	if n == 0 {
-		return d
-	}
-	if matrix.IsPow2(n) {
-		FWFused(d, base)
-		return d
-	}
-	p := matrix.PadPow2Diag(d, Inf, 0)
-	FWFused(p, base)
-	return matrix.Crop(p, n)
+	FWFused(d, base)
+	return d
 }

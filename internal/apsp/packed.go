@@ -5,70 +5,34 @@ import (
 
 	"gep/internal/core"
 	"gep/internal/matrix"
-	"gep/internal/par"
 )
 
 // Packed transitive closure: the same boolean-semiring GEP instance as
 // TransitiveClosure, run over a bit-packed matrix (64 cells per word).
-// The engines are identical — RunIGEP / RunABCD with the core.Closure
-// op — but the base cases dispatch to the word-parallel OR kernels and
-// the four-Russians table kernel of internal/core/bits.go, so the
-// closure runs at ~64 cells per instruction plus the table gain. The
+// The engine is identical — RunABCD with the core.Closure op — but
+// the base cases dispatch to the word-parallel OR kernels and the
+// four-Russians table kernel of internal/core/bits.go, so the closure
+// runs at ~64 cells per instruction plus the table gain. The
 // result is bit-for-bit equal to the unpacked path (asserted by the
 // differential and fuzz tests in packed_test.go).
 
 // TransitiveClosurePacked computes reachability in place over a packed
 // boolean matrix: reach[i][j] must initially hold edge presence (the
-// diagonal is forced true). Any side length is accepted. tableWidth is
-// the four-Russians group width in bits; 0 disables the table kernel
-// and tableWidth < 0 selects the default (8).
-func TransitiveClosurePacked(reach *matrix.Bits, tableWidth int) {
-	runPackedClosure(reach, func(m *matrix.Bits) {
-		core.RunIGEP[bool](m, core.Closure{}, core.Full{}, packedOpts(tableWidth)...)
-	})
-}
-
-// ClosurePackedParallel is TransitiveClosurePacked through the
-// multithreaded A/B/C/D recursion on the work-stealing runtime. reach
-// must be word-aligned (matrix.Bits.Aligned — true for any matrix from
-// NewBits, false only for mid-word sub-views): concurrent quadrants
-// split the column range at multiples of the grain, and the grain is
-// clamped to >= 64 so sibling quadrants of an aligned matrix never
-// share an edge word. Output is bit-identical to the serial packed and
-// unpacked paths at every worker count.
-func ClosurePackedParallel(reach *matrix.Bits, tableWidth, grain int) {
-	ClosurePackedParallelOn(nil, reach, tableWidth, grain)
-}
-
-// ClosurePackedParallelOn is ClosurePackedParallel with all forks
-// confined to rt (nil = the default runtime).
-func ClosurePackedParallelOn(rt *par.Runtime, reach *matrix.Bits, tableWidth, grain int) {
-	if !reach.Aligned() {
-		panic("apsp: ClosurePackedParallel requires a word-aligned matrix (see Bits.Aligned)")
-	}
-	if grain < 64 {
-		grain = 64
-	}
-	runPackedClosure(reach, func(m *matrix.Bits) {
-		opts := append(packedOpts(tableWidth),
-			core.WithParallel[bool](grain), core.WithRuntime[bool](rt))
-		core.RunABCD[bool](m, core.Closure{}, core.Full{}, opts...)
-	})
-}
-
-// runPackedClosure forces the diagonal, pads to a power of two when
-// needed (padded diagonal forced in the same pass), runs the engine,
-// and crops back through a Sub view — the same single-copy shape as
-// TransitiveClosure.
-func runPackedClosure(reach *matrix.Bits, run func(*matrix.Bits)) {
+// diagonal is forced true). Any side length is accepted; a side that
+// is not a power of two runs padded, with the padded diagonal forced
+// in the same pass, and is copied back through a Sub view. The options are
+// the engine's: core.WithTableWidth sets the four-Russians group width
+// (default 8, 0 = word kernel only), and core.WithParallel forks over
+// a word-aligned reach (matrix.Bits.Aligned — true for any matrix from
+// NewBits, false only for mid-word sub-views), with output
+// bit-identical to the serial packed and unpacked paths.
+func TransitiveClosurePacked(reach *matrix.Bits, opts ...core.Option[bool]) {
 	n := reach.N()
-	if n == 0 {
-		return
-	}
 	for i := 0; i < n; i++ {
 		reach.Set(i, i, true)
 	}
-	if matrix.IsPow2(n) {
+	run := func(m *matrix.Bits) { core.RunABCD[bool](m, core.Closure{}, core.Full{}, opts...) }
+	if n == 0 || matrix.IsPow2(n) {
 		run(reach)
 		return
 	}
@@ -78,15 +42,6 @@ func runPackedClosure(reach *matrix.Bits, run func(*matrix.Bits)) {
 	}
 	run(p)
 	reach.CopyFrom(p.Sub(0, 0, n, n))
-}
-
-// packedOpts translates the tableWidth convention (< 0 = default,
-// 0 = word kernel only, > 0 = explicit width) into engine options.
-func packedOpts(tableWidth int) []core.Option[bool] {
-	if tableWidth < 0 {
-		return nil
-	}
-	return []core.Option[bool]{core.WithTableWidth[bool](tableWidth)}
 }
 
 // ReachabilityPacked returns the closure matrix of g in packed form
@@ -101,6 +56,6 @@ func (g *Graph) ReachabilityPacked() *matrix.Bits {
 			r.Set(e.From, e.To, true)
 		}
 	}
-	TransitiveClosurePacked(r, -1)
+	TransitiveClosurePacked(r)
 	return r
 }

@@ -1,9 +1,11 @@
 package apsp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"gep/internal/core"
 	"gep/internal/matrix"
 	"gep/internal/par"
 )
@@ -22,24 +24,31 @@ func randReach(rng *rand.Rand, n int, density int) *matrix.Dense[bool] {
 	return r
 }
 
-// TestClosureParallelVsSerial: the A/B/C/D parallel closure must be
-// bit-identical to the serial I-GEP closure at every worker count,
-// including non-power-of-two sides through the padded path.
+// TestClosureParallelVsSerial: the forking closure must be
+// bit-identical to the serial closure at every worker count and on a
+// runtime of its own, including non-power-of-two sides through the
+// padded path.
 func TestClosureParallelVsSerial(t *testing.T) {
 	defer par.ResetWorkers()
+	rt := par.NewRuntime(2)
+	defer rt.Close()
 	rng := rand.New(rand.NewSource(81))
 	for _, n := range []int{1, 7, 64, 100, 128} {
 		want := randReach(rng, n, 8)
 		src := want.Clone()
 		TransitiveClosure(want)
-		for _, p := range []int{1, 2, 4} {
-			par.SetWorkers(p)
+		check := func(label string, opts ...core.Option[bool]) {
 			got := src.Clone()
-			ClosureParallel(got, 64)
+			TransitiveClosure(got, opts...)
 			if !matrix.Equal(want, got) {
-				t.Fatalf("n=%d p=%d: ClosureParallel differs from TransitiveClosure", n, p)
+				t.Fatalf("n=%d %s: parallel closure differs from serial", n, label)
 			}
 		}
+		for _, p := range []int{1, 2, 4} {
+			par.SetWorkers(p)
+			check(fmt.Sprintf("p=%d", p), core.WithParallel[bool](64))
+		}
+		check("own runtime", core.WithParallel[bool](64), core.WithRuntime[bool](rt))
 	}
 }
 
@@ -53,9 +62,9 @@ func TestPackedClosureVsBool(t *testing.T) {
 		src := randReach(rng, n, 6)
 		want := src.Clone()
 		TransitiveClosure(want)
-		for _, tw := range []int{-1, 0, 4} {
+		for _, tw := range []int{8, 0, 4} {
 			got := matrix.PackBool(src)
-			TransitiveClosurePacked(got, tw)
+			TransitiveClosurePacked(got, core.WithTableWidth[bool](tw))
 			if !matrix.Equal(want, matrix.UnpackBool(got)) {
 				t.Fatalf("n=%d tw=%d: packed closure differs from bool closure", n, tw)
 			}
@@ -63,7 +72,7 @@ func TestPackedClosureVsBool(t *testing.T) {
 		for _, p := range []int{1, 2, 4} {
 			par.SetWorkers(p)
 			got := matrix.PackBool(src)
-			ClosurePackedParallel(got, -1, 64)
+			TransitiveClosurePacked(got, core.WithParallel[bool](64))
 			if !matrix.Equal(want, matrix.UnpackBool(got)) {
 				t.Fatalf("n=%d p=%d: parallel packed closure differs from bool closure", n, p)
 			}
@@ -84,7 +93,7 @@ func TestPackedClosureUnalignedView(t *testing.T) {
 	parent.Fill(true)
 	v := parent.Sub(0, off, n, n)
 	v.CopyFrom(matrix.PackBool(src))
-	TransitiveClosurePacked(v, -1)
+	TransitiveClosurePacked(v)
 	if !matrix.Equal(want, matrix.UnpackBool(v)) {
 		t.Fatal("packed closure on unaligned view differs from bool closure")
 	}
@@ -98,16 +107,16 @@ func TestPackedClosureUnalignedView(t *testing.T) {
 }
 
 // TestClosureParallelPackedRejectsUnaligned pins the alignment
-// contract of the parallel packed entry point.
+// contract of forking over a packed matrix.
 func TestClosureParallelPackedRejectsUnaligned(t *testing.T) {
 	parent := matrix.NewBits(8, 16)
 	v := parent.Sub(0, 3, 8, 8)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ClosurePackedParallel accepted an unaligned view")
+			t.Fatal("parallel packed closure accepted an unaligned view")
 		}
 	}()
-	ClosurePackedParallel(v, -1, 64)
+	TransitiveClosurePacked(v, core.WithParallel[bool](64))
 }
 
 // TestReachabilityPackedMatchesBool compares the packed graph entry
@@ -156,7 +165,7 @@ func FuzzBitsVsBool(fz *testing.F) {
 		TransitiveClosure(want)
 		for _, tw := range []int{0, 8} {
 			got := matrix.PackBool(src)
-			TransitiveClosurePacked(got, tw)
+			TransitiveClosurePacked(got, core.WithTableWidth[bool](tw))
 			if !matrix.Equal(want, matrix.UnpackBool(got)) {
 				t.Fatalf("n=%d tw=%d: packed closure diverged from bool closure", n, tw)
 			}

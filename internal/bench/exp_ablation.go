@@ -167,7 +167,7 @@ func runAblationGrain(w io.Writer, scale Scale) error {
 		gr := grain
 		d, met := TimeBestMetered(2, func() {
 			m := in.Clone()
-			apsp.FWFusedParallel(m, 32, gr)
+			apsp.FWFused(m, 32, core.WithParallel[float64](gr))
 		})
 		Record(Row{Engine: "FWParallel", N: n, Param: fmt.Sprintf("grain=%d", gr),
 			Wall: d, Metrics: met})

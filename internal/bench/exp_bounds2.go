@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gep/internal/cachesim"
+	"gep/internal/core"
 	"gep/internal/linalg"
 	"gep/internal/matrix"
 	"gep/internal/ooc"
@@ -284,7 +285,7 @@ func bounds2Wall(w io.Writer, scale Scale) error {
 		}{
 			{"MulFused", func() {
 				c.Apply(func(int, int, float64) float64 { return 0 })
-				linalg.MulFusedParallelOn(rt, c, a, b, 64, 128)
+				linalg.MulFused(c, a, b, 64, core.WithParallel[float64](128), core.WithRuntime[float64](rt))
 			}},
 			{"MulStrassen", func() { linalg.MulStrassenParallelOn(rt, c, a, b) }},
 		} {

@@ -106,18 +106,18 @@ func runGF2(w io.Writer, scale Scale) error {
 		}
 		wall, met := TimeBestMetered(reps, func() {
 			r := edges.Clone()
-			apsp.TransitiveClosurePacked(r, 0)
+			apsp.TransitiveClosurePacked(r, core.WithTableWidth[bool](0))
 		})
 		record("closure-packed", "tw=0", 0, wall, met, boolWall)
 		wall, met = TimeBestMetered(reps, func() {
 			r := edges.Clone()
-			apsp.TransitiveClosurePacked(r, -1)
+			apsp.TransitiveClosurePacked(r)
 		})
 		record("closure-m4ri", "tw=8", 0, wall, met, boolWall)
 		par.SetWorkers(gf2Workers)
 		wall, met = TimeBestMetered(reps, func() {
 			r := edges.Clone()
-			apsp.ClosurePackedParallel(r, -1, 64)
+			apsp.TransitiveClosurePacked(r, core.WithParallel[bool](64))
 		})
 		par.ResetWorkers()
 		record("closure-packed-par", fmt.Sprintf("p=%d", gf2Workers), gf2Workers, wall, met, boolWall)
@@ -136,12 +136,12 @@ func runGF2(w io.Writer, scale Scale) error {
 		}
 		wall, met = TimeBestMetered(reps, func() {
 			m := edges.Clone()
-			linalg.GaussGF2Fused(m, 0, 0)
+			linalg.GaussGF2Fused(m, core.WithTableWidth[bool](0))
 		})
 		record("gf2elim-packed", "tw=0", 0, wall, met, boolWall)
 		wall, met = TimeBestMetered(reps, func() {
 			m := edges.Clone()
-			linalg.GaussGF2Fused(m, 0, -1)
+			linalg.GaussGF2Fused(m)
 		})
 		record("gf2elim-m4ri", "tw=8", 0, wall, met, boolWall)
 	}

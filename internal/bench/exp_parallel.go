@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gep/internal/apsp"
+	"gep/internal/core"
 	"gep/internal/linalg"
 	"gep/internal/matrix"
 	"gep/internal/sched"
@@ -84,7 +85,7 @@ func runFig12(w io.Writer, scale Scale) error {
 		})
 		dp, metP := TimeBestMetered(2, func() {
 			c := newZero(nReal)
-			linalg.MulFusedParallel(c, a, b, 32, 64)
+			linalg.MulFused(c, a, b, 32, core.WithParallel[float64](64))
 		})
 		record("MM", ds, dp, metS, metP)
 	}
@@ -96,7 +97,7 @@ func runFig12(w io.Writer, scale Scale) error {
 		})
 		dp, metP := TimeBestMetered(2, func() {
 			m := in.Clone()
-			linalg.LUIGEPParallel(m, 32, 64)
+			linalg.LUIGEP(m, 32, core.WithParallel[float64](64))
 		})
 		record("GE", ds, dp, metS, metP)
 	}
@@ -109,7 +110,7 @@ func runFig12(w io.Writer, scale Scale) error {
 		})
 		dp, metP := TimeBestMetered(2, func() {
 			d := in.Clone()
-			apsp.FWFusedParallel(d, 32, 64)
+			apsp.FWFused(d, 32, core.WithParallel[float64](64))
 		})
 		record("FW", ds, dp, metS, metP)
 	}

@@ -188,21 +188,11 @@ func runPivot(w io.Writer, scale Scale) error {
 	return nil
 }
 
-// unpivotedLUResidual runs the pivot-free I-GEP factorization
-// (padding to a power of two when needed) and returns the solve
-// residual, +Inf when the factors went non-finite.
+// unpivotedLUResidual runs the pivot-free I-GEP factorization and
+// returns the solve residual, +Inf when the factors went non-finite.
 func unpivotedLUResidual(a *matrix.Dense[float64], b []float64) float64 {
-	n := a.N()
-	work := a.Clone()
-	padded := work
-	if !matrix.IsPow2(n) {
-		padded = matrix.PadPow2Diag(work, 0, 1)
-	}
-	linalg.LUIGEP(padded, 32)
-	lu := padded
-	if padded.N() != n {
-		lu = matrix.Crop(padded, n)
-	}
+	lu := a.Clone()
+	linalg.LUIGEP(lu, 32)
 	x := linalg.SolveLU(lu, b)
 	for _, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

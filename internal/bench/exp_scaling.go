@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gep/internal/apsp"
+	"gep/internal/core"
 	"gep/internal/linalg"
 	"gep/internal/matrix"
 	"gep/internal/par"
@@ -73,15 +74,15 @@ func runScaling(w io.Writer, scale Scale) error {
 	workloads := []workload{
 		{"MM", sched.MM, func() {
 			mmOut.Fill(0)
-			linalg.MulFusedParallel(mmOut, a, b, base, grain)
+			linalg.MulFused(mmOut, a, b, base, core.WithParallel[float64](grain))
 		}},
 		{"GE", sched.GE, func() {
 			m := luIn.Clone()
-			linalg.GaussFusedParallel(m, base, grain)
+			linalg.GaussFused(m, base, core.WithParallel[float64](grain))
 		}},
 		{"FW", sched.FW, func() {
 			d := fwIn.Clone()
-			apsp.FWFusedParallel(d, base, grain)
+			apsp.FWFused(d, base, core.WithParallel[float64](grain))
 		}},
 	}
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"gep/internal/matrix"
-	"gep/internal/par"
-)
+import "gep/internal/matrix"
 
 // Multithreaded I-GEP (Figures 4-6 of the paper). The recursion is
 // specialized by the amount of overlap between the written submatrix X
@@ -39,22 +36,11 @@ func RunABCD[T any](c matrix.Grid[T], op Op[T], set UpdateSet, opts ...Option[T]
 	if n == 0 {
 		return
 	}
-	cfg := buildConfig(opts)
-	if cfg.spawn == nil {
-		cfg.spawn = goSpawn
-	}
+	cfg := forkConfig(c, opts)
 	cfg.bindFast(c, set, op)
 	st := &abcdState[T]{c: c, f: op.Func(), set: set, cfg: &cfg}
 	st.run(0, 0, 0, n)
 }
-
-// goSpawn is the default task spawner: the work-stealing fork-join
-// runtime of internal/par. A fork goes to the caller's worker deque
-// (LIFO self-execution, FIFO stealing); forks at or past the runtime's
-// depth cutoff run inline on the caller by policy, so parallel runs
-// never oversubscribe the Go scheduler no matter how many tasks the
-// recursion exposes.
-func goSpawn(task func()) (wait func()) { return par.Spawn(task) }
 
 type abcdState[T any] struct {
 	c   matrix.Grid[T]
@@ -164,10 +150,7 @@ func RunDisjoint[T any](x, u, v, w matrix.Grid[T], op Op[T], set UpdateSet, opts
 	if n == 0 {
 		return
 	}
-	cfg := buildConfig(opts)
-	if cfg.spawn == nil {
-		cfg.spawn = goSpawn
-	}
+	cfg := forkConfig(x, opts)
 	cfg.ranger, _ = set.(Ranger)
 	st := &disjointState[T]{x: x, u: u, v: v, w: w, f: op.Func(), set: set, cfg: &cfg}
 	st.fx, st.fu, st.fv, st.fw = flatOf(x), flatOf(u), flatOf(v), flatOf(w)

@@ -19,10 +19,7 @@ func RunCGEPParallel[T any](c matrix.Grid[T], op Op[T], set UpdateSet, opts ...O
 	if n == 0 {
 		return
 	}
-	cfg := buildConfig(opts)
-	if cfg.spawn == nil {
-		cfg.spawn = goSpawn
-	}
+	cfg := forkConfig(c, opts)
 	st := &cgepState[T]{
 		c: c, f: op.Func(), set: set, cfg: &cfg,
 		u0: cfg.newAux(n, n), u1: cfg.newAux(n, n),

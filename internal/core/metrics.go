@@ -1,6 +1,9 @@
 package core
 
-import "gep/internal/metrics"
+import (
+	"gep/internal/metrics"
+	"gep/internal/par"
+)
 
 // Engine telemetry. Counters cost one atomic add per event and are
 // incremented at recursion granularity, never per element: a fork is
@@ -35,10 +38,13 @@ var (
 
 // parGroup executes tasks as one fork-join group: when parallel
 // execution is enabled and the subproblem side s is above the grain,
-// all but the last task are offered to the spawner and the last runs
-// on the calling goroutine; otherwise all run serially in order. It is
-// the shared body of the A/B/C/D, disjoint, and parallel C-GEP
-// `parallel:` steps (Figure 6).
+// all but the last task are forked on the run's work-stealing runtime
+// (internal/par; the default one unless WithRuntime set another) and
+// the last runs on the calling goroutine; otherwise all run serially
+// in order. A fork goes to the caller's worker deque, and forks at or
+// past the runtime's depth cutoff run inline, so a run never
+// oversubscribes the Go scheduler. It is the shared body of the
+// A/B/C/D, disjoint, and parallel C-GEP `parallel:` steps (Figure 6).
 func parGroup[T any](cfg *config[T], s int, tasks ...func()) {
 	if !cfg.parallel || s <= cfg.grain {
 		for _, t := range tasks {
@@ -47,9 +53,10 @@ func parGroup[T any](cfg *config[T], s int, tasks ...func()) {
 		return
 	}
 	forkCount.Add(int64(len(tasks) - 1))
+	rt := par.Or(cfg.rt)
 	waits := make([]func(), 0, len(tasks)-1)
 	for _, t := range tasks[:len(tasks)-1] {
-		waits = append(waits, cfg.spawn(t))
+		waits = append(waits, rt.Spawn(t))
 	}
 	tasks[len(tasks)-1]()
 	for _, w := range waits {

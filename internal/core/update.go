@@ -77,7 +77,7 @@ type config[T any] struct {
 	parallel bool
 	grain    int
 	newAux   func(rows, cols int) matrix.Rect[T]
-	spawn    func(task func()) (wait func())
+	rt       *par.Runtime // nil = the default runtime
 	baseHook func(i0, j0, k0, s int) bool
 
 	// flatData/flatStride are the row-major backing of the grid when it
@@ -208,7 +208,8 @@ func WithPrune[T any](on bool) Option[T] {
 // WithParallel enables goroutine execution of the parallel steps of the
 // multithreaded A/B/C/D recursion (Figure 6). grain is the subproblem
 // side below which calls run serially; it bounds spawn overhead.
-// Only RunABCD and RunDisjoint honor this option.
+// Only RunABCD, RunDisjoint and RunCGEPParallel honor this option;
+// over a *matrix.Bits they raise the grain to 64 (see forkConfig).
 func WithParallel[T any](grain int) Option[T] {
 	if grain < 1 {
 		panic("core: parallel grain must be >= 1")
@@ -247,26 +248,31 @@ func WithBaseCase[T any](hook func(i0, j0, k0, s int) bool) Option[T] {
 // the process-wide default work-stealing runtime. Pass the per-job
 // runtime of an isolated tenant (see par.NewRuntime and
 // internal/serve) so concurrent computations cannot occupy each
-// other's worker budgets; nil keeps the default. WithRuntime is a
-// convenience over WithSpawn — the two set the same hook, last one
-// wins.
+// other's worker budgets; nil keeps the default.
 func WithRuntime[T any](rt *par.Runtime) Option[T] {
-	return func(c *config[T]) { c.spawn = par.Or(rt).Spawn }
-}
-
-// WithSpawn replaces the goroutine spawner used by parallel execution.
-// It exists so the schedule simulator (internal/sched) and tests can
-// intercept task creation; spawn must return a function that waits for
-// the task to complete. The default runs `go task()` with a
-// sync.WaitGroup.
-func WithSpawn[T any](spawn func(task func()) (wait func())) Option[T] {
-	return func(c *config[T]) { c.spawn = spawn }
+	return func(c *config[T]) { c.rt = rt }
 }
 
 func buildConfig[T any](opts []Option[T]) config[T] {
 	c := defaultConfig[T]()
 	for _, o := range opts {
 		o(&c)
+	}
+	return c
+}
+
+// forkConfig is buildConfig for the engines that fork (RunABCD,
+// RunDisjoint, RunCGEPParallel) while writing g. Concurrent siblings
+// split g's columns at multiples of the grain, so over a *matrix.Bits,
+// which packs 64 cells per word, g must start on a word boundary and
+// the grain is raised to 64: then no two tasks write the same word.
+func forkConfig[T any](g matrix.Grid[T], opts []Option[T]) config[T] {
+	c := buildConfig(opts)
+	if b, ok := any(g).(*matrix.Bits); ok && c.parallel {
+		if !b.Aligned() {
+			panic("core: parallel run over a word-unaligned matrix.Bits view (see Bits.Aligned)")
+		}
+		c.grain = max(c.grain, 64)
 	}
 	return c
 }

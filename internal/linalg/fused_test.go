@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -67,10 +68,10 @@ func TestGaussFusedMatchesIterative(t *testing.T) {
 	}
 }
 
-// TestFusedParallelMatchesSerial: the parallel fused entry points run
-// the same update sequence through the work-stealing runtime
-// (internal/par), so at every worker count the result must be bitwise
-// equal to the serial fused path.
+// TestFusedParallelMatchesSerial: with WithParallel the fused entry
+// points run the same update sequence through the work-stealing
+// runtime (internal/par), so at every worker count, and on a runtime
+// of its own, the result must be bitwise equal to the serial run.
 func TestFusedParallelMatchesSerial(t *testing.T) {
 	defer par.ResetWorkers()
 	rng := rand.New(rand.NewSource(53))
@@ -86,22 +87,28 @@ func TestFusedParallelMatchesSerial(t *testing.T) {
 	GaussFused(wantGauss, base)
 
 	eq := func(x, y float64) bool { return x == y }
-	for _, p := range []int{1, 2, 4} {
-		par.SetWorkers(p)
+	check := func(label string, opts ...core.Option[float64]) {
 		gotMul := matrix.NewSquare[float64](n)
-		MulFusedParallel(gotMul, a, b, base, grain)
+		MulFused(gotMul, a, b, base, opts...)
 		if !wantMul.EqualFunc(gotMul, eq) {
-			t.Fatalf("p=%d: MulFusedParallel differs from MulFused", p)
+			t.Fatalf("%s: parallel MulFused differs from serial", label)
 		}
 		gotLU := lu.Clone()
-		LUIGEPParallel(gotLU, base, grain)
+		LUIGEP(gotLU, base, opts...)
 		if !wantLU.EqualFunc(gotLU, eq) {
-			t.Fatalf("p=%d: LUIGEPParallel differs from LUIGEP", p)
+			t.Fatalf("%s: parallel LUIGEP differs from serial", label)
 		}
 		gotGauss := lu.Clone()
-		GaussFusedParallel(gotGauss, base, grain)
+		GaussFused(gotGauss, base, opts...)
 		if !wantGauss.EqualFunc(gotGauss, eq) {
-			t.Fatalf("p=%d: GaussFusedParallel differs from GaussFused", p)
+			t.Fatalf("%s: parallel GaussFused differs from serial", label)
 		}
 	}
+	for _, p := range []int{1, 2, 4} {
+		par.SetWorkers(p)
+		check(fmt.Sprintf("p=%d", p), core.WithParallel[float64](grain))
+	}
+	rt := par.NewRuntime(2)
+	defer rt.Close()
+	check("own runtime", core.WithParallel[float64](grain), core.WithRuntime[float64](rt))
 }

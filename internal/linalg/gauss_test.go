@@ -7,6 +7,7 @@ import (
 
 	"gep/internal/core"
 	"gep/internal/matrix"
+	"gep/internal/par"
 )
 
 // diagDominant is safely factorizable without pivoting.
@@ -51,7 +52,7 @@ func TestLUFactorizationsReassemble(t *testing.T) {
 		"tiled16": func(m *matrix.Dense[float64]) { LUTiled(m, 16) },
 		"igep1":   func(m *matrix.Dense[float64]) { LUIGEP(m, 1) },
 		"igep8":   func(m *matrix.Dense[float64]) { LUIGEP(m, 8) },
-		"igeppar": func(m *matrix.Dense[float64]) { LUIGEPParallel(m, 4, 8) },
+		"igeppar": func(m *matrix.Dense[float64]) { LUIGEP(m, 4, core.WithParallel[float64](8)) },
 	}
 	for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
 		a := diagDominant(rng, n)
@@ -109,18 +110,31 @@ func TestLUIGEPBitwiseMatchesGEP(t *testing.T) {
 	}
 }
 
-// TestLUParallelBitwiseMatchesSerial: goroutine execution changes only
-// scheduling, never values.
+// TestLUParallelBitwiseMatchesSerial: goroutine execution, on the
+// default runtime or on a runtime of its own, changes only scheduling,
+// never values; and at a side other than a power of two LUIGEP gives
+// the bits of the explicit identity pad, run and crop.
 func TestLUParallelBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	n := 64
-	a := diagDominant(rng, n)
-	s := a.Clone()
-	LUIGEP(s, 8)
-	p := a.Clone()
-	LUIGEPParallel(p, 8, 16)
-	if !s.EqualFunc(p, func(x, y float64) bool { return x == y }) {
-		t.Fatal("parallel LU not bitwise equal to serial")
+	rt := par.NewRuntime(2)
+	defer rt.Close()
+	bitEq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for _, n := range []int{64, 100} {
+		a := diagDominant(rng, n)
+		padded := matrix.PadPow2Diag(a, 0, 1)
+		LUIGEP(padded, 8)
+		want := matrix.Crop(padded, n)
+		for name, opts := range map[string][]core.Option[float64]{
+			"serial":   nil,
+			"parallel": {core.WithParallel[float64](16)},
+			"runtime":  {core.WithParallel[float64](16), core.WithRuntime[float64](rt)},
+		} {
+			got := a.Clone()
+			LUIGEP(got, 8, opts...)
+			if !want.EqualFunc(got, bitEq) {
+				t.Fatalf("n=%d %s: LU not bitwise equal to the padded serial run", n, name)
+			}
+		}
 	}
 }
 

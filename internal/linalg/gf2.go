@@ -11,12 +11,12 @@ import (
 // GF(2) linear algebra over bit-packed matrices. Two families live
 // here:
 //
-//   - the GEP-path eliminators GaussGF2Fused / GaussGF2FusedParallel —
-//     the exact boolean analogue of GaussFused: RunIGEP / RunABCD with
-//     the core.GF2Elim op over the Gaussian set, word-parallel via the
-//     packed kernels of internal/core/bits.go. Like all unpivoted GEP
-//     elimination they require every leading principal minor to be
-//     nonsingular (over GF(2): an LU-factorable matrix).
+//   - the GEP-path eliminator GaussGF2Fused — the exact boolean
+//     analogue of GaussFused: RunABCD with the core.GF2Elim op over
+//     the Gaussian set, word-parallel via the packed kernels of
+//     internal/core/bits.go. Like all unpivoted GEP elimination it
+//     requires every leading principal minor to be nonsingular (over
+//     GF(2): an LU-factorable matrix).
 //
 //   - the direct solvers SolveGF2 / RankGF2 — packed Gauss-Jordan with
 //     partial pivoting (row swaps), which GEP's fixed update set cannot
@@ -25,43 +25,16 @@ import (
 
 // GaussGF2Fused performs in-place GF(2) Gaussian elimination (no
 // multipliers stored — over GF(2) the multiplier equals the eliminated
-// bit) through RunIGEP with the packed word-parallel kernel. The side
-// must be a power of two; base is the base-case side (0 selects the
-// packed default of 512) and tableWidth the four-Russians group width
-// (0 disables the table kernel, < 0 selects the default of 8). The
-// result is upper-triangular only when c is eliminable without
-// pivoting; for general matrices use SolveGF2 / RankGF2.
-func GaussGF2Fused(c *matrix.Bits, base, tableWidth int) {
-	core.RunIGEP[bool](c, core.GF2Elim{}, core.Gaussian{}, gf2Opts(base, tableWidth)...)
-}
-
-// GaussGF2FusedParallel is GaussGF2Fused through the multithreaded
-// A/B/C/D recursion on the work-stealing runtime; bit-identical to
-// GaussGF2Fused at every worker count. c must be word-aligned
-// (matrix.Bits.Aligned) and the grain is clamped to >= 64 so
-// concurrent quadrants never share an edge word.
-func GaussGF2FusedParallel(c *matrix.Bits, base, tableWidth, grain int) {
-	if !c.Aligned() {
-		panic("linalg: GaussGF2FusedParallel requires a word-aligned matrix (see Bits.Aligned)")
-	}
-	if grain < 64 {
-		grain = 64
-	}
-	opts := append(gf2Opts(base, tableWidth), core.WithParallel[bool](grain))
+// bit) through RunABCD with the packed word-parallel kernel. The side
+// must be a power of two. The options are the engine's: the base case
+// defaults to the packed side of 512 (core.WithBaseSize), the
+// four-Russians group width to 8 (core.WithTableWidth, 0 disables the
+// table kernel), and core.WithParallel forks over a word-aligned c
+// (matrix.Bits.Aligned). The result is upper-triangular only when c is
+// eliminable without pivoting; for general matrices use SolveGF2 /
+// RankGF2.
+func GaussGF2Fused(c *matrix.Bits, opts ...core.Option[bool]) {
 	core.RunABCD[bool](c, core.GF2Elim{}, core.Gaussian{}, opts...)
-}
-
-// gf2Opts translates the (base, tableWidth) conventions into engine
-// options: base 0 and tableWidth < 0 keep the engine defaults.
-func gf2Opts(base, tableWidth int) []core.Option[bool] {
-	var opts []core.Option[bool]
-	if base != 0 {
-		opts = append(opts, core.WithBaseSize[bool](base))
-	}
-	if tableWidth >= 0 {
-		opts = append(opts, core.WithTableWidth[bool](tableWidth))
-	}
-	return opts
 }
 
 // SolveGF2 solves A·x = b over GF(2). a is not modified; b must have

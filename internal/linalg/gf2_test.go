@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestGaussGF2FusedMatchesGeneric(t *testing.T) {
 				core.WithBaseSize[bool](base))
 			for _, tw := range []int{0, 4, 8} {
 				got := b.Clone()
-				GaussGF2Fused(got, base, tw)
+				GaussGF2Fused(got, core.WithBaseSize[bool](base), core.WithTableWidth[bool](tw))
 				if !matrix.Equal(want, matrix.UnpackBool(got)) {
 					t.Fatalf("n=%d base=%d tw=%d: GaussGF2Fused diverges from generic", n, base, tw)
 				}
@@ -54,21 +55,28 @@ func TestGaussGF2FusedMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestGaussGF2FusedParallelMatchesSerial at p ∈ {1,2,4}.
+// TestGaussGF2FusedParallelMatchesSerial at p ∈ {1,2,4} and on a
+// runtime of its own.
 func TestGaussGF2FusedParallelMatchesSerial(t *testing.T) {
 	defer par.ResetWorkers()
 	rng := rand.New(rand.NewSource(92))
 	b, _ := randBitsSquare(rng, 256, 45)
 	want := b.Clone()
-	GaussGF2Fused(want, 0, -1)
-	for _, p := range []int{1, 2, 4} {
-		par.SetWorkers(p)
+	GaussGF2Fused(want)
+	check := func(label string, opts ...core.Option[bool]) {
 		got := b.Clone()
-		GaussGF2FusedParallel(got, 0, -1, 64)
+		GaussGF2Fused(got, opts...)
 		if !matrix.EqualBits(want, got) {
-			t.Fatalf("p=%d: parallel GF(2) elimination differs from serial", p)
+			t.Fatalf("%s: parallel GF(2) elimination differs from serial", label)
 		}
 	}
+	for _, p := range []int{1, 2, 4} {
+		par.SetWorkers(p)
+		check(fmt.Sprintf("p=%d", p), core.WithParallel[bool](64))
+	}
+	rt := par.NewRuntime(2)
+	defer rt.Close()
+	check("own runtime", core.WithParallel[bool](64), core.WithRuntime[bool](rt))
 }
 
 // TestGaussGF2FusedUpperTriangle: on an LU-factorable input (built as
@@ -100,7 +108,7 @@ func TestGaussGF2FusedUpperTriangle(t *testing.T) {
 			a.Set(i, j, acc)
 		}
 	}
-	GaussGF2Fused(a, 0, -1)
+	GaussGF2Fused(a)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			if a.At(i, j) != u.At(i, j) {

@@ -16,14 +16,10 @@ import (
 // non-dominant inputs may hit the pivot-free limitation (NaN/Inf), as
 // with all pivot-free elimination.
 func Determinant(a *matrix.Dense[float64]) float64 {
-	n := a.N()
-	if n == 0 {
-		return 1
-	}
-	lu := padForLU(a)
+	lu := a.Clone()
 	LUIGEP(lu, 64)
 	det := 1.0
-	for i := 0; i < n; i++ {
+	for i := 0; i < lu.N(); i++ {
 		det *= lu.At(i, i)
 	}
 	return det
@@ -80,28 +76,11 @@ func SolveLUMany(lu *matrix.Dense[float64], b *matrix.Dense[float64]) *matrix.De
 // pivoting.
 func Invert(a *matrix.Dense[float64]) *matrix.Dense[float64] {
 	n := a.N()
-	lu := padForLU(a)
+	lu := a.Clone()
 	LUIGEP(lu, 64)
-	lu = cropTo(lu, n)
 	id := matrix.NewSquare[float64](n)
 	for i := 0; i < n; i++ {
 		id.Set(i, i, 1)
 	}
 	return SolveLUMany(lu, id)
-}
-
-// padForLU clones a, padding to a power-of-two side with an identity
-// block (which leaves the leading factors unchanged).
-func padForLU(a *matrix.Dense[float64]) *matrix.Dense[float64] {
-	if matrix.IsPow2(a.N()) || a.N() == 0 {
-		return a.Clone()
-	}
-	return matrix.PadPow2Diag(a, 0, 1)
-}
-
-func cropTo(a *matrix.Dense[float64], n int) *matrix.Dense[float64] {
-	if a.N() == n {
-		return a
-	}
-	return matrix.Crop(a, n)
 }

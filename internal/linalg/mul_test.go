@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"gep/internal/core"
 	"gep/internal/matrix"
+	"gep/internal/par"
 )
 
 func randDense(rng *rand.Rand, n int) *matrix.Dense[float64] {
@@ -48,24 +50,32 @@ func TestMulVariantsAgree(t *testing.T) {
 		}
 
 		got = matrix.NewSquare[float64](n)
-		MulFusedParallel(got, a, b, 4, 8)
-		approxEqual(t, want, got, n, "MulFusedParallel")
+		MulFused(got, a, b, 4, core.WithParallel[float64](8))
+		approxEqual(t, want, got, n, "parallel MulFused")
 	}
 }
 
 // TestMulParallelBitwiseMatchesSerial: the parallel recursion performs
 // the identical operations in the identical per-cell order, so results
-// are bitwise equal to the serial recursion.
+// are bitwise equal to the serial recursion, on the default runtime
+// and on a runtime of its own.
 func TestMulParallelBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 64
 	a, b := randDense(rng, n), randDense(rng, n)
 	serial := matrix.NewSquare[float64](n)
 	MulFused(serial, a, b, 8)
-	par := matrix.NewSquare[float64](n)
-	MulFusedParallel(par, a, b, 8, 16)
-	if !serial.EqualFunc(par, func(x, y float64) bool { return x == y }) {
-		t.Fatal("parallel MulFused not bitwise equal to serial")
+	rt := par.NewRuntime(2)
+	defer rt.Close()
+	for name, opts := range map[string][]core.Option[float64]{
+		"parallel": {core.WithParallel[float64](16)},
+		"runtime":  {core.WithParallel[float64](16), core.WithRuntime[float64](rt)},
+	} {
+		got := matrix.NewSquare[float64](n)
+		MulFused(got, a, b, 8, opts...)
+		if !serial.EqualFunc(got, func(x, y float64) bool { return x == y }) {
+			t.Fatalf("%s MulFused not bitwise equal to serial", name)
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // storage, strided sub-views (including views whose first column falls
 // mid-word), and it implements Grid[bool]/Rect[bool], so every generic
 // engine in internal/core runs on it unchanged. The packed fast paths
-// (internal/core/bits.go) detect it with PackedOf, exactly as the flat
-// fast path detects *Dense[T] with Flat.
+// (internal/core/bits.go) detect it by a type assertion to *Bits, as
+// the flat fast path detects *Dense[T] with Flat.
 //
 // Storage layout: cell (i, j) lives in data[i*stride + (off+j)/64] at
 // bit (off+j)%64. off is 0 for matrices created with NewBits and may be
@@ -309,16 +309,6 @@ func UnpackBool(b *Bits) *Dense[bool] {
 		}
 	}
 	return out
-}
-
-// PackedOf reports whether g is a packed boolean matrix and returns it
-// if so. It is the packed counterpart of Flat: the engines' base-case
-// dispatch (internal/core) uses it to bind the word-parallel kernels,
-// and wrapper grids simply fail the assertion and keep the generic
-// path.
-func PackedOf(g Grid[bool]) (*Bits, bool) {
-	b, ok := g.(*Bits)
-	return b, ok
 }
 
 // PadBitsPow2 returns an m×m copy of the square packed matrix a, where

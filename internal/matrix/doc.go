@@ -28,7 +28,8 @@
 //     itself a Grid[bool]/Rect[bool], so every engine runs on it
 //     generically; the word-parallel kernels in internal/core are a
 //     fast path on top (DESIGN.md §13).
-//   - PadPow2 / Crop (pad.go): the power-of-two padding the recursive
-//     algorithms require (the paper assumes n = 2^q); PadBitsPow2 is
-//     the packed counterpart.
+//   - PadPow2 / Crop / OnPow2 (pad.go): the power-of-two padding the
+//     recursive algorithms require (the paper assumes n = 2^q); OnPow2
+//     pads, runs and copies the leading block back in one call, and
+//     PadBitsPow2 is the packed counterpart of PadPow2.
 package matrix

@@ -52,6 +52,24 @@ func PadPow2Diag[T any](a *Dense[T], fill, diag T) *Dense[T] {
 	return out
 }
 
+// OnPow2 runs f on a square matrix of power-of-two side whose leading
+// block is a: a itself when its side already is a power of two (or
+// zero), else a PadPow2Diag(a, fill, diag) copy whose leading block is
+// copied back into a when f returns. fill and diag must be neutral for
+// f's computation (LU: 0 and 1; min-plus: +Inf and 0; closure: false
+// and true), so the padding leaves the leading block's answer as if f
+// had run on a alone.
+func OnPow2[T any](a *Dense[T], fill, diag T, f func(*Dense[T])) {
+	n := a.N()
+	if n == 0 || IsPow2(n) {
+		f(a)
+		return
+	}
+	p := PadPow2Diag(a, fill, diag)
+	f(p)
+	a.CopyFrom(p.Sub(0, 0, n, n))
+}
+
 // Crop returns the top-left n×n corner of a as a fresh matrix.
 func Crop[T any](a *Dense[T], n int) *Dense[T] {
 	return a.Sub(0, 0, n, n).Clone()

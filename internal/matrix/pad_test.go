@@ -91,6 +91,30 @@ func TestPadPow2Diag(t *testing.T) {
 	}
 }
 
+// TestOnPow2 checks both branches: a power-of-two (or empty) matrix is
+// handed to f itself, any other side runs on a padded copy whose
+// leading block lands back in the input.
+func TestOnPow2(t *testing.T) {
+	for _, n := range []int{0, 1, 4} {
+		a := New[int](n, n)
+		OnPow2(a, 0, 1, func(m *Dense[int]) {
+			if m != a {
+				t.Fatalf("n=%d: f got a copy, want the input itself", n)
+			}
+		})
+	}
+	a := FromRows([][]int{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	OnPow2(a, -1, 7, func(m *Dense[int]) {
+		if m.N() != 4 || m.At(3, 3) != 7 || m.At(3, 0) != -1 || m.At(0, 3) != -1 {
+			t.Fatalf("padded input wrong:\n%v", m)
+		}
+		m.Apply(func(i, j, v int) int { return v * 10 })
+	})
+	if want := FromRows([][]int{{10, 20, 30}, {40, 50, 60}, {70, 80, 90}}); !Equal(a, want) {
+		t.Fatalf("leading block not copied back: got\n%v", a)
+	}
+}
+
 func TestCropInversePad(t *testing.T) {
 	f := func(side uint8, fill int) bool {
 		n := int(side%13) + 1

@@ -34,9 +34,9 @@
 // service on — one Runtime per job — and it is observable: each
 // runtime's counters live in its own metrics.Registry, and
 // "par.spawn.pooled" == "par.local" + "par.steal" + "par.help" holds
-// per registry. Engines accept a runtime through their ...On entry
-// points (e.g. linalg.LUIGEPParallelOn) or core.WithRuntime; passing
-// nil means the default instance.
+// per registry. Engines accept a runtime through core.WithRuntime
+// (e.g. linalg.LUIGEP(m, base, core.WithParallel(grain),
+// core.WithRuntime(rt))); passing nil means the default instance.
 //
 // A non-default Runtime has a lifecycle: Close drains its workers and
 // retires it (later Spawn/Do calls run inline, staying correct), and
@@ -46,7 +46,7 @@
 // Close and Abort of the default runtime panic.
 //
 // Key entry points: Runtime.Spawn forks one task and returns a wait
-// function (the signature core.WithSpawn expects); Runtime.Do
+// function (how the core engines fork); Runtime.Do
 // executes a slice of tasks as one fork-join group; Group is the
 // incremental variant. Every decision is recorded — "par.spawn.pooled"
 // vs "par.spawn.inline" on the fork side, "par.local" / "par.steal" /

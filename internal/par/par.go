@@ -58,7 +58,7 @@ func max32(a, b int32) int32 {
 func noopWait() {}
 
 // Spawn forks task on this runtime and returns a function that waits
-// for it to complete. The signature matches core.WithSpawn.
+// for it to complete; the core engines fork every task through it.
 //
 // Routing policy, in order:
 //

@@ -27,9 +27,10 @@
 //     api_examples_test.go.
 //
 // Isolation is the load-bearing property: every job gets a fresh
-// par.Runtime sized to its worker budget, engines run through the
-// ...On entry points (e.g. linalg.MulFusedParallelOn) so all forks
-// stay on that runtime, cancellation maps to Runtime.Abort, and the
+// par.Runtime sized to its worker budget, engines run with
+// core.WithRuntime (e.g. linalg.MulFused(c, a, b, base,
+// core.WithParallel(grain), core.WithRuntime(rt))) so all forks stay
+// on that runtime, cancellation maps to Runtime.Abort, and the
 // job's "par.*" counters come from the runtime's private metrics
 // registry — which is how /metrics reports per-job scheduler activity
 // next to the process-wide aggregate from /debug/vars.

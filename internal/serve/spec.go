@@ -211,6 +211,12 @@ const (
 	execGrain = 32
 )
 
+// onJob returns the engine options of every in-core executor: forks
+// above execGrain, all confined to the job's runtime rt.
+func onJob[T any](rt *par.Runtime) []core.Option[T] {
+	return []core.Option[T]{core.WithParallel[T](execGrain), core.WithRuntime[T](rt)}
+}
+
 // fromFlat builds an n×n dense matrix from explicit row-major data.
 func fromFlat(n int, flat []float64) *matrix.Dense[float64] {
 	m := matrix.NewSquare[float64](n)
@@ -284,7 +290,7 @@ func execMultiply(s *Spec, rt *par.Runtime) (*Result, error) {
 		// the job's private runtime), mirroring execBase/execGrain.
 		linalg.MulStrassenParallelOn(rt, c, a, b, linalg.WithCrossover(32))
 	} else {
-		linalg.MulFusedParallelOn(rt, c, a, b, execBase, execGrain)
+		linalg.MulFused(c, a, b, execBase, onJob[float64](rt)...)
 	}
 	return &Result{Data: finite(c)}, nil
 }
@@ -321,7 +327,7 @@ func execLU(s *Spec, rt *par.Runtime) (*Result, error) {
 		}
 		return &Result{Data: finite(out)}, nil
 	}
-	linalg.LUIGEPParallelOn(rt, m, execBase, execGrain)
+	linalg.LUIGEP(m, execBase, onJob[float64](rt)...)
 	return &Result{Data: finite(m)}, nil
 }
 
@@ -334,7 +340,7 @@ func execGauss(s *Spec, rt *par.Runtime) (*Result, error) {
 		}
 		return &Result{Data: finite(out)}, nil
 	}
-	linalg.GaussFusedParallelOn(rt, m, execBase, execGrain)
+	linalg.GaussFused(m, execBase, onJob[float64](rt)...)
 	return &Result{Data: finite(m)}, nil
 }
 
@@ -367,7 +373,7 @@ func execAPSP(s *Spec, rt *par.Runtime) (*Result, error) {
 		}
 		return &Result{Data: finite(out)}, nil
 	}
-	apsp.FWFusedParallelOn(rt, d, execBase, execGrain)
+	apsp.FWFused(d, execBase, onJob[float64](rt)...)
 	return &Result{Data: finite(d)}, nil
 }
 
@@ -387,7 +393,7 @@ func execClosure(s *Spec, rt *par.Runtime) (*Result, error) {
 			}
 		}
 	}
-	apsp.ClosureParallelOn(rt, reach, execBase)
+	apsp.TransitiveClosure(reach, onJob[bool](rt)...)
 	out := make([]*float64, 0, s.N*s.N)
 	zero, one := 0.0, 1.0
 	for i := 0; i < s.N; i++ {
