@@ -25,6 +25,20 @@
 //     documented endpoint by endpoint in docs/API.md, whose curl
 //     examples are replayed against a live server by
 //     api_examples_test.go.
+//   - The wire codec (codec.go) carries the two Θ(n²) bodies. A
+//     submission is read whole up to a body cap derived from
+//     Config.MaxN (413 past it). decodeSpec refuses (413) a body with
+//     more commas than two MaxN² arrays need, then parses the
+//     data/a/b number arrays of a canonical body directly — JSON
+//     number grammar checked, strconv.ParseFloat, no reflection — and
+//     hands the small remainder, or any body it does not take, to
+//     json.Decoder with DisallowUnknownFields, the reference it must
+//     match (FuzzDecodeSpec). A finished job retains only its output
+//     as one row-major []float64, its inputs released; the result
+//     handler streams compact JSON from it through a fixed 32 KiB
+//     buffer without the server lock (the slice is never written once
+//     the job is done), and ResultOf builds Result.Data from it for Go
+//     callers.
 //
 // Isolation is the load-bearing property: every job gets a fresh
 // par.Runtime sized to its worker budget, engines run with

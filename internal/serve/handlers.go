@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"expvar"
+	"fmt"
 	"net/http"
 	"slices"
 	"strconv"
@@ -14,6 +16,10 @@ import (
 
 // eventInterval is the SSE status-poll cadence of /events.
 const eventInterval = 100 * time.Millisecond
+
+// maxHint bounds the request body buffer handleSubmit sizes from the
+// declared Content-Length: room for two n = 256 matrices.
+const maxHint = 4 << 20
 
 // Handler returns the server's route table. Endpoints, bodies and
 // error codes are documented in docs/API.md; that file's curl
@@ -85,11 +91,35 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleSubmit reads the body whole, up to Config.maxBody (413 past
+// it, before reading when the declared length is past it), and decodes
+// it with decodeSpec. The buffer grows as bytes arrive; the declared
+// length presizes it only up to maxHint, so an idle request holds no
+// more than that.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	limit := s.cfg.maxBody()
+	tooLarge := &apiErr{http.StatusRequestEntityTooLarge, "too_large",
+		fmt.Sprintf("request body exceeds the server cap of %d bytes", limit)}
+	if r.ContentLength > limit {
+		writeErr(w, tooLarge)
+		return
+	}
+	body := bytes.NewBuffer(make([]byte, 0, bytes.MinRead+min(max(r.ContentLength, 0), maxHint)))
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			writeErr(w, tooLarge)
+		} else {
+			writeErr(w, &apiErr{http.StatusBadRequest, "invalid_request", "reading body: " + err.Error()})
+		}
+		return
+	}
+	spec, err := decodeSpec(body.Bytes(), s.cfg.maxCells())
+	switch {
+	case errors.Is(err, errTooManyCells):
+		writeErr(w, &apiErr{http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body holds more than two arrays of max-n² = %d cells", s.cfg.maxCells())})
+		return
+	case err != nil:
 		writeErr(w, &apiErr{http.StatusBadRequest, "invalid_request", "bad JSON body: " + err.Error()})
 		return
 	}
@@ -115,13 +145,19 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
+// handleResult streams the result as compact JSON straight from the
+// retained cells, without holding s.mu.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, err := s.ResultOf(r.PathValue("id"))
+	out, err := s.output(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// A write error means the client went away after the status was
+	// sent; there is no one left to tell.
+	_ = streamResult(w, &out.Result, out.cells)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

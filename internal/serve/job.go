@@ -55,7 +55,7 @@ type Job struct {
 	// registry is snapshotted into metrics at finish.
 	rt      *par.Runtime
 	metrics map[string]int64
-	result  *Result
+	out     *output
 	wall    time.Duration
 }
 

@@ -31,7 +31,8 @@ type Config struct {
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
 	// MaxN caps the accepted problem side; larger jobs get 413
-	// (default 4096).
+	// (default 4096). It also sets the request body cap (maxBody) and
+	// the body's budget of array cells (maxCells).
 	MaxN int
 	// RetainJobs bounds how many finished jobs stay queryable before
 	// the oldest are evicted (default 256).
@@ -66,6 +67,30 @@ func (c Config) Normalize() Config {
 		c.RetainJobs = 256
 	}
 	return c
+}
+
+// bodyCellBytes is the request body budget per input cell. json.Marshal
+// and other compact encoders need at most 25 bytes (the longest
+// float64, 24, and its comma); the other 7 leave room for a newline and
+// six spaces of indentation. bodySlack covers the members other than
+// the two arrays.
+const (
+	bodyCellBytes = 32
+	bodySlack     = 1 << 20
+)
+
+// maxCells is MaxN², the most cells one input array of an admissible
+// job holds. A body with more commas than two such arrays need gets
+// 413 before it is decoded (decodeSpec).
+func (c Config) maxCells() int {
+	n := min(c.MaxN, 1<<24) // keeps the products in range; no host holds a 2^24 side
+	return n * n
+}
+
+// maxBody caps a POST /v1/jobs body: two maxCells arrays at
+// bodyCellBytes per cell, plus bodySlack. Longer bodies get 413.
+func (c Config) maxBody() int64 {
+	return 2*int64(c.maxCells())*bodyCellBytes + bodySlack
 }
 
 // apiErr is a client-facing rejection: an HTTP status plus the
@@ -229,7 +254,7 @@ func (s *Server) runJob(j *Job) {
 	}()
 
 	start := time.Now()
-	res, err := j.spec.execute(rt)
+	out, err := j.spec.execute(rt)
 	wall := time.Since(start)
 	close(watchDone)
 	cancel()
@@ -250,14 +275,15 @@ func (s *Server) runJob(j *Job) {
 	case err != nil:
 		s.finishLocked(j, StatusFailed, err.Error())
 	default:
-		res.ID, res.Op, res.N = j.id, j.spec.Op, j.spec.N
-		res.WallMS = float64(wall) / float64(time.Millisecond)
-		j.result = res
+		out.ID, out.Op, out.N = j.id, j.spec.Op, j.spec.N
+		out.WallMS = float64(wall) / float64(time.Millisecond)
+		j.out = out
 		s.finishLocked(j, StatusDone, "")
 	}
 }
 
-// finishLocked moves a job to a terminal state; the caller holds s.mu.
+// finishLocked moves a job to a terminal state and releases its
+// inputs; the caller holds s.mu.
 func (s *Server) finishLocked(j *Job, st Status, msg string) {
 	if j.status.Terminal() {
 		return
@@ -265,6 +291,7 @@ func (s *Server) finishLocked(j *Job, st Status, msg string) {
 	j.status = st
 	j.err = msg
 	j.finishedAt = time.Now()
+	j.spec.Data, j.spec.A, j.spec.B = nil, nil, nil
 }
 
 // Get returns the status view of one job.
@@ -289,9 +316,22 @@ func (s *Server) List() []JobView {
 	return out
 }
 
-// ResultOf returns a finished job's result. The error is an *apiErr
-// when the job is unknown or not yet finished.
+// ResultOf returns a finished job's result, building Data from the
+// retained cells. The error is an *apiErr when the job is unknown or
+// not finished.
 func (s *Server) ResultOf(id string) (*Result, error) {
+	out, err := s.output(id)
+	if err != nil {
+		return nil, err
+	}
+	res := out.Result
+	res.Data = boxed(out.cells)
+	return &res, nil
+}
+
+// output returns a finished job's retained output, which stays valid
+// and unchanged after the job is evicted.
+func (s *Server) output(id string) (*output, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
@@ -302,10 +342,10 @@ func (s *Server) ResultOf(id string) (*Result, error) {
 		return nil, &apiErr{http.StatusConflict, "not_finished",
 			fmt.Sprintf("job %s is %s; poll status or stream events until it finishes", id, j.status)}
 	}
-	if j.result == nil {
+	if j.out == nil {
 		return nil, &apiErr{http.StatusConflict, j.err, fmt.Sprintf("job %s %s: %s", id, j.status, j.err)}
 	}
-	return j.result, nil
+	return j.out, nil
 }
 
 // Cancel stops a job: a queued job is finalized immediately, a

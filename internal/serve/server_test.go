@@ -355,12 +355,27 @@ func TestAdmissionControl(t *testing.T) {
 		{"matrixchain no dims", Spec{Op: "matrixchain"}, http.StatusBadRequest},
 		{"unknown engine", Spec{Op: "multiply", N: 64, Engine: "coppersmith"}, http.StatusBadRequest},
 		{"engine on engineless op", Spec{Op: "lu", N: 64, Engine: "strassen"}, http.StatusBadRequest},
+		// Inputs the op never reads.
+		{"data on multiply", Spec{Op: "multiply", N: 2, Data: []float64{1, 2, 3, 4}}, http.StatusBadRequest},
+		{"a and b on lu", Spec{Op: "lu", N: 2, A: []float64{1, 2, 3, 4}, B: []float64{1, 2, 3, 4}}, http.StatusBadRequest},
+		{"b on closure", Spec{Op: "closure", N: 2, Data: []float64{1, 0, 0, 1}, B: []float64{1, 2, 3, 4}}, http.StatusBadRequest},
+		{"dims on apsp", Spec{Op: "apsp", N: 2, Dims: []int{2, 3}}, http.StatusBadRequest},
+		{"data on matrixchain", Spec{Op: "matrixchain", Dims: []int{2, 3}, Data: []float64{1}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, _ := postJob(t, ts, tc.spec)
 		resp.Body.Close()
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+	}
+
+	// With two bad lengths the reported one is the first in the fixed
+	// order data, a, b — every time.
+	for range 20 {
+		_, err := s.Submit(Spec{Op: "multiply", N: 2, A: []float64{1, 2, 3}, B: []float64{1}})
+		if err == nil || !strings.HasPrefix(err.Error(), "a has 3 cells") {
+			t.Fatalf("two bad lengths: error %v, want the one about a", err)
 		}
 	}
 
@@ -380,6 +395,62 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
+	}
+}
+
+// TestBodyCap checks that a request body past Config.maxBody gets 413
+// whatever it holds, whether its length is declared or it is sent
+// chunked, that one at the cap is read, that one holding more cells
+// than two Config.maxCells arrays gets 413 while a malformed array
+// within that budget gets 400, and that the server keeps serving.
+func TestBodyCap(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxN: 8})
+	limit := s.Config().maxBody()
+	post := func(body []byte, chunked bool) int {
+		t.Helper()
+		var r io.Reader = bytes.NewReader(body)
+		if chunked {
+			r = io.MultiReader(r) // hides the length
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	padded := func(size int64) []byte {
+		body := []byte(`{"op":"lu","n":8,"seed":3}`)
+		return append(body, bytes.Repeat([]byte{' '}, int(size)-len(body))...)
+	}
+	for _, chunked := range []bool{false, true} {
+		if got := post(padded(limit+1), chunked); got != http.StatusRequestEntityTooLarge {
+			t.Fatalf("body of %d bytes (chunked %v): status %d, want 413", limit+1, chunked, got)
+		}
+		if got := post(padded(limit), chunked); got != http.StatusAccepted {
+			t.Fatalf("body of %d bytes (the cap, chunked %v): status %d, want 202", limit, chunked, got)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"201 cells at max-n 8", `{"op":"lu","n":8,"data":[` + strings.Repeat("0,", 200) + `0]}`, http.StatusRequestEntityTooLarge},
+		{"201 dims at max-n 8", `{"op":"matrixchain","dims":[` + strings.Repeat("1,", 200) + `1]}`, http.StatusRequestEntityTooLarge},
+		{"comma-only array", `{"op":"lu","n":8,"data":[` + strings.Repeat(",", 100) + `]}`, http.StatusBadRequest},
+	} {
+		if got := post([]byte(tc.body), false); got != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	resp, v := postJob(t, ts, Spec{Op: "lu", N: 8, Seed: 1})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after 413: status %d", resp.StatusCode)
+	}
+	if fin := waitTerminal(t, ts, v.ID); fin.Status != StatusDone {
+		t.Fatalf("job after 413 finished %s (%s)", fin.Status, fin.Error)
 	}
 }
 

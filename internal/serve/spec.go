@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -78,9 +77,9 @@ type Result struct {
 	ID string `json:"id"`
 	Op string `json:"op"`
 	N  int    `json:"n,omitempty"`
-	// Data is the row-major output matrix for the matrix ops. For
-	// "apsp", unreachable pairs are encoded as null (JSON has no
-	// +Inf); for "closure", cells are 0 or 1.
+	// Data is the row-major output matrix for the matrix ops. Every
+	// non-finite cell is null (JSON has no NaN or ±Inf), which for
+	// "apsp" marks an unreachable pair; "closure" cells are 0 or 1.
 	Data []*float64 `json:"data,omitempty"`
 	// Cost and Order are the "matrixchain" outputs: the minimal scalar
 	// multiplication count and an optimal parenthesization.
@@ -93,6 +92,14 @@ type Result struct {
 	WallMS float64 `json:"wall_ms"`
 }
 
+// output is what a finished job retains: its Result without Data, and
+// the output matrix as row-major cells (nil for "matrixchain"). Nothing
+// writes it once the job is done, so readers need no lock.
+type output struct {
+	Result
+	cells []float64
+}
+
 // ops maps an op name to its validation needs and executor. Engines
 // run at execBase/execGrain (see below); the output bits do not depend
 // on either.
@@ -100,16 +107,17 @@ var ops = map[string]struct {
 	pow2    bool // n must be a power of two
 	needsN  bool
 	ooc     bool     // accepts a StorageSpec (durable out-of-core path)
+	reads   []string // the input fields the op reads; the others must be empty
 	engines []string // selectable algorithms; empty = no engine field
 	pivots  []string // selectable pivot strategies; empty = no pivot field
-	execute func(spec *Spec, rt *par.Runtime) (*Result, error)
+	execute func(spec *Spec, rt *par.Runtime) (*output, error)
 }{
-	"multiply":    {pow2: true, needsN: true, ooc: true, engines: []string{"classical", "strassen"}, execute: execMultiply},
-	"lu":          {pow2: true, needsN: true, ooc: true, pivots: []string{"none", "tournament"}, execute: execLU},
-	"gauss":       {pow2: true, needsN: true, ooc: true, execute: execGauss},
-	"apsp":        {pow2: true, needsN: true, ooc: true, execute: execAPSP},
-	"closure":     {needsN: true, execute: execClosure},
-	"matrixchain": {execute: execMatrixChain},
+	"multiply":    {pow2: true, needsN: true, ooc: true, reads: []string{"a", "b"}, engines: []string{"classical", "strassen"}, execute: execMultiply},
+	"lu":          {pow2: true, needsN: true, ooc: true, reads: []string{"data"}, pivots: []string{"none", "tournament"}, execute: execLU},
+	"gauss":       {pow2: true, needsN: true, ooc: true, reads: []string{"data"}, execute: execGauss},
+	"apsp":        {pow2: true, needsN: true, ooc: true, reads: []string{"data"}, execute: execAPSP},
+	"closure":     {needsN: true, reads: []string{"data"}, execute: execClosure},
+	"matrixchain": {reads: []string{"dims"}, execute: execMatrixChain},
 }
 
 // validate checks a decoded Spec against the server's admission caps
@@ -127,6 +135,15 @@ func (s *Spec) validate(maxN int) error {
 			return fmt.Errorf("op %q requires a power-of-two n, got %d", s.Op, s.N)
 		}
 	}
+	inputs := []struct {
+		name  string
+		cells int
+	}{{"data", len(s.Data)}, {"a", len(s.A)}, {"b", len(s.B)}, {"dims", len(s.Dims)}}
+	for _, in := range inputs {
+		if in.cells != 0 && !slices.Contains(op.reads, in.name) {
+			return fmt.Errorf("op %q does not read %s (it reads %s)", s.Op, in.name, strings.Join(op.reads, " and "))
+		}
+	}
 	if s.Op == "matrixchain" {
 		if len(s.Dims) < 2 {
 			return fmt.Errorf(`op "matrixchain" requires dims with at least 2 entries`)
@@ -140,9 +157,9 @@ func (s *Spec) validate(maxN int) error {
 			}
 		}
 	}
-	for name, d := range map[string][]float64{"data": s.Data, "a": s.A, "b": s.B} {
-		if len(d) != 0 && len(d) != s.N*s.N {
-			return fmt.Errorf("%s has %d cells, want n*n = %d", name, len(d), s.N*s.N)
+	for _, in := range inputs[:3] {
+		if in.cells != 0 && in.cells != s.N*s.N {
+			return fmt.Errorf("%s has %d cells, want n*n = %d", in.name, in.cells, s.N*s.N)
 		}
 	}
 	if s.Op == "multiply" && (len(s.A) == 0) != (len(s.B) == 0) {
@@ -199,7 +216,7 @@ func (s *Spec) tooLarge(maxN int) bool { return s.N > maxN }
 // execute runs the job's computation with every fork confined to rt.
 // It is called on an executor goroutine; the caller handles deadline
 // and cancellation by aborting rt.
-func (s *Spec) execute(rt *par.Runtime) (*Result, error) {
+func (s *Spec) execute(rt *par.Runtime) (*output, error) {
 	return ops[s.Op].execute(s, rt)
 }
 
@@ -215,15 +232,6 @@ const (
 // above execGrain, all confined to the job's runtime rt.
 func onJob[T any](rt *par.Runtime) []core.Option[T] {
 	return []core.Option[T]{core.WithParallel[T](execGrain), core.WithRuntime[T](rt)}
-}
-
-// fromFlat builds an n×n dense matrix from explicit row-major data.
-func fromFlat(n int, flat []float64) *matrix.Dense[float64] {
-	m := matrix.NewSquare[float64](n)
-	for i := 0; i < n; i++ {
-		copy(m.Row(i), flat[i*n:(i+1)*n])
-	}
-	return m
 }
 
 // randMatrix generates the deterministic seed input: uniform [0, 1)
@@ -244,28 +252,14 @@ func randMatrix(n int, seed int64, dominant bool) *matrix.Dense[float64] {
 	return m
 }
 
-// finite encodes a result matrix for JSON: +Inf (unreachable apsp
-// pairs) becomes null.
-func finite(m *matrix.Dense[float64]) []*float64 {
-	n := m.N()
-	out := make([]*float64, 0, n*n)
-	for i := 0; i < n; i++ {
-		for _, v := range m.Row(i) {
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				out = append(out, nil)
-			} else {
-				v := v
-				out = append(out, &v)
-			}
-		}
-	}
-	return out
-}
+// cellsOf is the output of a job whose result is the matrix m (every
+// executor's result matrix is freshly allocated, so contiguous).
+func cellsOf(m *matrix.Dense[float64]) *output { return &output{cells: m.Data()} }
 
-func execMultiply(s *Spec, rt *par.Runtime) (*Result, error) {
+func execMultiply(s *Spec, rt *par.Runtime) (*output, error) {
 	var a, b *matrix.Dense[float64]
 	if len(s.A) > 0 {
-		a, b = fromFlat(s.N, s.A), fromFlat(s.N, s.B)
+		a, b = matrix.FromSlice(s.N, s.N, s.A), matrix.FromSlice(s.N, s.N, s.B)
 	} else {
 		a, b = randMatrix(s.N, s.Seed, false), randMatrix(s.N, s.Seed+1, false)
 	}
@@ -281,7 +275,7 @@ func execMultiply(s *Spec, rt *par.Runtime) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Data: finite(c)}, nil
+		return cellsOf(c), nil
 	}
 	c := matrix.NewSquare[float64](s.N)
 	if s.Engine == "strassen" {
@@ -292,24 +286,24 @@ func execMultiply(s *Spec, rt *par.Runtime) (*Result, error) {
 	} else {
 		linalg.MulFused(c, a, b, execBase, onJob[float64](rt)...)
 	}
-	return &Result{Data: finite(c)}, nil
+	return cellsOf(c), nil
 }
 
 func inPlaceInput(s *Spec) *matrix.Dense[float64] {
 	if len(s.Data) > 0 {
-		return fromFlat(s.N, s.Data)
+		return matrix.FromSlice(s.N, s.N, s.Data)
 	}
 	return randMatrix(s.N, s.Seed, true)
 }
 
-func execLU(s *Spec, rt *par.Runtime) (*Result, error) {
+func execLU(s *Spec, rt *par.Runtime) (*output, error) {
 	if s.Pivot == "tournament" {
 		// Pivoting makes diagonal dominance unnecessary, so seeded
 		// inputs are general random matrices — the workload the
 		// pivot-free path cannot take.
 		var m *matrix.Dense[float64]
 		if len(s.Data) > 0 {
-			m = fromFlat(s.N, s.Data)
+			m = matrix.FromSlice(s.N, s.N, s.Data)
 		} else {
 			m = randMatrix(s.N, s.Seed, false)
 		}
@@ -317,7 +311,9 @@ func execLU(s *Spec, rt *par.Runtime) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Data: finite(f.LU), Perm: f.Perm}, nil
+		out := cellsOf(f.LU)
+		out.Perm = f.Perm
+		return out, nil
 	}
 	m := inPlaceInput(s)
 	if s.Storage != nil {
@@ -325,26 +321,26 @@ func execLU(s *Spec, rt *par.Runtime) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Data: finite(out)}, nil
+		return cellsOf(out), nil
 	}
 	linalg.LUIGEP(m, execBase, onJob[float64](rt)...)
-	return &Result{Data: finite(m)}, nil
+	return cellsOf(m), nil
 }
 
-func execGauss(s *Spec, rt *par.Runtime) (*Result, error) {
+func execGauss(s *Spec, rt *par.Runtime) (*output, error) {
 	m := inPlaceInput(s)
 	if s.Storage != nil {
 		out, err := runDurableGEP(s.Storage, rt, m, core.GaussElim[float64]{}, core.Gaussian{})
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Data: finite(out)}, nil
+		return cellsOf(out), nil
 	}
 	linalg.GaussFused(m, execBase, onJob[float64](rt)...)
-	return &Result{Data: finite(m)}, nil
+	return cellsOf(m), nil
 }
 
-func execAPSP(s *Spec, rt *par.Runtime) (*Result, error) {
+func execAPSP(s *Spec, rt *par.Runtime) (*output, error) {
 	var d *matrix.Dense[float64]
 	if len(s.Data) > 0 {
 		// Explicit weights: zero off-diagonal = no edge = +Inf.
@@ -371,44 +367,42 @@ func execAPSP(s *Spec, rt *par.Runtime) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Data: finite(out)}, nil
+		return cellsOf(out), nil
 	}
 	apsp.FWFused(d, execBase, onJob[float64](rt)...)
-	return &Result{Data: finite(d)}, nil
+	return cellsOf(d), nil
 }
 
-func execClosure(s *Spec, rt *par.Runtime) (*Result, error) {
-	reach := matrix.NewSquare[bool](s.N)
-	if len(s.Data) > 0 {
-		for i := 0; i < s.N; i++ {
-			for j := 0; j < s.N; j++ {
-				reach.Set(i, j, s.Data[i*s.N+j] != 0)
-			}
-		}
-	} else {
+// execClosure runs the closure on a packed matrix.Bits (64 cells per
+// word); seeded inputs draw one rng value per cell in row-major order.
+func execClosure(s *Spec, rt *par.Runtime) (*output, error) {
+	n := s.N
+	edge := func(i, j int) bool { return s.Data[i*n+j] != 0 }
+	if len(s.Data) == 0 {
 		rng := rand.New(rand.NewSource(s.Seed))
-		for i := 0; i < s.N; i++ {
-			for j := 0; j < s.N; j++ {
-				reach.Set(i, j, rng.Float64() < 0.1)
+		edge = func(int, int) bool { return rng.Float64() < 0.1 }
+	}
+	reach := matrix.NewBitsSquare(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if edge(i, j) {
+				reach.Set(i, j, true)
 			}
 		}
 	}
-	apsp.TransitiveClosure(reach, onJob[bool](rt)...)
-	out := make([]*float64, 0, s.N*s.N)
-	zero, one := 0.0, 1.0
-	for i := 0; i < s.N; i++ {
-		for j := 0; j < s.N; j++ {
+	apsp.TransitiveClosurePacked(reach, onJob[bool](rt)...)
+	cells := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			if reach.At(i, j) {
-				out = append(out, &one)
-			} else {
-				out = append(out, &zero)
+				cells[i*n+j] = 1
 			}
 		}
 	}
-	return &Result{Data: out}, nil
+	return &output{cells: cells}, nil
 }
 
-func execMatrixChain(s *Spec, _ *par.Runtime) (*Result, error) {
+func execMatrixChain(s *Spec, _ *par.Runtime) (*output, error) {
 	cost, order := dp.MatrixChainOrder(s.Dims)
-	return &Result{Cost: &cost, Order: order}, nil
+	return &output{Result: Result{Cost: &cost, Order: order}}, nil
 }

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -93,4 +96,90 @@ func TestStressSubmitDuringShutdown(t *testing.T) {
 			t.Fatalf("admitted job %s did not complete (status %v)", id, v.Status)
 		}
 	}
+}
+
+// TestStressResultStream has several readers GET finished results while
+// new submissions evict them under RetainJobs: 2. The handler streams
+// from the retained cells without the server lock, so every 200 body
+// must be whole and equal to the reference; 404 (evicted) and 409 (not
+// finished) are the other allowed answers. Run with -race in CI.
+func TestStressResultStream(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxConcurrent: 2, DefaultWorkers: 1, RetainJobs: 2})
+	spec := Spec{Op: "apsp", N: 64, Seed: 1}
+	first, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, ts, first.ID)
+	want, err := s.ResultOf(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const jobs, readers = 30, 4
+	var latest atomic.Value
+	latest.Store(first.ID)
+	var served, evicted atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				id := latest.Load().(string)
+				resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					t.Errorf("job %s: reading result: %v", id, err)
+					return
+				case resp.StatusCode == http.StatusNotFound:
+					evicted.Add(1)
+				case resp.StatusCode == http.StatusConflict:
+				case resp.StatusCode != http.StatusOK:
+					t.Errorf("job %s: status %d: %s", id, resp.StatusCode, body)
+					return
+				default:
+					var got Result
+					dec := json.NewDecoder(bytes.NewReader(body))
+					dec.DisallowUnknownFields()
+					if err := dec.Decode(&got); err != nil {
+						t.Errorf("job %s: decode: %v", id, err)
+						return
+					}
+					got.ID, got.WallMS = want.ID, want.WallMS
+					if !sameResult(&got, want) {
+						t.Errorf("job %s: streamed result differs from the reference", id)
+						return
+					}
+					served.Add(1)
+				}
+			}
+		}()
+	}
+	for k := 0; k < jobs; k++ {
+		v, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, ts, v.ID)
+		latest.Store(v.ID)
+	}
+	close(done)
+	wg.Wait()
+	if served.Load() == 0 {
+		t.Fatal("no result was served")
+	}
+	t.Logf("%d results served, %d GETs of evicted jobs", served.Load(), evicted.Load())
 }
