@@ -34,8 +34,13 @@ func main() {
 
 	g, err := loadGraph(*random, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "apsp: %v\n", err)
-		os.Exit(1)
+		fail(err)
+	}
+	var u, v int
+	if *pathPair != "" {
+		if u, v, err = parsePair(*pathPair, g.N); err != nil {
+			fail(fmt.Errorf("-path: %w", err))
+		}
 	}
 
 	d := apsp.Solve(g, *base)
@@ -69,11 +74,6 @@ func main() {
 	}
 
 	if *pathPair != "" {
-		u, v, err := parsePair(*pathPair)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "apsp: -path: %v\n", err)
-			os.Exit(1)
-		}
 		p := apsp.Path(g, d, u, v)
 		if p == nil {
 			fmt.Fprintf(os.Stderr, "apsp: no path from %d to %d\n", u, v)
@@ -81,6 +81,17 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "path %d->%d (weight %g): %v\n", u, v, d.At(u, v), p)
 	}
+}
+
+// fail reports err on stderr and exits 1. Errors from package apsp
+// already carry its name, so the prefix is added only when missing.
+func fail(err error) {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "apsp: ") {
+		msg = "apsp: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
+	os.Exit(1)
 }
 
 func loadGraph(random string, seed int64) (*apsp.Graph, error) {
@@ -95,6 +106,9 @@ func loadGraph(random string, seed int64) (*apsp.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad n: %w", err)
 	}
+	if n < 0 {
+		return nil, fmt.Errorf("bad n: %d vertices", n)
+	}
 	p, err := strconv.ParseFloat(parts[1], 64)
 	if err != nil {
 		return nil, fmt.Errorf("bad p: %w", err)
@@ -103,10 +117,15 @@ func loadGraph(random string, seed int64) (*apsp.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad maxw: %w", err)
 	}
+	if maxW < 1 {
+		return nil, fmt.Errorf("bad maxw: %d (weights are drawn from 1..maxw)", maxW)
+	}
 	return apsp.Random(n, p, maxW, seed), nil
 }
 
-func parsePair(s string) (int, int, error) {
+// parsePair parses "u,v" and checks both are vertices of an n-vertex
+// graph.
+func parsePair(s string, n int) (int, int, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 2 {
 		return 0, 0, fmt.Errorf("want u,v, got %q", s)
@@ -118,6 +137,11 @@ func parsePair(s string) (int, int, error) {
 	v, err := strconv.Atoi(parts[1])
 	if err != nil {
 		return 0, 0, err
+	}
+	for _, x := range []int{u, v} {
+		if x < 0 || x >= n {
+			return 0, 0, fmt.Errorf("vertex %d out of range [0,%d)", x, n)
+		}
 	}
 	return u, v, nil
 }

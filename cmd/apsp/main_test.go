@@ -3,14 +3,19 @@ package main
 import "testing"
 
 func TestParsePair(t *testing.T) {
-	u, v, err := parsePair("3,17")
+	u, v, err := parsePair("3,17", 20)
 	if err != nil || u != 3 || v != 17 {
 		t.Fatalf("parsePair = %d,%d,%v", u, v, err)
 	}
-	for _, bad := range []string{"", "3", "3,4,5", "a,b", "3,"} {
-		if _, _, err := parsePair(bad); err == nil {
+	// Malformed pairs, then vertices outside a 10-vertex graph and any
+	// vertex of an empty one.
+	for _, bad := range []string{"", "3", "3,4,5", "a,b", "3,", "0,99", "-1,2", "2,10"} {
+		if _, _, err := parsePair(bad, 10); err == nil {
 			t.Errorf("parsePair(%q) accepted", bad)
 		}
+	}
+	if _, _, err := parsePair("0,0", 0); err == nil {
+		t.Error("parsePair accepted a vertex of an empty graph")
 	}
 }
 
@@ -27,7 +32,7 @@ func TestLoadGraphRandom(t *testing.T) {
 	if g2.Edges() != g.Edges() {
 		t.Fatal("random graph not deterministic for fixed seed")
 	}
-	for _, bad := range []string{"10", "10,0.5", "x,0.5,20", "10,y,20", "10,0.5,z"} {
+	for _, bad := range []string{"10", "10,0.5", "x,0.5,20", "10,y,20", "10,0.5,z", "10,0.5,0", "-3,0.5,5"} {
 		if _, err := loadGraph(bad, 1); err == nil {
 			t.Errorf("loadGraph(%q) accepted", bad)
 		}

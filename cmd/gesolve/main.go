@@ -57,6 +57,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *random < 0 {
+		fmt.Fprintf(stderr, "gesolve: -random must be >= 0, got %d\n", *random)
+		fs.Usage()
+		return 2
+	}
 
 	a, b, err := loadSystem(*random, *seed)
 	if err != nil {

@@ -87,3 +87,15 @@ func TestRunRejectsBadBase(t *testing.T) {
 		t.Fatalf("-base 1: exit %d, stderr %q", code, stderr.String())
 	}
 }
+
+// TestRunRejectsNegativeRandom: a negative -random size is a usage
+// error, not a silent read of stdin.
+func TestRunRejectsNegativeRandom(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-random", "-5"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-random -5: exit %d, want 2", code)
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), "-random must be >= 0") {
+		t.Fatalf("-random -5: stdout %q, stderr %q", stdout.String(), stderr.String())
+	}
+}

@@ -37,96 +37,81 @@ func RunABCD[T any](c matrix.Grid[T], op Op[T], set UpdateSet, opts ...Option[T]
 		return
 	}
 	cfg := forkConfig(c, opts)
-	cfg.bindFast(c, set, op)
-	st := &abcdState[T]{c: c, f: op.Func(), set: set, cfg: &cfg}
-	st.run(0, 0, 0, n)
+	e := &engine[T]{d: cfg.bindFast(c, set, op), cfg: &cfg}
+	e.abcd(0, 0, 0, n)
 }
 
-type abcdState[T any] struct {
-	c   matrix.Grid[T]
-	f   UpdateFunc[T]
-	set UpdateSet
-	cfg *config[T]
-}
-
-// par runs the given tasks, concurrently when parallel execution is on
-// and the subproblem side s is above the grain. The last task always
-// runs on the calling goroutine.
-func (st *abcdState[T]) par(s int, tasks ...func()) { parGroup(st.cfg, s, tasks...) }
-
-func (st *abcdState[T]) run(xi, xj, k0, s int) {
-	if st.cfg.prune && !st.set.Intersects(xi, xi+s-1, xj, xj+s-1, k0, k0+s-1) {
-		return
-	}
-	if s <= st.cfg.baseSize {
-		baseCase(st.c, st.f, st.set, st.cfg, xi, xj, k0, s)
+// abcd is the A/B/C/D recursion of Figure 6; the overlap kind follows
+// from the coordinates.
+func (e *engine[T]) abcd(xi, xj, k0, s int) {
+	if e.leaf(xi, xj, k0, s) {
 		return
 	}
 	h := s / 2
 	iK, jK := xi == k0, xj == k0
 	switch {
 	case iK && jK: // A (Figure 6, function A)
-		st.run(xi, xj, k0, h) // A(X11)
-		st.par(s,
-			func() { st.run(xi, xj+h, k0, h) }, // B1(X12)
-			func() { st.run(xi+h, xj, k0, h) }, // C1(X21)
+		e.abcd(xi, xj, k0, h) // A(X11)
+		e.par(s,
+			func() { e.abcd(xi, xj+h, k0, h) }, // B1(X12)
+			func() { e.abcd(xi+h, xj, k0, h) }, // C1(X21)
 		)
-		st.run(xi+h, xj+h, k0, h)   // D1(X22)
-		st.run(xi+h, xj+h, k0+h, h) // A(X22)
-		st.par(s,
-			func() { st.run(xi+h, xj, k0+h, h) }, // B2(X21)
-			func() { st.run(xi, xj+h, k0+h, h) }, // C2(X12)
+		e.abcd(xi+h, xj+h, k0, h)   // D1(X22)
+		e.abcd(xi+h, xj+h, k0+h, h) // A(X22)
+		e.par(s,
+			func() { e.abcd(xi+h, xj, k0+h, h) }, // B2(X21)
+			func() { e.abcd(xi, xj+h, k0+h, h) }, // C2(X12)
 		)
-		st.run(xi, xj, k0+h, h) // D4(X11)
+		e.abcd(xi, xj, k0+h, h) // D4(X11)
 
 	case iK: // B (X rows coincide with the pivot rows)
-		st.par(s,
-			func() { st.run(xi, xj, k0, h) },   // B(X11)
-			func() { st.run(xi, xj+h, k0, h) }, // B(X12)
+		e.par(s,
+			func() { e.abcd(xi, xj, k0, h) },   // B(X11)
+			func() { e.abcd(xi, xj+h, k0, h) }, // B(X12)
 		)
-		st.par(s,
-			func() { st.run(xi+h, xj, k0, h) },   // D(X21)
-			func() { st.run(xi+h, xj+h, k0, h) }, // D(X22)
+		e.par(s,
+			func() { e.abcd(xi+h, xj, k0, h) },   // D(X21)
+			func() { e.abcd(xi+h, xj+h, k0, h) }, // D(X22)
 		)
-		st.par(s,
-			func() { st.run(xi+h, xj, k0+h, h) },   // B(X21)
-			func() { st.run(xi+h, xj+h, k0+h, h) }, // B(X22)
+		e.par(s,
+			func() { e.abcd(xi+h, xj, k0+h, h) },   // B(X21)
+			func() { e.abcd(xi+h, xj+h, k0+h, h) }, // B(X22)
 		)
-		st.par(s,
-			func() { st.run(xi, xj, k0+h, h) },   // D(X11)
-			func() { st.run(xi, xj+h, k0+h, h) }, // D(X12)
+		e.par(s,
+			func() { e.abcd(xi, xj, k0+h, h) },   // D(X11)
+			func() { e.abcd(xi, xj+h, k0+h, h) }, // D(X12)
 		)
 
 	case jK: // C (X columns coincide with the pivot columns)
-		st.par(s,
-			func() { st.run(xi, xj, k0, h) },   // C(X11)
-			func() { st.run(xi+h, xj, k0, h) }, // C(X21)
+		e.par(s,
+			func() { e.abcd(xi, xj, k0, h) },   // C(X11)
+			func() { e.abcd(xi+h, xj, k0, h) }, // C(X21)
 		)
-		st.par(s,
-			func() { st.run(xi, xj+h, k0, h) },   // D(X12)
-			func() { st.run(xi+h, xj+h, k0, h) }, // D(X22)
+		e.par(s,
+			func() { e.abcd(xi, xj+h, k0, h) },   // D(X12)
+			func() { e.abcd(xi+h, xj+h, k0, h) }, // D(X22)
 		)
-		st.par(s,
-			func() { st.run(xi, xj+h, k0+h, h) },   // C(X12)
-			func() { st.run(xi+h, xj+h, k0+h, h) }, // C(X22)
+		e.par(s,
+			func() { e.abcd(xi, xj+h, k0+h, h) },   // C(X12)
+			func() { e.abcd(xi+h, xj+h, k0+h, h) }, // C(X22)
 		)
-		st.par(s,
-			func() { st.run(xi, xj, k0+h, h) },   // D(X11)
-			func() { st.run(xi+h, xj, k0+h, h) }, // D(X21)
+		e.par(s,
+			func() { e.abcd(xi, xj, k0+h, h) },   // D(X11)
+			func() { e.abcd(xi+h, xj, k0+h, h) }, // D(X21)
 		)
 
 	default: // D (X disjoint from pivot rows and columns)
-		st.par(s,
-			func() { st.run(xi, xj, k0, h) },
-			func() { st.run(xi, xj+h, k0, h) },
-			func() { st.run(xi+h, xj, k0, h) },
-			func() { st.run(xi+h, xj+h, k0, h) },
+		e.par(s,
+			func() { e.abcd(xi, xj, k0, h) },
+			func() { e.abcd(xi, xj+h, k0, h) },
+			func() { e.abcd(xi+h, xj, k0, h) },
+			func() { e.abcd(xi+h, xj+h, k0, h) },
 		)
-		st.par(s,
-			func() { st.run(xi, xj, k0+h, h) },
-			func() { st.run(xi, xj+h, k0+h, h) },
-			func() { st.run(xi+h, xj, k0+h, h) },
-			func() { st.run(xi+h, xj+h, k0+h, h) },
+		e.par(s,
+			func() { e.abcd(xi, xj, k0+h, h) },
+			func() { e.abcd(xi, xj+h, k0+h, h) },
+			func() { e.abcd(xi+h, xj, k0+h, h) },
+			func() { e.abcd(xi+h, xj+h, k0+h, h) },
 		)
 	}
 }
@@ -151,72 +136,29 @@ func RunDisjoint[T any](x, u, v, w matrix.Grid[T], op Op[T], set UpdateSet, opts
 		return
 	}
 	cfg := forkConfig(x, opts)
-	cfg.ranger, _ = set.(Ranger)
-	st := &disjointState[T]{x: x, u: u, v: v, w: w, f: op.Func(), set: set, cfg: &cfg}
-	st.fx, st.fu, st.fv, st.fw = flatOf(x), flatOf(u), flatOf(v), flatOf(w)
-	st.flat = st.fx.ok && st.fu.ok && st.fv.ok && st.fw.ok
-	if st.flat {
-		st.dop, _ = op.(DisjointKerneler[T])
-	}
-	cfg.resolveBaseSize(st.flat)
-	st.run(0, 0, 0, n)
+	d := newDispatcher(op, set, operandOf(x), operandOf(u), operandOf(v), operandOf(w))
+	cfg.resolveBaseSize(d.flat, false)
+	e := &engine[T]{d: &d, cfg: &cfg}
+	e.disjoint(0, 0, 0, n)
 }
 
-type disjointState[T any] struct {
-	x, u, v, w matrix.Grid[T]
-	f          UpdateFunc[T]
-	set        UpdateSet
-	cfg        *config[T]
-
-	// Flat fast path, taken when all four grids are *matrix.Dense;
-	// dop is the op's fused disjoint kernel when it provides one.
-	fx, fu, fv, fw flatRect[T]
-	flat           bool
-	dop            DisjointKerneler[T]
-}
-
-func (st *disjointState[T]) par(s int, tasks ...func()) { parGroup(st.cfg, s, tasks...) }
-
-func (st *disjointState[T]) run(xi, xj, k0, s int) {
-	if st.cfg.prune && !st.set.Intersects(xi, xi+s-1, xj, xj+s-1, k0, k0+s-1) {
-		return
-	}
-	if s <= st.cfg.baseSize {
-		if st.flat {
-			if st.dop != nil && st.dop.DisjointKernel(
-				st.fx.data, st.fx.stride, st.fu.data, st.fu.stride,
-				st.fv.data, st.fv.stride, st.fw.data, st.fw.stride,
-				st.cfg.ranger, xi, xj, k0, s) {
-				kernelFusedCount.Inc()
-				return
-			}
-			st.kernelFlat(xi, xj, k0, s)
-			return
-		}
-		kernelGenericCount.Inc()
-		for k := k0; k < k0+s; k++ {
-			for i := xi; i < xi+s; i++ {
-				for j := xj; j < xj+s; j++ {
-					if st.set.Contains(i, j, k) {
-						st.x.Set(i, j, st.f(i, j, k,
-							st.x.At(i, j), st.u.At(i, k), st.v.At(k, j), st.w.At(k, k)))
-					}
-				}
-			}
-		}
+// disjoint is the all-D recursion: each half-pass runs its four
+// quadrants in parallel.
+func (e *engine[T]) disjoint(xi, xj, k0, s int) {
+	if e.leaf(xi, xj, k0, s) {
 		return
 	}
 	h := s / 2
-	st.par(s,
-		func() { st.run(xi, xj, k0, h) },
-		func() { st.run(xi, xj+h, k0, h) },
-		func() { st.run(xi+h, xj, k0, h) },
-		func() { st.run(xi+h, xj+h, k0, h) },
+	e.par(s,
+		func() { e.disjoint(xi, xj, k0, h) },
+		func() { e.disjoint(xi, xj+h, k0, h) },
+		func() { e.disjoint(xi+h, xj, k0, h) },
+		func() { e.disjoint(xi+h, xj+h, k0, h) },
 	)
-	st.par(s,
-		func() { st.run(xi, xj, k0+h, h) },
-		func() { st.run(xi, xj+h, k0+h, h) },
-		func() { st.run(xi+h, xj, k0+h, h) },
-		func() { st.run(xi+h, xj+h, k0+h, h) },
+	e.par(s,
+		func() { e.disjoint(xi, xj, k0+h, h) },
+		func() { e.disjoint(xi, xj+h, k0+h, h) },
+		func() { e.disjoint(xi+h, xj, k0+h, h) },
+		func() { e.disjoint(xi+h, xj+h, k0+h, h) },
 	)
 }

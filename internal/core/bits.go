@@ -233,45 +233,37 @@ func (GF2Elim) Func() UpdateFunc[bool] {
 	return func(_, _, _ int, x, u, v, _ bool) bool { return x != (u && v) }
 }
 
-// BlockKernel implements BlockKerneler over flat []bool storage — the
+// Kernel implements Kerneler over flat []bool storage — the
 // element-wise baseline the packed engines are benchmarked against.
-// Unlike Closure, XOR is not idempotent: a j == k update rewrites the
-// selector u = c[i,k], and an i == k row rewrites its own source, so
-// those (rare, Ranger-dependent) rows take an exact per-element loop
-// and only the k < lo, i != k rows run with u hoisted.
-func (GF2Elim) BlockKernel(data []bool, stride int, rg Ranger, i0, j0, k0, s int) bool {
-	if rg == nil {
-		return false
-	}
-	for k := k0; k < k0+s; k++ {
-		ck := data[k*stride:]
-		for i := i0; i < i0+s; i++ {
-			lo, hi := clampJRange(rg, i, k, j0, s)
-			if lo >= hi {
-				continue
+// Unlike Closure, XOR is not idempotent: the pivot update j == k
+// rewrites the selector u = X[i,k] when X is U, so u is re-read after
+// it (see span); a row with i == k that is its own source row reads
+// each element right before flipping it, as the generic path does.
+func (GF2Elim) Kernel(o Operands[bool], rg Ranger) {
+	for k := 0; k < o.S; k++ {
+		vk, gk := o.V[k*o.VS:], o.K+k
+		for i := 0; i < o.S; i++ {
+			lo, hi := rg.JRange(o.I+i, gk)
+			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
+			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
+			if ui[k] {
+				xorRow(xi[lo:mid], vk[lo:mid])
 			}
-			ci := data[i*stride:]
-			if lo <= k || i == k {
-				// Exact per-element fallback: u and the source row may
-				// change inside the interval.
-				for j := lo; j < hi; j++ {
-					if ci[k] && ck[j] {
-						ci[j] = !ci[j]
-					}
-				}
-				continue
-			}
-			if !ci[k] {
-				continue
-			}
-			for j := lo; j < hi; j++ {
-				if ck[j] {
-					ci[j] = !ci[j]
-				}
+			if ui[k] {
+				xorRow(xi[mid:hi], vk[mid:hi])
 			}
 		}
 	}
-	return true
+}
+
+// xorRow flips xr[j] wherever vr[j] is set.
+func xorRow(xr, vr []bool) {
+	xr = xr[:len(vr)]
+	for j, v := range vr {
+		if v {
+			xr[j] = !xr[j]
+		}
+	}
 }
 
 // BitsKernel implements BitsKerneler: when the selector bit u = c[i,k]
@@ -319,7 +311,7 @@ func (GF2Elim) BitsKernel(b *matrix.Bits, rg Ranger, tw, i0, j0, k0, s int) bool
 // Compile-time checks: the packed ops provide the kernels the bits
 // dispatch tier looks for.
 var (
-	_ BitsKerneler        = Closure{}
-	_ BitsKerneler        = GF2Elim{}
-	_ BlockKerneler[bool] = GF2Elim{}
+	_ BitsKerneler   = Closure{}
+	_ BitsKerneler   = GF2Elim{}
+	_ Kerneler[bool] = GF2Elim{}
 )

@@ -42,10 +42,11 @@ type cgepState[T any] struct {
 
 	// Flat fast path (see fastpath.go): taken when c and all four aux
 	// matrices are dense. tauSet is the set's O(1) τ view, resolved
-	// once instead of per save test.
+	// once instead of per save test; rg its column intervals.
 	fc, fu0, fu1, fv0, fv1 flatRect[T]
 	flat                   bool
 	tauSet                 TauSet
+	rg                     Ranger
 }
 
 // bindFlat resolves the flat views of c and the aux matrices plus the
@@ -54,7 +55,7 @@ type cgepState[T any] struct {
 // factory (WithAuxFactory) or a wrapper grid falls back to the generic
 // kernel.
 //
-// The C-GEP engines accept fused ops but never run their block kernels:
+// The C-GEP engines accept fused ops but never run their kernels:
 // H's base case must route the u/v/w reads through the saved-state aux
 // matrices and perform the τ-triggered saves, which a closed-form
 // direct-read kernel cannot do. They run the op's Func through the flat
@@ -66,8 +67,8 @@ func (st *cgepState[T]) bindFlat() {
 	st.fv0, st.fv1 = flatRectOf(st.v0), flatRectOf(st.v1)
 	st.flat = st.fc.ok && st.fu0.ok && st.fu1.ok && st.fv0.ok && st.fv1.ok
 	st.tauSet, _ = st.set.(TauSet)
-	st.cfg.ranger, _ = st.set.(Ranger)
-	st.cfg.resolveBaseSize(st.flat)
+	st.rg, _ = st.set.(Ranger)
+	st.cfg.resolveBaseSize(st.flat, false)
 }
 
 // tauOf is Tau(st.set, i, j, l) with the TauSet assertion hoisted.
@@ -287,7 +288,7 @@ func (st *cgepState[T]) kernel(i0, j0, k0, s int) {
 func (st *cgepState[T]) kernelFlat(i0, j0, k0, s int) {
 	kernelFlatCount.Inc()
 	ucb, vrb := st.uColBase, st.vRowBase
-	rg := st.cfg.ranger
+	rg := st.rg
 	for k := k0; k < k0+s; k++ {
 		for i := i0; i < i0+s; i++ {
 			lo, hi := j0, j0+s

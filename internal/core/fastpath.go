@@ -2,139 +2,159 @@ package core
 
 import "gep/internal/matrix"
 
-// Flat-slice fast-path kernels. The generic engines address the matrix
-// through the Grid interface, which costs an interface dispatch and a
-// bounds check per element access, and consult set.Contains — another
-// interface call — per ⟨i,j,k⟩. The recursion already achieves the
-// optimal O(n³/(B√M)) miss bound; these kernels close most of the
-// remaining per-element constant-factor gap to tight iterative loops
-// (§4.2's "iterative kernel quality" concern), and the fused kernels
-// of ops.go close the rest:
+// Base-case dispatch. Every engine hands its base-case blocks to one
+// function, (*dispatcher).baseCase: the in-place recursions (RunIGEP,
+// RunABCD), RunGEP's single whole-matrix block, RunDisjoint, and the
+// detached entries TileKernel (resident out-of-core tiles) and
+// DisjointBlock (the Strassen and CALU leaves). A dispatcher binds the
+// op, the set and the storage of X, U, V and W once per run (or call),
+// and each block then takes the first tier that applies:
 //
-//   - when the grid is a *matrix.Dense[T] (detected once per run via
-//     matrix.Flat), base-case blocks run over the row-major backing
-//     slice with hoisted row slices for c[i,*] and c[k,*];
-//   - when the set implements Ranger, the per-element Contains test is
-//     replaced by a per-(k,i) column interval, and the registered
-//     values u = c[i,k], w = c[k,k] are hoisted out of the j loop;
-//   - everything else falls back to the generic path, so wrapper grids
-//     (cache simulators, tracers, out-of-core stores) and exotic sets
-//     keep their exact semantics.
+//  1. the WithBaseCase hook, which may consume the block;
+//  2. the op's packed word kernel over a *matrix.Bits (bits.go);
+//  3. the op's fused kernel (ops.go) over flat storage when the set is
+//     a Ranger — counted by core.kernel.fused;
+//  4. the flat loop (flatKernel) over flat storage with the
+//     per-element indirect UpdateFunc call: the Ranger interval per
+//     (i,k), else set.Contains per element — core.kernel.flat;
+//  5. the Grid loop (gridKernel) through the Grid interface, for
+//     wrapper grids (cache simulators, tracers, out-of-core stores) —
+//     core.kernel.generic.
 //
-// Every fast-path kernel applies the same updates, in the same order,
-// reading the same cell states, as its generic counterpart — outputs
-// are bit-identical (asserted by the differential tests in
-// fastpath_test.go).
+// Flat storage is the row-major backing of a *matrix.Dense (detected
+// once per run via matrix.Flat) or a caller's tile buffer. Every tier
+// applies the same updates, in the same order, reading the same cell
+// states, as the Grid loop — outputs are bit-identical (asserted by
+// the differential tests in fastpath_test.go, fused_test.go and
+// tiles_test.go).
 
-// baseCase dispatches one base-case block of the in-place engines in
-// the kernel-hierarchy order fused → flat → generic: the op's fused
-// closed-form kernel when one bound (and accepts the block), the
-// flat-slice kernel with the indirect per-element call when storage is
-// dense, and the Grid-interface kernel otherwise. A D block goes to
-// the op's disjoint kernel (see dKernelOf), every other block to its
-// in-place block kernel. All tiers produce bit-identical results (see
-// ops.go and the differential tests).
-func baseCase[T any](c matrix.Grid[T], f UpdateFunc[T], set UpdateSet, cfg *config[T], i0, j0, k0, s int) {
-	if cfg.baseHook != nil && cfg.baseHook(i0, j0, k0, s) {
-		return
-	}
-	if cfg.bits != nil {
-		if cfg.bitsOp != nil && cfg.bitsOp.BitsKernel(cfg.bits, cfg.ranger, cfg.tableWidth, i0, j0, k0, s) {
-			return
-		}
-		igepKernel(c, f, set, i0, j0, k0, s)
-		return
-	}
-	if d, st := cfg.flatData, cfg.flatStride; d != nil {
-		if cfg.dOp != nil && i0 != k0 && j0 != k0 && cfg.dOp.DisjointKernel(d, st, d, st, d, st, d, st, cfg.ranger, i0, j0, k0, s) {
-			kernelFusedCount.Inc()
-			return
-		}
-		if cfg.blockOp != nil && cfg.blockOp.BlockKernel(d, st, cfg.ranger, i0, j0, k0, s) {
-			kernelFusedCount.Inc()
-			return
-		}
-		igepKernelFlat(d, st, cfg.ranger, f, set, i0, j0, k0, s)
-		return
-	}
-	igepKernel(c, f, set, i0, j0, k0, s)
+// dispatcher is one run's binding of the base-case tiers.
+type dispatcher[T any] struct {
+	f     UpdateFunc[T]
+	set   UpdateSet
+	rg    Ranger      // the set's column intervals; nil when it has none
+	fused Kerneler[T] // the op's kernel when it has one and rg is bound
+	hook  func(i0, j0, k0, s int) bool
+
+	// bits/bitsOp bind the packed tier when X is a *matrix.Bits (the
+	// in-place engines only, T = bool) and the op has a word kernel;
+	// tw is the four-Russians table width.
+	bits   *matrix.Bits
+	bitsOp BitsKerneler
+	tw     int
+
+	x, u, v, w operand[T]
+	flat       bool // all four operands have flat storage
+	// inPlace reports that U, V and W lie in X's matrix, so a block is
+	// disjoint only off the pivot rows and columns (a D block).
+	inPlace bool
 }
 
-// offPivoter is an op whose update off the pivot row and column
-// (i ≠ k, j ≠ k) has a disjoint kernel of its own: LUFactor, whose
-// j == k division never occurs there.
-type offPivoter[T any] interface {
-	offPivot() DisjointKerneler[T]
+// operand is one of X, U, V and W as a dispatcher addresses it: its
+// Grid, for the Grid loop, and its row-major backing when the storage
+// is flat, with data[0] holding cell (r0, c0).
+type operand[T any] struct {
+	g matrix.Grid[T]
+	flatRect[T]
+	r0, c0 int
 }
 
-// dKernelOf returns the fused kernel for the D blocks of an in-place
-// run: base cases with i0 ≠ k0 and j0 ≠ k0 (input conditions 2.1 make
-// the row and column ranges then disjoint from the k-range). There
-// X = c[I,J] is written while U = c[I,K], V = c[K,J] and W = c[K,K] lie
-// outside X and stay fixed, which is RunDisjoint's base case, and no
-// update has i == k or j == k. It is the one place the in-core engines
-// (bindFast) and the tile kernel (TileKernel) pick that kernel. nil
-// when the op has none.
-func dKernelOf[T any](op Op[T]) DisjointKerneler[T] {
-	if p, ok := op.(offPivoter[T]); ok {
-		return p.offPivot()
+// operandOf binds a grid as an operand, with its flat view if it has
+// one.
+func operandOf[T any](g matrix.Grid[T]) operand[T] {
+	return operand[T]{g: g, flatRect: flatOf(g)}
+}
+
+// flatOperand binds a bare row-major buffer whose data[0] holds cell
+// (r0, c0).
+func flatOperand[T any](data []T, stride, r0, c0 int) operand[T] {
+	return operand[T]{flatRect: flatRect[T]{data: data, stride: stride, ok: true}, r0: r0, c0: c0}
+}
+
+// from returns the backing from cell (r, c) on.
+func (p *operand[T]) from(r, c int) []T { return p.data[(r-p.r0)*p.stride+c-p.c0:] }
+
+// newDispatcher binds op and set over the operands x, u, v and w: the
+// fused kernel needs both the op's Kernel and the set's Ranger.
+func newDispatcher[T any](op Op[T], set UpdateSet, x, u, v, w operand[T]) dispatcher[T] {
+	d := dispatcher[T]{f: op.Func(), set: set, x: x, u: u, v: v, w: w}
+	d.flat = x.ok && u.ok && v.ok && w.ok
+	if d.rg, _ = set.(Ranger); d.rg != nil {
+		d.fused, _ = op.(Kerneler[T])
 	}
-	dk, _ := op.(DisjointKerneler[T])
-	return dk
+	return d
 }
 
-// igepKernelFlat is igepKernel over flat row-major storage. rg may be
-// nil, in which case membership is tested per element via set.
-func igepKernelFlat[T any](data []T, stride int, rg Ranger, f UpdateFunc[T], set UpdateSet, i0, j0, k0, s int) {
+// inPlaceDispatcher binds the in-place engines' dispatcher: X, U, V
+// and W all lie in c. tw is the four-Russians table width of the
+// packed tier.
+func inPlaceDispatcher[T any](c matrix.Grid[T], op Op[T], set UpdateSet, tw int) dispatcher[T] {
+	g := operandOf(c)
+	d := newDispatcher(op, set, g, g, g, g)
+	d.inPlace = true
+	if b, ok := any(c).(*matrix.Bits); ok {
+		d.bits, d.tw = b, tw
+		d.bitsOp, _ = op.(BitsKerneler)
+	}
+	return d
+}
+
+// baseCase executes the block [i0,i0+s)×[j0,j0+s) with k-range
+// [k0,k0+s) through the first tier that applies (see the file
+// comment).
+func (d *dispatcher[T]) baseCase(i0, j0, k0, s int) {
+	if d.hook != nil && d.hook(i0, j0, k0, s) {
+		return
+	}
+	if d.bitsOp != nil && d.bitsOp.BitsKernel(d.bits, d.rg, d.tw, i0, j0, k0, s) {
+		return
+	}
+	if !d.flat {
+		gridKernel(d.x.g, d.u.g, d.v.g, d.w.g, d.f, d.set, i0, j0, k0, s)
+		return
+	}
+	o := Operands[T]{Block: Block{I: i0, J: j0, K: k0, S: s}, Disjoint: !d.inPlace || i0 != k0 && j0 != k0}
+	o.X, o.XS = d.x.from(i0, j0), d.x.stride
+	o.U, o.US = d.u.from(i0, k0), d.u.stride
+	o.V, o.VS = d.v.from(k0, j0), d.v.stride
+	o.W, o.WS = d.w.from(k0, k0), d.w.stride
+	if d.fused != nil {
+		kernelFusedCount.Inc()
+		d.fused.Kernel(o, d.rg)
+		return
+	}
+	flatKernel(o, d.f, d.set, d.rg)
+}
+
+// flatKernel is the flat loop: the block in G order over the flat
+// operands with one indirect call of f per update. With a Ranger the
+// j loop runs over the set's column interval per (i,k), otherwise it
+// tests set.Contains per element. u = U[i,k] and w = W[k,k] are
+// loop-invariant up to the pivot column j == k and re-read after it
+// (see span), so reads match the Grid loop's exactly, for overlapping
+// and disjoint operands alike.
+func flatKernel[T any](o Operands[T], f UpdateFunc[T], set UpdateSet, rg Ranger) {
 	kernelFlatCount.Inc()
-	if rg != nil {
-		igepKernelFlatRange(data, stride, rg, f, i0, j0, k0, s)
-		return
-	}
-	for k := k0; k < k0+s; k++ {
-		ck := data[k*stride:]
-		for i := i0; i < i0+s; i++ {
-			ci := data[i*stride:]
-			for j := j0; j < j0+s; j++ {
-				if set.Contains(i, j, k) {
-					ci[j] = f(i, j, k, ci[j], ci[k], ck[j], ck[k])
+	for k := 0; k < o.S; k++ {
+		vk := o.V[k*o.VS:]
+		gk := o.K + k
+		for i := 0; i < o.S; i++ {
+			gi := o.I + i
+			lo, hi := o.J, o.J+o.S
+			if rg != nil {
+				lo, hi = rg.JRange(gi, gk)
+			}
+			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
+			xi := o.X[i*o.XS:]
+			u, w := o.U[i*o.US+k], o.W[k*o.WS+k]
+			for j := lo; j < hi; j++ {
+				if j == mid {
+					u, w = o.U[i*o.US+k], o.W[k*o.WS+k]
 				}
-			}
-		}
-	}
-}
-
-// igepKernelFlatRange is the fully hoisted kernel for Ranger sets. For
-// each (k, i) the member columns form the interval [lo, hi); within it
-// the only cells the j loop writes are row i's columns in [lo, hi), so
-// u = c[i,k] and w = c[k,k] are loop-invariant except across the j == k
-// update (which writes column k of row i, and — when i == k — the
-// pivot cell itself). The loop therefore splits at j == k and reloads
-// both registers after it, preserving bit-identical reads with the
-// per-element generic kernel.
-func igepKernelFlatRange[T any](data []T, stride int, rg Ranger, f UpdateFunc[T], i0, j0, k0, s int) {
-	for k := k0; k < k0+s; k++ {
-		ck := data[k*stride:]
-		for i := i0; i < i0+s; i++ {
-			lo, hi := clampJRange(rg, i, k, j0, s)
-			if lo >= hi {
-				continue
-			}
-			ci := data[i*stride:]
-			u, w := ci[k], ck[k]
-			j := lo
-			if k >= lo && k < hi {
-				for ; j < k; j++ {
-					ci[j] = f(i, j, k, ci[j], u, ck[j], w)
+				if rg == nil && !set.Contains(gi, o.J+j, gk) {
+					continue
 				}
-				// j == k: x = c[i,k] = u and v = c[k,k] = w (no prior
-				// iteration of this row touched column k or the pivot).
-				ci[k] = f(i, k, k, u, u, w, w)
-				u, w = ci[k], ck[k]
-				j = k + 1
-			}
-			for ; j < hi; j++ {
-				ci[j] = f(i, j, k, ci[j], u, ck[j], w)
+				xi[j] = f(gi, o.J+j, gk, xi[j], u, vk[j], w)
 			}
 		}
 	}
@@ -165,35 +185,4 @@ func flatOf[T any](g matrix.Grid[T]) flatRect[T] {
 func flatRectOf[T any](r matrix.Rect[T]) flatRect[T] {
 	data, stride, ok := matrix.FlatRect[T](r)
 	return flatRect[T]{data: data, stride: stride, ok: ok}
-}
-
-// kernelFlat is the disjoint-grid (RunDisjoint) base case over flat
-// storage: X is written, U, V, W are read-only and disjoint from X, so
-// the u = U[i,k] and w = W[k,k] registers are loop-invariant across
-// the whole j loop, with no split needed. Reads match the generic path
-// exactly because the generic path's per-element re-reads can never
-// observe a change (only X is written).
-func (st *disjointState[T]) kernelFlat(xi, xj, k0, s int) {
-	kernelFlatCount.Inc()
-	rg := st.cfg.ranger
-	for k := k0; k < k0+s; k++ {
-		vk := st.fv.row(k)
-		w := st.fw.at(k, k)
-		for i := xi; i < xi+s; i++ {
-			xrow := st.fx.row(i)
-			u := st.fu.at(i, k)
-			if rg != nil {
-				lo, hi := clampJRange(rg, i, k, xj, s)
-				for j := lo; j < hi; j++ {
-					xrow[j] = st.f(i, j, k, xrow[j], u, vk[j], w)
-				}
-				continue
-			}
-			for j := xj; j < xj+s; j++ {
-				if st.set.Contains(i, j, k) {
-					xrow[j] = st.f(i, j, k, xrow[j], u, vk[j], w)
-				}
-			}
-		}
-	}
 }

@@ -126,13 +126,19 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 }
 
 // TestFusedDisjointBitIdentical covers the RunDisjoint rung: the
-// covered-block row kernels and the rank-1 loops against the bare-Func
-// flat path.
+// covered-block row kernels and the split row loop against the
+// bare-Func flat path. RunDisjoint's blocks with xi == k0 or xj == k0
+// have coinciding coordinates over disjoint operands, so the ops whose
+// kernels branch on j == k (LUFactor) or divide by w (GaussElim) are
+// checked there too.
 func TestFusedDisjointBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ops := map[string]Op[float64]{
-		"muladd":  MulAdd[float64]{},
-		"minplus": MinPlus[float64]{},
+		"muladd":    MulAdd[float64]{},
+		"minplus":   MinPlus[float64]{},
+		"mulsub":    MulSub[float64]{},
+		"gausselim": GaussElim[float64]{},
+		"lufactor":  LUFactor[float64]{},
 	}
 	for opName, op := range ops {
 		f := op.Func()
@@ -159,6 +165,15 @@ func TestFusedDisjointBitIdentical(t *testing.T) {
 				if !gotG.EqualFunc(wantG, sameBits) {
 					t.Fatalf("%s n=%d base=%d: fused disjoint (gaussian) differs", opName, n, base)
 				}
+				// LU: member intervals start at the pivot column, so
+				// blocks with xj == k0 hold j == k updates.
+				wantL := matrix.NewSquare[float64](n)
+				RunDisjoint[float64](wantL, a, b, b, f, LU{}, WithBaseSize[float64](base))
+				gotL := matrix.NewSquare[float64](n)
+				RunDisjoint[float64](gotL, a, b, b, op, LU{}, WithBaseSize[float64](base))
+				if !gotL.EqualFunc(wantL, sameBits) {
+					t.Fatalf("%s n=%d base=%d: fused disjoint (lu) differs", opName, n, base)
+				}
 			}
 		}
 	}
@@ -178,6 +193,43 @@ func TestFusedClosureBitIdentical(t *testing.T) {
 			RunIGEP[bool](got, Closure{}, Full{}, WithBaseSize[bool](base))
 			if !got.EqualFunc(want, func(a, b bool) bool { return a == b }) {
 				t.Fatalf("n=%d base=%d: fused closure differs from flat", n, base)
+			}
+		}
+	}
+}
+
+// TestFusedGF2ElimBitIdentical covers GF2Elim's flat []bool kernel,
+// whose XOR is not idempotent, so a stale selector after the pivot
+// update would change cells: fused == bare Func == opaque Grid, for
+// every engine, set and base size, including the sets whose intervals
+// hold the pivot column.
+func TestFusedGF2ElimBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	same := func(a, b bool) bool { return a == b }
+	for _, n := range []int{1, 2, 4, 8, 16, 32} {
+		in := matrix.NewSquare[bool](n)
+		in.Apply(func(i, j int, _ bool) bool { return rng.Intn(100) < 40 })
+		for setName, set := range map[string]UpdateSet{"full": Full{}, "gaussian": Gaussian{}, "lu": LU{}} {
+			for _, base := range []int{1, 4, 8} {
+				for engName, run := range map[string]func(c matrix.Grid[bool], op Op[bool]){
+					"gep":  func(c matrix.Grid[bool], op Op[bool]) { RunGEP(c, op, set) },
+					"igep": func(c matrix.Grid[bool], op Op[bool]) { RunIGEP(c, op, set, WithBaseSize[bool](base)) },
+					"abcd": func(c matrix.Grid[bool], op Op[bool]) { RunABCD(c, op, set, WithBaseSize[bool](base)) },
+				} {
+					want := in.Clone()
+					run(opaqueGrid[bool]{want}, GF2Elim{})
+					bare := in.Clone()
+					run(bare, GF2Elim{}.Func())
+					got := in.Clone()
+					before := kernelFusedCount.Value()
+					run(got, GF2Elim{})
+					if !bare.EqualFunc(want, same) || !got.EqualFunc(want, same) {
+						t.Fatalf("%s/%s n=%d base=%d: flat or fused GF(2) kernel differs from the Grid loop", engName, setName, n, base)
+					}
+					if n >= 4 && kernelFusedCount.Value() == before {
+						t.Fatalf("%s/%s n=%d base=%d: fused GF(2) kernel never dispatched", engName, setName, n, base)
+					}
+				}
 			}
 		}
 	}
@@ -375,8 +427,8 @@ func TestProductsRoundedTwice(t *testing.T) {
 }
 
 // TestBlockCoveredMatchesScan: the O(1) coverage answers for the
-// standard sets (and for tile-local shiftSet views of them) must equal
-// the per-(i,k) JRange scan every other Ranger gets.
+// standard sets must equal the per-(i,k) JRange scan every other
+// Ranger gets.
 func TestBlockCoveredMatchesScan(t *testing.T) {
 	scan := func(rg Ranger, xi, xj, k0, s int) bool {
 		for k := k0; k < k0+s; k++ {
@@ -395,10 +447,6 @@ func TestBlockCoveredMatchesScan(t *testing.T) {
 					for k0 := 0; k0 < 16; k0 += s {
 						if got, want := blockCovered(rg, xi, xj, k0, s), scan(rg, xi, xj, k0, s); got != want {
 							t.Fatalf("%T block (%d,%d,%d,%d): covered %v, scan %v", rg, xi, xj, k0, s, got, want)
-						}
-						local := shiftSet{rg: rg, di: xi, dj: xj, dk: k0}
-						if got, want := blockCovered(local, 0, 0, 0, s), scan(local, 0, 0, 0, s); got != want {
-							t.Fatalf("%T tile (%d,%d,%d,%d): covered %v, scan %v", rg, xi, xj, k0, s, got, want)
 						}
 					}
 				}

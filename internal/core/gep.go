@@ -17,40 +17,15 @@ import (
 //
 // op is the update op: a bare UpdateFunc for the generic per-element
 // path, or a fused op (MinPlus, MulAdd, ...) to run the whole matrix
-// through its closed-form kernel — same outputs either way.
+// through its closed-form kernel — same outputs either way. G is
+// exactly one base-case block covering the matrix, so RunGEP hands
+// that block to the dispatcher every engine uses (fastpath.go); over a
+// *matrix.Bits the word kernel takes it, with the four-Russians table
+// off (the block overlaps its own k-range, so the table never applies).
 func RunGEP[T any](c matrix.Grid[T], op Op[T], set UpdateSet) {
-	n := c.N()
-	f := op.Func()
-	if bb, ok := any(c).(*matrix.Bits); ok {
-		// Packed fast path: the whole matrix as one word-parallel base
-		// case (the four-Russians path never applies here — the block
-		// overlaps its own k-range — so the table width is moot).
-		if bk, ok := op.(BitsKerneler); ok {
-			rg, _ := set.(Ranger)
-			if bk.BitsKernel(bb, rg, 0, 0, 0, 0, n) {
-				return
-			}
-		}
-	}
-	if data, stride, ok := matrix.Flat[T](c); ok {
-		// Flat fast path: G is exactly the base-case kernel applied to
-		// the whole matrix (see fastpath.go); outputs are identical.
-		rg, _ := set.(Ranger)
-		if bk, ok := op.(BlockKerneler[T]); ok && bk.BlockKernel(data, stride, rg, 0, 0, 0, n) {
-			kernelFusedCount.Inc()
-			return
-		}
-		igepKernelFlat(data, stride, rg, f, set, 0, 0, 0, n)
-		return
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if set.Contains(i, j, k) {
-					c.Set(i, j, f(i, j, k, c.At(i, j), c.At(i, k), c.At(k, j), c.At(k, k)))
-				}
-			}
-		}
+	if n := c.N(); n > 0 {
+		d := inPlaceDispatcher(c, op, set, 0)
+		d.baseCase(0, 0, 0, n)
 	}
 }
 

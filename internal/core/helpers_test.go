@@ -82,3 +82,9 @@ var fwMin UpdateFunc[float64] = func(i, j, k int, x, u, v, w float64) float64 {
 	}
 	return x
 }
+
+// igepKernel is the Grid loop over one matrix: the generic oracle of
+// the kernel tests.
+func igepKernel[T any](c matrix.Grid[T], f UpdateFunc[T], set UpdateSet, i0, j0, k0, s int) {
+	gridKernel(c, c, c, c, f, set, i0, j0, k0, s)
+}

@@ -28,47 +28,73 @@ func RunIGEP[T any](c matrix.Grid[T], op Op[T], set UpdateSet, opts ...Option[T]
 		return
 	}
 	cfg := buildConfig(opts)
-	cfg.bindFast(c, set, op)
-	igep(c, op.Func(), set, &cfg, 0, 0, 0, n)
+	e := &engine[T]{d: cfg.bindFast(c, set, op), cfg: &cfg}
+	e.igep(0, 0, 0, n)
 }
+
+// engine is one run of an in-core recursion: its base-case
+// dispatcher and knobs. The I-GEP (igep), A/B/C/D (abcd) and all-D
+// (disjoint) recursions differ only in their quadrant schedule.
+type engine[T any] struct {
+	d   *dispatcher[T]
+	cfg *config[T]
+}
+
+// leaf ends the recursion at the quadrant when it can: one whose update
+// box misses Σ_G is skipped (line 1 of Figure 2), and one at or
+// below the base size runs as a base case. It reports whether it did
+// either.
+func (e *engine[T]) leaf(i0, j0, k0, s int) bool {
+	if e.cfg.prune && !e.d.set.Intersects(i0, i0+s-1, j0, j0+s-1, k0, k0+s-1) {
+		return true
+	}
+	if s <= e.cfg.baseSize {
+		e.d.baseCase(i0, j0, k0, s)
+		return true
+	}
+	return false
+}
+
+// par runs the given tasks, concurrently when parallel execution is on
+// and the subproblem side s is above the grain. The last task always
+// runs on the calling goroutine.
+func (e *engine[T]) par(s int, tasks ...func()) { parGroup(e.cfg, s, tasks...) }
 
 // igep is F(X, k1, k2) with X = c[i0 : i0+s, j0 : j0+s] and the k-range
 // [k0, k0+s). Input conditions 2.1 hold by construction: the i-, j- and
 // k-ranges have equal power-of-two length and each either equals or is
 // disjoint from the k-range.
-func igep[T any](c matrix.Grid[T], f UpdateFunc[T], set UpdateSet, cfg *config[T], i0, j0, k0, s int) {
-	// Line 1: skip quadrants whose update box misses Σ_G entirely.
-	if cfg.prune && !set.Intersects(i0, i0+s-1, j0, j0+s-1, k0, k0+s-1) {
-		return
-	}
-	if s <= cfg.baseSize {
-		baseCase(c, f, set, cfg, i0, j0, k0, s)
+func (e *engine[T]) igep(i0, j0, k0, s int) {
+	if e.leaf(i0, j0, k0, s) {
 		return
 	}
 	h := s / 2
 	// Forward pass: k-range [k0, k0+h) over the four quadrants.
-	igep(c, f, set, cfg, i0, j0, k0, h)     // X11
-	igep(c, f, set, cfg, i0, j0+h, k0, h)   // X12
-	igep(c, f, set, cfg, i0+h, j0, k0, h)   // X21
-	igep(c, f, set, cfg, i0+h, j0+h, k0, h) // X22
+	e.igep(i0, j0, k0, h)     // X11
+	e.igep(i0, j0+h, k0, h)   // X12
+	e.igep(i0+h, j0, k0, h)   // X21
+	e.igep(i0+h, j0+h, k0, h) // X22
 	// Backward pass: k-range [k0+h, k0+s) in reverse quadrant order.
-	igep(c, f, set, cfg, i0+h, j0+h, k0+h, h) // X22
-	igep(c, f, set, cfg, i0+h, j0, k0+h, h)   // X21
-	igep(c, f, set, cfg, i0, j0+h, k0+h, h)   // X12
-	igep(c, f, set, cfg, i0, j0, k0+h, h)     // X11
+	e.igep(i0+h, j0+h, k0+h, h) // X22
+	e.igep(i0+h, j0, k0+h, h)   // X21
+	e.igep(i0, j0+h, k0+h, h)   // X12
+	e.igep(i0, j0, k0+h, h)     // X11
 }
 
-// igepKernel executes a base-case block iteratively in G order. For
-// s == 1 it is exactly line 2 of Figure 2; for s > 1 it is the paper's
-// "GEP-like iterative kernel" optimization, equivalent to the pure
-// recursion on every instance for which I-GEP itself is correct.
-func igepKernel[T any](c matrix.Grid[T], f UpdateFunc[T], set UpdateSet, i0, j0, k0, s int) {
+// gridKernel is the Grid loop: the block in G order through the Grid
+// interface, membership per element via set.Contains and every
+// operand re-read per update, so no overlap of X, U, V and W needs any
+// analysis. For s == 1 it is exactly line 2 of Figure 2; for s > 1 it
+// is the paper's "GEP-like iterative kernel" optimization, equivalent
+// to the pure recursion on every instance for which I-GEP itself is
+// correct.
+func gridKernel[T any](x, u, v, w matrix.Grid[T], f UpdateFunc[T], set UpdateSet, i0, j0, k0, s int) {
 	kernelGenericCount.Inc()
 	for k := k0; k < k0+s; k++ {
 		for i := i0; i < i0+s; i++ {
 			for j := j0; j < j0+s; j++ {
 				if set.Contains(i, j, k) {
-					c.Set(i, j, f(i, j, k, c.At(i, j), c.At(i, k), c.At(k, j), c.At(k, k)))
+					x.Set(i, j, f(i, j, k, x.At(i, j), u.At(i, k), v.At(k, j), w.At(k, k)))
 				}
 			}
 		}

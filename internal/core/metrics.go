@@ -21,13 +21,6 @@ var (
 	kernelFlatCount    = metrics.New("core.kernel.flat")
 	kernelGenericCount = metrics.New("core.kernel.generic")
 
-	// Tile base-case dispatches (TileKernel, the out-of-core path),
-	// split by the tier that ran: a fused closed-form kernel, the
-	// Ranger-hoisted loop, or the per-element Contains loop.
-	kernelTileFusedCount   = metrics.New("core.kernel.tile.fused")
-	kernelTileFlatCount    = metrics.New("core.kernel.tile.flat")
-	kernelTileGenericCount = metrics.New("core.kernel.tile.generic")
-
 	// Packed base-case dispatches (bits.go), split by the tier that
 	// ran: the plain word-parallel kernel or the four-Russians table
 	// kernel. Packed blocks that decline both (no Ranger bound) fall

@@ -3,15 +3,27 @@ package core
 // Fused update ops. The engines' hot loops pay one indirect UpdateFunc
 // call per element on top of the flat-slice addressing of fastpath.go —
 // the dominant remaining constant against tight iterative kernels
-// (§4.2 of the paper reaches competitive constants only with them). An Op bundles the update function with optional
-// closed-form block kernels the engines can substitute for the whole
-// base case: the indirect call disappears, the update arithmetic sits
-// inline in the loop, and the compiler keeps the operands in registers.
+// (§4.2 of the paper reaches competitive constants only with them). An
+// Op bundles the update function with an optional closed-form kernel
+// the dispatcher (fastpath.go) substitutes for the whole base case:
+// the indirect call disappears, the update arithmetic sits inline in
+// the loop, and the compiler keeps the operands in registers.
+//
+// Each built-in op has one kernel, Kernel, for every base case of
+// every engine: in-place blocks of any overlap (A, B, C, D), resident
+// out-of-core tiles and the disjoint blocks of RunDisjoint and the
+// Strassen and CALU leaves. It sees X, U, V and W as four row-major
+// operands with global indices and a flag saying whether X is
+// disjoint from the other three, and has at most two loop structures:
+// a row loop split at the pivot column (see span), exact for any
+// overlap, and — for MinPlus, MulAdd, MulSub and LUFactor — a row
+// kernel unrolled over k for disjoint blocks the update set fully
+// covers.
 //
 // The dispatch contract, enforced by the differential tests in
-// fused_test.go: a fused kernel must apply the same updates, in the
-// same order, reading the same cell states, with the same
-// floating-point rounding sequence, as the generic kernel running the
+// fused_test.go and tiles_test.go: a fused kernel must apply the same
+// updates, in the same order, reading the same cell states, with the
+// same floating-point rounding sequence, as the flat loop running the
 // op's Func — outputs are bit-identical, so callers can switch freely
 // between the generic oracle and the fused kernels. Per cell the
 // updates run in ascending k, each rounded as in Func; no kernel
@@ -24,47 +36,68 @@ package core
 // it keeps FMULD and FADDD/FSUBD where FMADDD/FMSUBD would appear.
 //
 // A plain UpdateFunc is itself an Op (Func returns the function), so
-// every engine accepts either; unknown ops and wrapper grids simply run
-// the flat or generic path.
+// every engine accepts either; unknown ops, sets without a Ranger and
+// wrapper grids simply run the flat or Grid loop.
 
-// Op is an update function bundled with optional fused kernels. Engines
-// take an Op; pass an UpdateFunc directly for the generic treatment or
-// one of the built-in ops (MinPlus, MulAdd, GaussElim, LUFactor,
-// Closure) to let base cases run closed-form. Implementations may
-// additionally satisfy BlockKerneler and DisjointKerneler.
+// Op is an update function bundled with an optional fused kernel.
+// Engines take an Op; pass an UpdateFunc directly for the generic
+// treatment or one of the built-in ops (MinPlus, MulAdd, MulSub,
+// GaussElim, LUFactor, Closure, GF2Elim) to let base cases run
+// closed-form. Implementations may additionally satisfy Kerneler.
 type Op[T any] interface {
-	// Func returns the update f the generic and flat paths call per
+	// Func returns the update f the flat and Grid loops call per
 	// element; it is the semantic definition of the op.
 	Func() UpdateFunc[T]
 }
 
 // Func implements Op: a bare update function is an op with no fused
-// kernels.
+// kernel.
 func (f UpdateFunc[T]) Func() UpdateFunc[T] { return f }
 
-// BlockKerneler is an Op with a closed-form kernel for the in-place
-// base case shared by RunGEP, RunIGEP, RunABCD and the C-GEP engines'
-// I-GEP-shaped recursion (X, U, V, W all inside the one matrix).
-type BlockKerneler[T any] interface {
+// Kerneler is an Op with a closed-form base-case kernel.
+type Kerneler[T any] interface {
 	Op[T]
-	// BlockKernel executes the base-case block [i0,i0+s)×[j0,j0+s) for
-	// the k-range [k0,k0+s) over the row-major backing slice, exactly as
-	// igepKernelFlat would with Func. It returns false to decline (for
-	// example when rg is nil and the kernel has no per-element membership
-	// path); the caller then falls back to the flat kernel.
-	BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s int) bool
+	// Kernel executes the block o for the update set whose column
+	// intervals rg gives, exactly as the flat loop would with Func.
+	Kernel(o Operands[T], rg Ranger)
 }
 
-// DisjointKerneler is an Op with a closed-form kernel for RunDisjoint's
-// base case, where X is written and U, V, W are read-only and disjoint
-// from X (the all-D recursion of matrix multiplication).
-type DisjointKerneler[T any] interface {
-	Op[T]
-	// DisjointKernel executes X[i,j] ← f(X[i,j], U[i,k], V[k,j], W[k,k])
-	// over the block [xi,xi+s)×[xj,xj+s)×[k0,k0+s), with each grid given
-	// as its row-major backing slice and stride. Returns false to
-	// decline, as in BlockKernel.
-	DisjointKernel(x []T, xs int, u []T, us int, v []T, vs int, w []T, ws int, rg Ranger, xi, xj, k0, s int) bool
+// Operands is one base-case block as a kernel sees it: the update box
+// [I,I+S)×[J,J+S) with k-range [K,K+S), and its four operands as
+// row-major views starting at the block. Cell (i,j) of X lives at
+// X[(i-I)*XS + j-J], U[i,k] at U[(i-I)*US + k-K], V[k,j] at
+// V[(k-K)*VS + j-J] and W[k,k] at W[(k-K)*WS + k-K]; i, j and k are
+// global, so an op's Func and the update set see the true indices.
+type Operands[T any] struct {
+	Block
+	X, U, V, W     []T
+	XS, US, VS, WS int
+	// Disjoint reports that X shares no cell with U, V or W: every
+	// RunDisjoint block and the in-place D blocks (I ∩ K = J ∩ K = ∅).
+	// Otherwise X is U when J = K and X is V when I = K (input
+	// conditions 2.1), and a kernel's writes to X are seen by its
+	// later reads of U, V and W.
+	Disjoint bool
+}
+
+// span clips one row's member columns [lo, hi) to the block's columns
+// [j0, j0+s) and splits them after the pivot column k, returning
+// block-local columns 0 <= lo <= mid <= hi <= s, with mid one past the
+// pivot when it lies in the interval and mid = lo otherwise. The pivot
+// write is the only one in the row that can change u = U[i,k] (X is U
+// when J = K) or w = W[k,k] (the pivot cell itself on a diagonal
+// block), so the kernels hoist both over [lo, mid) and re-read them
+// for [mid, hi). The pivot cell is read from X and V like any other —
+// the same cells as U and W when they overlap — so one loop serves
+// in-place and disjoint operands alike.
+func span(lo, hi, k, j0, s int) (int, int, int) {
+	lo = min(max(lo, j0), j0+s)
+	hi = max(min(hi, j0+s), lo)
+	mid := lo
+	if lo <= k && k < hi {
+		mid = k + 1
+	}
+	return lo - j0, mid - j0, hi - j0
 }
 
 // Real is the constraint of the built-in numeric ops: any ordered
@@ -76,9 +109,8 @@ type Real interface {
 }
 
 // MinPlus is the Floyd-Warshall op: f(x,u,v,w) = min(x, u+v). Its
-// fused kernels hoist u = c[i,k] out of the j loop and relax whole row
-// segments with minPlusRow; min is insensitive to the w argument, so
-// no pivot handling is needed beyond the register reload at j == k.
+// kernel relaxes whole row segments with minPlusRow, u = U[i,k]
+// hoisted; min is insensitive to the w argument.
 type MinPlus[T Real] struct{}
 
 // Func implements Op.
@@ -91,77 +123,41 @@ func (MinPlus[T]) Func() UpdateFunc[T] {
 	}
 }
 
-// BlockKernel implements BlockKerneler. The loop structure mirrors
-// igepKernelFlatRange exactly — clamp the Ranger interval, split at
-// j == k, reload u after the pivot-column update — so reads and writes
-// are element-for-element those of the generic path.
-func (MinPlus[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s int) bool {
-	if rg == nil {
-		return false
+// Kernel implements Kerneler: minPlusRows on covered disjoint blocks,
+// the split row loop otherwise.
+func (MinPlus[T]) Kernel(o Operands[T], rg Ranger) {
+	if o.Disjoint && blockCovered(rg, o.I, o.J, o.K, o.S) {
+		minPlusRows(o)
+		return
 	}
-	for k := k0; k < k0+s; k++ {
-		ck := data[k*stride:]
-		for i := i0; i < i0+s; i++ {
-			lo, hi := clampJRange(rg, i, k, j0, s)
-			if lo >= hi {
-				continue
-			}
-			ci := data[i*stride:]
-			u := ci[k]
-			if k >= lo && k < hi {
-				minPlusRow(ci[lo:k], ck[lo:k], u)
-				// j == k: x = u and v = c[k,k]; the write may change u.
-				if d := u + ck[k]; d < u {
-					ci[k] = d
-					u = d
-				}
-				lo = k + 1
-			}
-			minPlusRow(ci[lo:hi], ck[lo:hi], u)
+	for k := 0; k < o.S; k++ {
+		vk, gk := o.V[k*o.VS:], o.K+k
+		for i := 0; i < o.S; i++ {
+			lo, hi := rg.JRange(o.I+i, gk)
+			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
+			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
+			minPlusRow(xi[lo:mid], vk[lo:mid], ui[k])
+			minPlusRow(xi[mid:hi], vk[mid:hi], ui[k])
 		}
 	}
-	return true
-}
-
-// DisjointKernel implements DisjointKerneler: the disjoint-grid variant
-// needs no j == k split (only X is written), so u = U[i,k] is
-// loop-invariant across the whole row segment. A block fully covered
-// by the update set runs minPlusRows; a partially covered one takes
-// the Ranger interval per (i,k).
-func (MinPlus[T]) DisjointKernel(x []T, xs int, u []T, us int, v []T, vs int, _ []T, _ int, rg Ranger, xi, xj, k0, s int) bool {
-	if rg == nil {
-		return false
-	}
-	if blockCovered(rg, xi, xj, k0, s) {
-		minPlusRows(x, xs, u, us, v, vs, xi, xj, k0, s)
-		return true
-	}
-	for k := k0; k < k0+s; k++ {
-		vk := v[k*vs:]
-		for i := xi; i < xi+s; i++ {
-			if lo, hi := clampJRange(rg, i, k, xj, s); lo < hi {
-				minPlusRow(x[i*xs+lo:i*xs+hi], vk[lo:hi], u[i*us+k])
-			}
-		}
-	}
-	return true
 }
 
 // minPlusRows is the covered-block min-plus kernel: one X row at a
 // time, unrolled 4 ways over k, so each cell is relaxed by four k in
 // ascending order while held in a register and stored once per four k
 // (storing an unchanged value is harmless: only X is written).
-func minPlusRows[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0, s int) {
-	for i := xi; i < xi+s; i++ {
-		xr := x[i*xs+xj:][:s]
-		ur := u[i*us+k0:][:s]
+func minPlusRows[T Real](o Operands[T]) {
+	x, u, v, s := o.X, o.U, o.V, o.S
+	for i := 0; i < s; i++ {
+		xr := x[i*o.XS:][:s]
+		ur := u[i*o.US:][:s]
 		k := 0
 		for ; k+3 < s; k += 4 {
 			a0, a1, a2, a3 := ur[k], ur[k+1], ur[k+2], ur[k+3]
-			b0 := v[(k0+k)*vs+xj:][:len(xr)]
-			b1 := v[(k0+k+1)*vs+xj:][:len(xr)]
-			b2 := v[(k0+k+2)*vs+xj:][:len(xr)]
-			b3 := v[(k0+k+3)*vs+xj:][:len(xr)]
+			b0 := v[k*o.VS:][:len(xr)]
+			b1 := v[(k+1)*o.VS:][:len(xr)]
+			b2 := v[(k+2)*o.VS:][:len(xr)]
+			b3 := v[(k+3)*o.VS:][:len(xr)]
 			for j, c := range xr {
 				if d := a0 + b0[j]; d < c {
 					c = d
@@ -179,16 +175,16 @@ func minPlusRows[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0
 			}
 		}
 		for ; k < s; k++ {
-			minPlusRow(xr, v[(k0+k)*vs+xj:][:s], ur[k])
+			minPlusRow(xr, v[k*o.VS:][:s], ur[k])
 		}
 	}
 }
 
 // MulAdd is the matrix-multiplication op: f(x,u,v,w) = x + u·v with
 // the product rounded before the add (two roundings — the generic
-// semantics; see the package comment on FMA). Its disjoint kernel runs
-// mulAddRows, a row kernel unrolled over k, when the block is fully
-// covered by the update set, and a rank-1 loop otherwise.
+// semantics; see the package comment on FMA). Multiplication runs
+// through RunDisjoint, but the in-place form c ← c + c·c is a valid
+// GEP instance and keeps the op usable with every engine.
 type MulAdd[T Real] struct{}
 
 // Func implements Op.
@@ -198,61 +194,27 @@ func (MulAdd[T]) Func() UpdateFunc[T] {
 	}
 }
 
-// BlockKernel implements BlockKerneler for the in-place engines
-// (multiplication normally runs through RunDisjoint, but the in-place
-// form c ← c + c·c is a valid GEP instance and keeps the op usable with
-// every engine).
-func (MulAdd[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s int) bool {
-	if rg == nil {
-		return false
+// Kernel implements Kerneler: mulAddRows on covered disjoint blocks,
+// the split row loop otherwise.
+func (MulAdd[T]) Kernel(o Operands[T], rg Ranger) {
+	if o.Disjoint && blockCovered(rg, o.I, o.J, o.K, o.S) {
+		mulAddRows(o)
+		return
 	}
-	for k := k0; k < k0+s; k++ {
-		ck := data[k*stride:]
-		for i := i0; i < i0+s; i++ {
-			lo, hi := clampJRange(rg, i, k, j0, s)
-			if lo >= hi {
-				continue
-			}
-			ci := data[i*stride:]
-			u := ci[k]
-			if k >= lo && k < hi {
-				addRow(ci[lo:k], ck[lo:k], u)
-				// j == k: x = u and v = c[k,k]; the write changes u.
-				ci[k] = u + T(u*ck[k])
-				u = ci[k]
-				lo = k + 1
-			}
-			addRow(ci[lo:hi], ck[lo:hi], u)
+	for k := 0; k < o.S; k++ {
+		vk, gk := o.V[k*o.VS:], o.K+k
+		for i := 0; i < o.S; i++ {
+			lo, hi := rg.JRange(o.I+i, gk)
+			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
+			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
+			addRow(xi[lo:mid], vk[lo:mid], ui[k])
+			addRow(xi[mid:hi], vk[mid:hi], ui[k])
 		}
 	}
-	return true
 }
 
-// DisjointKernel implements DisjointKerneler. A block fully covered by
-// the update set runs mulAddRows; a partially covered one takes the
-// rank-1 loop, which handles the Ranger interval per (i,k).
-func (MulAdd[T]) DisjointKernel(x []T, xs int, u []T, us int, v []T, vs int, _ []T, _ int, rg Ranger, xi, xj, k0, s int) bool {
-	if rg == nil {
-		return false
-	}
-	if blockCovered(rg, xi, xj, k0, s) {
-		mulAddRows(x, xs, u, us, v, vs, xi, xj, k0, s)
-		return true
-	}
-	for k := k0; k < k0+s; k++ {
-		vk := v[k*vs:]
-		for i := xi; i < xi+s; i++ {
-			if lo, hi := clampJRange(rg, i, k, xj, s); lo < hi {
-				addRow(x[i*xs+lo:i*xs+hi], vk[lo:hi], u[i*us+k])
-			}
-		}
-	}
-	return true
-}
-
-// mulAddRows is the covered-block multiply kernel:
-// X[i, xj:xj+s] += U[i, k0:k0+s]·V[k0:k0+s, xj:xj+s], two X rows at a
-// time, unrolled 4 ways over k. Each cell accumulates
+// mulAddRows is the covered-block multiply kernel: X += U·V, two X
+// rows at a time, unrolled 4 ways over k. Each cell accumulates
 // ((x + a0·b0) + a1·b1) + a2·b2 + a3·b3 with every product and sum
 // rounded, in strict k order — exactly the generic path's sequence —
 // while the X rows are loaded and stored once per four values of k
@@ -260,21 +222,22 @@ func (MulAdd[T]) DisjointKernel(x []T, xs int, u []T, us int, v []T, vs int, _ [
 // The dependence chain per cell is four adds per four k, as long as a
 // reassociated a0·b0 + a1·b1 + a2·b2 + a3·b3 sum; the independent cells
 // of the rows overlap those chains.
-func mulAddRows[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0, s int) {
-	i := xi
-	for ; i+1 < xi+s; i += 2 {
-		xr0 := x[i*xs+xj:][:s]
-		xr1 := x[(i+1)*xs+xj:][:s]
-		ur0 := u[i*us+k0:][:s]
-		ur1 := u[(i+1)*us+k0:][:s]
+func mulAddRows[T Real](o Operands[T]) {
+	x, u, v, s := o.X, o.U, o.V, o.S
+	i := 0
+	for ; i+1 < s; i += 2 {
+		xr0 := x[i*o.XS:][:s]
+		xr1 := x[(i+1)*o.XS:][:s]
+		ur0 := u[i*o.US:][:s]
+		ur1 := u[(i+1)*o.US:][:s]
 		k := 0
 		for ; k+3 < s; k += 4 {
 			a00, a01, a02, a03 := ur0[k], ur0[k+1], ur0[k+2], ur0[k+3]
 			a10, a11, a12, a13 := ur1[k], ur1[k+1], ur1[k+2], ur1[k+3]
-			b0 := v[(k0+k)*vs+xj:][:len(xr0)]
-			b1 := v[(k0+k+1)*vs+xj:][:len(xr0)]
-			b2 := v[(k0+k+2)*vs+xj:][:len(xr0)]
-			b3 := v[(k0+k+3)*vs+xj:][:len(xr0)]
+			b0 := v[k*o.VS:][:len(xr0)]
+			b1 := v[(k+1)*o.VS:][:len(xr0)]
+			b2 := v[(k+2)*o.VS:][:len(xr0)]
+			b3 := v[(k+3)*o.VS:][:len(xr0)]
 			xr1 := xr1[:len(xr0)]
 			for j, c0 := range xr0 {
 				c1 := xr1[j]
@@ -294,15 +257,15 @@ func mulAddRows[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0,
 			}
 		}
 		for ; k < s; k++ {
-			b := v[(k0+k)*vs+xj:][:s]
+			b := v[k*o.VS:][:s]
 			addRow(xr0, b, ur0[k])
 			addRow(xr1, b, ur1[k])
 		}
 	}
-	if i < xi+s { // odd side: the last row alone
-		xr := x[i*xs+xj:][:s]
-		for k, a := range u[i*us+k0:][:s] {
-			addRow(xr, v[(k0+k)*vs+xj:][:s], a)
+	if i < s { // odd side: the last row alone
+		xr := x[i*o.XS:][:s]
+		for k, a := range u[i*o.US:][:s] {
+			addRow(xr, v[k*o.VS:][:s], a)
 		}
 	}
 }
@@ -312,8 +275,7 @@ func mulAddRows[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0,
 // MulAdd). It is the Schur-complement update C −= L·U: blocked
 // factorizations with pivoting (linalg.FactorCA) issue it against
 // disjoint panels, and it is the whole update of an in-place LU D
-// block (see LUFactor). The disjoint kernel mirrors MulAdd's:
-// mulSubRows on fully covered blocks, a rank-1 loop otherwise.
+// block (see LUFactor). Its kernel mirrors MulAdd's.
 type MulSub[T Real] struct{}
 
 // Func implements Op.
@@ -323,45 +285,43 @@ func (MulSub[T]) Func() UpdateFunc[T] {
 	}
 }
 
-// DisjointKernel implements DisjointKerneler; see MulAdd.DisjointKernel
-// for the dispatch structure it mirrors.
-func (MulSub[T]) DisjointKernel(x []T, xs int, u []T, us int, v []T, vs int, _ []T, _ int, rg Ranger, xi, xj, k0, s int) bool {
-	if rg == nil {
-		return false
+// Kernel implements Kerneler: mulSubRows on covered disjoint blocks,
+// the split row loop otherwise.
+func (MulSub[T]) Kernel(o Operands[T], rg Ranger) {
+	if o.Disjoint && blockCovered(rg, o.I, o.J, o.K, o.S) {
+		mulSubRows(o)
+		return
 	}
-	if blockCovered(rg, xi, xj, k0, s) {
-		mulSubRows(x, xs, u, us, v, vs, xi, xj, k0, s)
-		return true
-	}
-	for k := k0; k < k0+s; k++ {
-		vk := v[k*vs:]
-		for i := xi; i < xi+s; i++ {
-			if lo, hi := clampJRange(rg, i, k, xj, s); lo < hi {
-				subRow(x[i*xs+lo:i*xs+hi], vk[lo:hi], u[i*us+k])
-			}
+	for k := 0; k < o.S; k++ {
+		vk, gk := o.V[k*o.VS:], o.K+k
+		for i := 0; i < o.S; i++ {
+			lo, hi := rg.JRange(o.I+i, gk)
+			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
+			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
+			subRow(xi[lo:mid], vk[lo:mid], ui[k])
+			subRow(xi[mid:hi], vk[mid:hi], ui[k])
 		}
 	}
-	return true
 }
 
-// mulSubRows is mulAddRows with subtracting accumulation:
-// X[i, xj:xj+s] −= U[i, k0:k0+s]·V[k0:k0+s, xj:xj+s], in strict k
-// order per cell.
-func mulSubRows[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0, s int) {
-	i := xi
-	for ; i+1 < xi+s; i += 2 {
-		xr0 := x[i*xs+xj:][:s]
-		xr1 := x[(i+1)*xs+xj:][:s]
-		ur0 := u[i*us+k0:][:s]
-		ur1 := u[(i+1)*us+k0:][:s]
+// mulSubRows is mulAddRows with subtracting accumulation: X −= U·V,
+// in strict k order per cell.
+func mulSubRows[T Real](o Operands[T]) {
+	x, u, v, s := o.X, o.U, o.V, o.S
+	i := 0
+	for ; i+1 < s; i += 2 {
+		xr0 := x[i*o.XS:][:s]
+		xr1 := x[(i+1)*o.XS:][:s]
+		ur0 := u[i*o.US:][:s]
+		ur1 := u[(i+1)*o.US:][:s]
 		k := 0
 		for ; k+3 < s; k += 4 {
 			a00, a01, a02, a03 := ur0[k], ur0[k+1], ur0[k+2], ur0[k+3]
 			a10, a11, a12, a13 := ur1[k], ur1[k+1], ur1[k+2], ur1[k+3]
-			b0 := v[(k0+k)*vs+xj:][:len(xr0)]
-			b1 := v[(k0+k+1)*vs+xj:][:len(xr0)]
-			b2 := v[(k0+k+2)*vs+xj:][:len(xr0)]
-			b3 := v[(k0+k+3)*vs+xj:][:len(xr0)]
+			b0 := v[k*o.VS:][:len(xr0)]
+			b1 := v[(k+1)*o.VS:][:len(xr0)]
+			b2 := v[(k+2)*o.VS:][:len(xr0)]
+			b3 := v[(k+3)*o.VS:][:len(xr0)]
 			xr1 := xr1[:len(xr0)]
 			for j, c0 := range xr0 {
 				c1 := xr1[j]
@@ -381,24 +341,24 @@ func mulSubRows[T Real](x []T, xs int, u []T, us int, v []T, vs int, xi, xj, k0,
 			}
 		}
 		for ; k < s; k++ {
-			b := v[(k0+k)*vs+xj:][:s]
+			b := v[k*o.VS:][:s]
 			subRow(xr0, b, ur0[k])
 			subRow(xr1, b, ur1[k])
 		}
 	}
-	if i < xi+s { // odd side: the last row alone
-		xr := x[i*xs+xj:][:s]
-		for k, a := range u[i*us+k0:][:s] {
-			subRow(xr, v[(k0+k)*vs+xj:][:s], a)
+	if i < s { // odd side: the last row alone
+		xr := x[i*o.XS:][:s]
+		for k, a := range u[i*o.US:][:s] {
+			subRow(xr, v[k*o.VS:][:s], a)
 		}
 	}
 }
 
 // GaussElim is the Gaussian-elimination op:
 // f(x,u,v,w) = x - (u/w)·v, two roundings after the division exactly as
-// in Func. The fused kernel hoists the multiplier m = u/w out of the j
-// loop — the same operands divided once instead of per element, so the
-// quotient is bit-identical.
+// in Func. The kernel hoists the multiplier m = u/w out of the j loop —
+// the same operands divided once per segment instead of per element,
+// so the quotient is bit-identical.
 type GaussElim[T Real] struct{}
 
 // Func implements Op.
@@ -409,36 +369,24 @@ func (GaussElim[T]) Func() UpdateFunc[T] {
 	}
 }
 
-// BlockKernel implements BlockKerneler. With the Gaussian set the
-// interval never contains j == k (members need k < j) and never has
-// i == k (members need k < i), but the split is kept so the kernel
-// stays exact for any Ranger it meets.
-func (GaussElim[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s int) bool {
-	if rg == nil {
-		return false
-	}
-	for k := k0; k < k0+s; k++ {
-		ck := data[k*stride:]
-		for i := i0; i < i0+s; i++ {
-			lo, hi := clampJRange(rg, i, k, j0, s)
-			if lo >= hi {
-				continue
+// Kernel implements Kerneler. With the Gaussian set the interval never
+// contains j == k (members need k < j), but the split keeps the kernel
+// exact for any Ranger it meets.
+func (GaussElim[T]) Kernel(o Operands[T], rg Ranger) {
+	for k := 0; k < o.S; k++ {
+		vk, gk := o.V[k*o.VS:], o.K+k
+		for i := 0; i < o.S; i++ {
+			lo, hi := rg.JRange(o.I+i, gk)
+			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
+			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
+			if lo < mid {
+				subRow(xi[lo:mid], vk[lo:mid], ui[k]/o.W[k*o.WS+k])
 			}
-			ci := data[i*stride:]
-			u, w := ci[k], ck[k]
-			if k >= lo && k < hi {
-				m := u / w
-				subRow(ci[lo:k], ck[lo:k], m)
-				// j == k: x = u, v = w; the write changes u (and w when
-				// i == k, as ci and ck are then the same row).
-				ci[k] = u - T(m*w)
-				u, w = ci[k], ck[k]
-				lo = k + 1
+			if mid < hi {
+				subRow(xi[mid:hi], vk[mid:hi], ui[k]/o.W[k*o.WS+k])
 			}
-			subRow(ci[lo:hi], ck[lo:hi], u/w)
 		}
 	}
-	return true
 }
 
 // LUFactor is the LU-decomposition op for the LU set:
@@ -446,10 +394,11 @@ func (GaussElim[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s i
 //	f(x,u,v,w) = x/w      if j == k  (stores the multiplier l_ik)
 //	             x - u·v  if j != k  (elimination with the multiplier)
 //
-// The fused kernel computes the multiplier at the interval's j == k
-// head and then runs the elimination with u = l_ik registered. An
-// in-place D block has no j == k update, so there the LU update is
-// MulSub's and runs MulSub's disjoint kernel (see dKernelOf).
+// The kernel stores the multiplier at the segment's pivot cell and
+// runs the elimination with u = l_ik registered. A block whose columns
+// miss its k-range has no j == k update, so there the LU update is
+// MulSub's, and a covered disjoint one — an in-place D block — runs
+// mulSubRows.
 type LUFactor[T Real] struct{}
 
 // Func implements Op.
@@ -462,36 +411,25 @@ func (LUFactor[T]) Func() UpdateFunc[T] {
 	}
 }
 
-// offPivot implements offPivoter: off the pivot column the LU update
-// is x − u·v, MulSub's.
-func (LUFactor[T]) offPivot() DisjointKerneler[T] { return MulSub[T]{} }
-
-// BlockKernel implements BlockKerneler.
-func (LUFactor[T]) BlockKernel(data []T, stride int, rg Ranger, i0, j0, k0, s int) bool {
-	if rg == nil {
-		return false
+// Kernel implements Kerneler.
+func (LUFactor[T]) Kernel(o Operands[T], rg Ranger) {
+	if o.Disjoint && disjointRange(o.J, o.K, o.S) && blockCovered(rg, o.I, o.J, o.K, o.S) {
+		mulSubRows(o)
+		return
 	}
-	for k := k0; k < k0+s; k++ {
-		ck := data[k*stride:]
-		for i := i0; i < i0+s; i++ {
-			lo, hi := clampJRange(rg, i, k, j0, s)
-			if lo >= hi {
-				continue
+	for k := 0; k < o.S; k++ {
+		vk, gk := o.V[k*o.VS:], o.K+k
+		for i := 0; i < o.S; i++ {
+			lo, hi := rg.JRange(o.I+i, gk)
+			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
+			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
+			if lo < mid { // the segment ends at the pivot, which stores x/w
+				subRow(xi[lo:mid-1], vk[lo:mid-1], ui[k])
+				xi[mid-1] /= o.W[k*o.WS+k]
 			}
-			ci := data[i*stride:]
-			u := ci[k]
-			if k >= lo && k < hi {
-				subRow(ci[lo:k], ck[lo:k], u)
-				// j == k: x = u, so the multiplier is u/w. The
-				// elimination phase below no longer needs w.
-				ci[k] = u / ck[k]
-				u = ci[k]
-				lo = k + 1
-			}
-			subRow(ci[lo:hi], ck[lo:hi], u)
+			subRow(xi[mid:hi], vk[mid:hi], ui[k])
 		}
 	}
-	return true
 }
 
 // Row helpers of the fused kernels: one update per element of vr over
@@ -535,20 +473,17 @@ func clampJRange(rg Ranger, i, k, j0, s int) (lo, hi int) {
 
 // blockCovered reports whether the update set contains every ⟨i,j,k⟩ of
 // the block — the precondition of the covered-block kernels. The
-// standard sets answer in O(1) (a tile's shiftSet by translating the
-// block); other Rangers are scanned per (i,k), an O(s²) test against
-// the block's O(s³) work.
+// standard sets answer in O(1); other Rangers are scanned per (i,k),
+// an O(s²) test against the block's O(s³) work.
 func blockCovered(rg Ranger, xi, xj, k0, s int) bool {
 	kMax := k0 + s - 1
-	switch r := rg.(type) {
+	switch rg.(type) {
 	case Full:
 		return true
 	case LU:
 		return kMax < xi && kMax <= xj
 	case Gaussian:
 		return kMax < xi && kMax < xj
-	case shiftSet:
-		return blockCovered(r.rg, xi+r.di, xj+r.dj, k0+r.dk, s)
 	}
 	for k := k0; k < k0+s; k++ {
 		for i := xi; i < xi+s; i++ {
@@ -562,10 +497,10 @@ func blockCovered(rg Ranger, xi, xj, k0, s int) bool {
 }
 
 // Closure is the transitive-closure op over bool:
-// f(x,u,v,w) = x ∨ (u ∧ v) — Warshall's algorithm. The fused kernel
-// skips whole rows with u = c[i,k] false (every update then returns x
-// unchanged) and stores only rising edges; cell values are identical to
-// the generic path's.
+// f(x,u,v,w) = x ∨ (u ∧ v) — Warshall's algorithm. The kernel skips
+// whole segments with u = U[i,k] false (every update then returns x
+// unchanged) and stores only rising edges; cell values are identical
+// to the generic path's.
 type Closure struct{}
 
 // Func implements Op.
@@ -573,44 +508,35 @@ func (Closure) Func() UpdateFunc[bool] {
 	return func(_, _, _ int, x, u, v, _ bool) bool { return x || (u && v) }
 }
 
-// BlockKernel implements BlockKerneler. No j == k split is needed:
-// within a row, u = c[i,k] can only be rewritten at j == k with
-// x ∨ (u ∧ c[k,k]) = u, its own value.
-func (Closure) BlockKernel(data []bool, stride int, rg Ranger, i0, j0, k0, s int) bool {
-	if rg == nil {
-		return false
-	}
-	for k := k0; k < k0+s; k++ {
-		ck := data[k*stride:]
-		for i := i0; i < i0+s; i++ {
-			lo, hi := clampJRange(rg, i, k, j0, s)
-			if lo >= hi {
+// Kernel implements Kerneler. No split is needed: u = U[i,k] can
+// change only at the pivot, to x ∨ (u ∧ v) = u itself when X is U.
+func (Closure) Kernel(o Operands[bool], rg Ranger) {
+	for k := 0; k < o.S; k++ {
+		vk, gk := o.V[k*o.VS:], o.K+k
+		for i := 0; i < o.S; i++ {
+			if !o.U[i*o.US+k] {
 				continue
 			}
-			ci := data[i*stride:]
-			if !ci[k] {
-				continue
-			}
-			for j := lo; j < hi; j++ {
-				if ck[j] {
-					ci[j] = true
+			lo, hi := rg.JRange(o.I+i, gk)
+			lo, _, hi = span(lo, hi, gk, o.J, o.S)
+			xr := o.X[i*o.XS:][lo:hi]
+			for j, v := range vk[lo:hi] {
+				if v {
+					xr[j] = true
 				}
 			}
 		}
 	}
-	return true
 }
 
-// Compile-time checks: the built-in ops provide the kernels the
-// dispatch layer looks for, and a bare UpdateFunc is an Op.
+// Compile-time checks: the built-in ops provide the kernel the
+// dispatcher looks for, and a bare UpdateFunc is an Op.
 var (
-	_ BlockKerneler[float64]    = MinPlus[float64]{}
-	_ DisjointKerneler[float64] = MinPlus[float64]{}
-	_ BlockKerneler[int64]      = MulAdd[int64]{}
-	_ DisjointKerneler[int64]   = MulAdd[int64]{}
-	_ DisjointKerneler[float64] = MulSub[float64]{}
-	_ BlockKerneler[float64]    = GaussElim[float64]{}
-	_ BlockKerneler[float64]    = LUFactor[float64]{}
-	_ BlockKerneler[bool]       = Closure{}
-	_ Op[int64]                 = UpdateFunc[int64](nil)
+	_ Kerneler[float64] = MinPlus[float64]{}
+	_ Kerneler[int64]   = MulAdd[int64]{}
+	_ Kerneler[float64] = MulSub[float64]{}
+	_ Kerneler[float64] = GaussElim[float64]{}
+	_ Kerneler[float64] = LUFactor[float64]{}
+	_ Kerneler[bool]    = Closure{}
+	_ Op[int64]         = UpdateFunc[int64](nil)
 )

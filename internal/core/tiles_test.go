@@ -142,8 +142,16 @@ func TestTileKernelMatchesGeneric(t *testing.T) {
 				label := fmt.Sprintf("%s/%s/%s", o.name, st.name, b.name)
 				want := in.Clone()
 				igepKernel[float64](want, o.op.Func(), st.set, b.i0, b.j0, b.k0, s)
+				fused, flat := kernelFusedCount.Value(), kernelFlatCount.Value()
 				got := runTileBlock(in, o.op, st.set, b.i0, b.j0, b.k0, s)
 				bitsEqual(t, label, want, got)
+				// Every shape of a built-in op over a Ranger set takes
+				// the op's fused kernel, never the flat loop.
+				_, kern := o.op.(Kerneler[float64])
+				if _, ranged := st.set.(Ranger); kern && ranged &&
+					(kernelFusedCount.Value() == fused || kernelFlatCount.Value() != flat) {
+					t.Fatalf("%s: tile ran the flat loop, want the fused kernel", label)
+				}
 			}
 		}
 	}

@@ -69,58 +69,26 @@ func Tau(s UpdateSet, i, j, l int) int {
 	return -1
 }
 
-// config carries the tunable knobs of the recursive algorithms, plus
-// the fast-path bindings resolved once per run (see fastpath.go).
+// config carries the tunable knobs of the recursive algorithms.
 type config[T any] struct {
-	baseSize int
-	prune    bool
-	parallel bool
-	grain    int
-	newAux   func(rows, cols int) matrix.Rect[T]
-	rt       *par.Runtime // nil = the default runtime
-	baseHook func(i0, j0, k0, s int) bool
-
-	// flatData/flatStride are the row-major backing of the grid when it
-	// is a *matrix.Dense[T] (flatData == nil otherwise); ranger is the
-	// set's Ranger view when it has one; blockOp and dOp are the op's
-	// fused in-place and D-block kernels when the op provides them and
-	// flat storage bound. All are bound by bindFast.
-	flatData   []T
-	flatStride int
-	ranger     Ranger
-	blockOp    BlockKerneler[T]
-	dOp        DisjointKerneler[T]
-
-	// bits/bitsOp bind the packed fast path when the grid is a
-	// *matrix.Bits (T = bool only) and the op provides a word-parallel
-	// kernel; tableWidth is the four-Russians group width in bits
-	// (0 disables the table path).
-	bits       *matrix.Bits
-	bitsOp     BitsKerneler
-	tableWidth int
+	baseSize   int
+	prune      bool
+	parallel   bool
+	grain      int
+	newAux     func(rows, cols int) matrix.Rect[T]
+	rt         *par.Runtime // nil = the default runtime
+	baseHook   func(i0, j0, k0, s int) bool
+	tableWidth int // four-Russians group width in bits (0 disables the table path)
 }
 
-// bindFast resolves the fast-path hooks for one run: flat storage via
-// the matrix.Flat type assertion, the set's optional Ranger, and the
-// op's optional fused block and D-block kernels (only meaningful over
-// flat storage).
-// Wrapper grids (cache simulators, tracers, out-of-core stores),
-// unknown sets and bare UpdateFuncs simply leave the generic path in
-// place. It also resolves the automatic base size.
-func (c *config[T]) bindFast(g matrix.Grid[T], set UpdateSet, op Op[T]) {
-	if data, stride, ok := matrix.Flat[T](g); ok {
-		c.flatData, c.flatStride = data, stride
-	}
-	if bb, ok := any(g).(*matrix.Bits); ok {
-		c.bits = bb
-		c.bitsOp, _ = op.(BitsKerneler)
-	}
-	c.ranger, _ = set.(Ranger)
-	if c.flatData != nil {
-		c.blockOp, _ = op.(BlockKerneler[T])
-		c.dOp = dKernelOf(op)
-	}
-	c.resolveBaseSize(c.flatData != nil)
+// bindFast binds the in-place engines' base-case dispatcher over g
+// (fastpath.go) with the run's hook and table width, and resolves the
+// automatic base size from the storage it found.
+func (c *config[T]) bindFast(g matrix.Grid[T], set UpdateSet, op Op[T]) *dispatcher[T] {
+	d := inPlaceDispatcher(g, op, set, c.tableWidth)
+	d.hook = c.baseHook
+	c.resolveBaseSize(d.flat, d.bitsOp != nil)
+	return &d
 }
 
 // autoBaseSize is the tuned default base-case side when flat storage
@@ -129,16 +97,16 @@ func (c *config[T]) bindFast(g matrix.Grid[T], set UpdateSet, op Op[T]) {
 const autoBaseSize = 64
 
 // resolveBaseSize replaces the baseSize == 0 "auto" sentinel with the
-// tuned kernel size when the flat or fused path bound and with 1 (the
-// pure recursion of Figures 2 and 3) otherwise, so wrapper grids keep
-// their exact per-update semantics. Packed grids with a word kernel
-// bound use the larger packed default (see autoBaseSizeBits).
-func (c *config[T]) resolveBaseSize(flat bool) {
+// tuned kernel size when flat storage bound and with 1 (the pure
+// recursion of Figures 2 and 3) otherwise, so wrapper grids keep their
+// exact per-update semantics. Packed grids with a word kernel bound
+// use the larger packed default (see autoBaseSizeBits).
+func (c *config[T]) resolveBaseSize(flat, packed bool) {
 	if c.baseSize != 0 {
 		return
 	}
 	switch {
-	case c.bits != nil && c.bitsOp != nil:
+	case packed:
 		c.baseSize = autoBaseSizeBits
 	case flat:
 		c.baseSize = autoBaseSize

@@ -9,8 +9,8 @@ package linalg
 // recursion at a crossover size where the O(s²) addition overhead
 // stops paying for the saved eighth multiply. Classical leaves bottom
 // out in the existing fused disjoint kernel (core.DisjointBlock →
-// MulAdd.DisjointKernel / kernelFlat), so below the crossover the
-// engine is exactly the MulFused machinery.
+// MulAdd.Kernel), so below the crossover the engine is exactly the
+// MulFused machinery.
 //
 // Design points (DESIGN.md §15):
 //

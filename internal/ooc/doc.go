@@ -18,9 +18,10 @@
 //     matrix pinned into resident []float64 buffers
 //     (PinTile/UnpinTile), with best-effort background prefetch
 //     (PrefetchTile) and background write-back of evicted dirty tiles.
-//     RunIGEP drives I-GEP at this granularity, running the fused
-//     internal/core kernels directly on resident tiles; it is
-//     bit-identical to the element path and to the in-core engines,
+//     RunIGEP drives I-GEP at this granularity: core.TileKernel runs
+//     every block shape (diagonal, B, C and D) through the fused
+//     internal/core kernel of the op, directly on resident tiles; it
+//     is bit-identical to the element path and to the in-core engines,
 //     and one to two orders of magnitude faster than the element path.
 //
 // The two regimes are kept coherent conservatively: pinning a tile
