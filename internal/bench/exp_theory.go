@@ -8,6 +8,7 @@ import (
 	"gep/internal/core"
 	"gep/internal/matrix"
 	"gep/internal/trace"
+	"gep/internal/vec"
 )
 
 func init() {
@@ -116,6 +117,11 @@ func runTable2(w io.Writer, scale Scale) error {
 	t.Row("os/arch", h.OS+"/"+h.Arch)
 	t.Row("cpus", h.CPUs)
 	t.Row("measured peak GFLOPS", h.PeakGFLOPS)
+	tier := "Go loops (scalar)"
+	if vec.AVX2() {
+		tier = "AVX2, 4 lanes, no FMA"
+	}
+	t.Row("float64 row kernels", tier)
 	if _, err := t.WriteTo(w); err != nil {
 		return err
 	}

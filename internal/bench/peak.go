@@ -4,14 +4,18 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"gep/internal/vec"
 )
 
 // Peak-FLOPS calibration. The paper reports kernel performance as "%
 // of peak", with peak = 2 × clock (two double-precision flops per
 // cycle on its machines). Go code on an unknown container has no
-// published peak, so we measure one: the throughput of a maximally
-// unrolled multiply-add loop over register-resident accumulators. That
-// is the same figure of merit — the fastest FP rate plain code reaches
+// published peak, so we measure one: the throughput of independent
+// multiply-then-add chains over register-resident accumulators
+// (vec.MulAddChains), as wide as the float64 kernels run — four lanes
+// when the AVX2 tier is selected, scalar otherwise. That is the same
+// figure of merit — the fastest FP rate the kernels' instructions reach
 // on this machine — and every kernel is scored against it.
 
 var (
@@ -28,15 +32,15 @@ func PeakGFLOPS() float64 {
 // measurePeak runs the calibration kernel for roughly the given
 // duration and returns the best observed GFLOPS.
 func measurePeak(budget time.Duration) float64 {
-	const flopsPerIter = 16 // 8 accumulators × (1 mul + 1 add)
-	iters := 1 << 20
+	const iters = 1 << 20
 	best := 0.0
 	deadline := time.Now().Add(budget)
 	for time.Now().Before(deadline) {
 		start := time.Now()
-		sink = fmaKernel(iters)
+		flops, sum := vec.MulAddChains(iters)
 		d := time.Since(start)
-		if g := GFLOPS(float64(iters)*flopsPerIter, d); g > best {
+		sink = sum
+		if g := GFLOPS(flops, d); g > best {
 			best = g
 		}
 	}
@@ -45,25 +49,6 @@ func measurePeak(budget time.Duration) float64 {
 
 // sink defeats dead-code elimination.
 var sink float64
-
-// fmaKernel keeps eight independent multiply-add chains in flight so
-// the FP units, not the dependency chain, bound throughput.
-func fmaKernel(iters int) float64 {
-	a0, a1, a2, a3 := 1.0, 1.1, 1.2, 1.3
-	a4, a5, a6, a7 := 1.4, 1.5, 1.6, 1.7
-	m, c := 0.999999, 1e-9
-	for i := 0; i < iters; i++ {
-		a0 = a0*m + c
-		a1 = a1*m + c
-		a2 = a2*m + c
-		a3 = a3*m + c
-		a4 = a4*m + c
-		a5 = a5*m + c
-		a6 = a6*m + c
-		a7 = a7*m + c
-	}
-	return a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
-}
 
 // HostInfo describes the machine for the Table 2 reproduction; it is
 // also the host header of every BENCH_*.json report, so compare can

@@ -19,7 +19,7 @@ func BenchmarkAccessFullyAssociative(b *testing.B) {
 func BenchmarkSimulateOptimal(b *testing.B) {
 	trace := make([]int64, 1<<15)
 	for i := range trace {
-		trace[i] = int64((i * 2654435761) & (1<<16 - 1) &^ 63)
+		trace[i] = int64(i) * 2654435761 & (1<<16 - 1) &^ 63
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -75,12 +75,18 @@ func flatOperand[T any](data []T, stride, r0, c0 int) operand[T] {
 func (p *operand[T]) from(r, c int) []T { return p.data[(r-p.r0)*p.stride+c-p.c0:] }
 
 // newDispatcher binds op and set over the operands x, u, v and w: the
-// fused kernel needs both the op's Kernel and the set's Ranger.
+// fused kernel needs both the op's Kernel and the set's Ranger. It
+// binds the op's Func only for the flat and Grid loops that call it: a
+// generic op's Func closure captures its type dictionary, so building
+// it allocates, and a fused kernel over flat storage never needs it.
 func newDispatcher[T any](op Op[T], set UpdateSet, x, u, v, w operand[T]) dispatcher[T] {
-	d := dispatcher[T]{f: op.Func(), set: set, x: x, u: u, v: v, w: w}
+	d := dispatcher[T]{set: set, x: x, u: u, v: v, w: w}
 	d.flat = x.ok && u.ok && v.ok && w.ok
 	if d.rg, _ = set.(Ranger); d.rg != nil {
 		d.fused, _ = op.(Kerneler[T])
+	}
+	if d.fused == nil || !d.flat {
+		d.f = op.Func()
 	}
 	return d
 }

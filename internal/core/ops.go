@@ -1,5 +1,7 @@
 package core
 
+import "gep/internal/vec"
+
 // Fused update ops. The engines' hot loops pay one indirect UpdateFunc
 // call per element on top of the flat-slice addressing of fastpath.go —
 // the dominant remaining constant against tight iterative kernels
@@ -18,7 +20,13 @@ package core
 // a row loop split at the pivot column (see span), exact for any
 // overlap, and — for MinPlus, MulAdd, MulSub and LUFactor — a row
 // kernel unrolled over k for disjoint blocks the update set fully
-// covers.
+// covers. The rows themselves run in internal/vec: its single-k row
+// updates (MinPlusRow, AddRow, SubRow) serve the split loops and its
+// covered-block kernels (MinPlusRows, MulAddRows, MulSubRows) the
+// disjoint blocks. For float64 on amd64 with AVX2 (not under -race)
+// they update four cells of a row per instruction, lanes across j, so
+// the contract below holds unchanged; everywhere else they are Go
+// loops.
 //
 // The dispatch contract, enforced by the differential tests in
 // fused_test.go and tiles_test.go: a fused kernel must apply the same
@@ -89,7 +97,9 @@ type Operands[T any] struct {
 // block), so the kernels hoist both over [lo, mid) and re-read them
 // for [mid, hi). The pivot cell is read from X and V like any other —
 // the same cells as U and W when they overlap — so one loop serves
-// in-place and disjoint operands alike.
+// in-place and disjoint operands alike. The kernels skip empty
+// segments: on amd64 the vec row helpers are calls, not inlined loops,
+// and on a diagonal block most (i, k) have an empty segment.
 func span(lo, hi, k, j0, s int) (int, int, int) {
 	lo = min(max(lo, j0), j0+s)
 	hi = max(min(hi, j0+s), lo)
@@ -101,15 +111,18 @@ func span(lo, hi, k, j0, s int) (int, int, int) {
 }
 
 // Real is the constraint of the built-in numeric ops: any ordered
-// numeric type the update arithmetic (+, *, /, <) is defined on.
-type Real interface {
-	~int | ~int8 | ~int16 | ~int32 | ~int64 |
-		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr |
-		~float32 | ~float64
+// numeric type the update arithmetic (+, *, /, <) is defined on. It is
+// the constraint of internal/vec's row kernels.
+type Real = vec.Real
+
+// rows returns the covered-block kernel operands of the disjoint
+// block o.
+func rows[T Real](o Operands[T]) vec.Block[T] {
+	return vec.Block[T]{X: o.X, U: o.U, V: o.V, XS: o.XS, US: o.US, VS: o.VS, M: o.S, K: o.S, N: o.S}
 }
 
 // MinPlus is the Floyd-Warshall op: f(x,u,v,w) = min(x, u+v). Its
-// kernel relaxes whole row segments with minPlusRow, u = U[i,k]
+// kernel relaxes whole row segments with vec.MinPlusRow, u = U[i,k]
 // hoisted; min is insensitive to the w argument.
 type MinPlus[T Real] struct{}
 
@@ -123,11 +136,11 @@ func (MinPlus[T]) Func() UpdateFunc[T] {
 	}
 }
 
-// Kernel implements Kerneler: minPlusRows on covered disjoint blocks,
-// the split row loop otherwise.
+// Kernel implements Kerneler: vec.MinPlusRows on covered disjoint
+// blocks, the split row loop otherwise.
 func (MinPlus[T]) Kernel(o Operands[T], rg Ranger) {
 	if o.Disjoint && blockCovered(rg, o.I, o.J, o.K, o.S) {
-		minPlusRows(o)
+		vec.MinPlusRows(rows(o))
 		return
 	}
 	for k := 0; k < o.S; k++ {
@@ -136,46 +149,12 @@ func (MinPlus[T]) Kernel(o Operands[T], rg Ranger) {
 			lo, hi := rg.JRange(o.I+i, gk)
 			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
 			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
-			minPlusRow(xi[lo:mid], vk[lo:mid], ui[k])
-			minPlusRow(xi[mid:hi], vk[mid:hi], ui[k])
-		}
-	}
-}
-
-// minPlusRows is the covered-block min-plus kernel: one X row at a
-// time, unrolled 4 ways over k, so each cell is relaxed by four k in
-// ascending order while held in a register and stored once per four k
-// (storing an unchanged value is harmless: only X is written).
-func minPlusRows[T Real](o Operands[T]) {
-	x, u, v, s := o.X, o.U, o.V, o.S
-	for i := 0; i < s; i++ {
-		xr := x[i*o.XS:][:s]
-		ur := u[i*o.US:][:s]
-		k := 0
-		for ; k+3 < s; k += 4 {
-			a0, a1, a2, a3 := ur[k], ur[k+1], ur[k+2], ur[k+3]
-			b0 := v[k*o.VS:][:len(xr)]
-			b1 := v[(k+1)*o.VS:][:len(xr)]
-			b2 := v[(k+2)*o.VS:][:len(xr)]
-			b3 := v[(k+3)*o.VS:][:len(xr)]
-			for j, c := range xr {
-				if d := a0 + b0[j]; d < c {
-					c = d
-				}
-				if d := a1 + b1[j]; d < c {
-					c = d
-				}
-				if d := a2 + b2[j]; d < c {
-					c = d
-				}
-				if d := a3 + b3[j]; d < c {
-					c = d
-				}
-				xr[j] = c
+			if lo < mid {
+				vec.MinPlusRow(xi[lo:mid], vk[lo:mid], ui[k])
 			}
-		}
-		for ; k < s; k++ {
-			minPlusRow(xr, v[k*o.VS:][:s], ur[k])
+			if mid < hi {
+				vec.MinPlusRow(xi[mid:hi], vk[mid:hi], ui[k])
+			}
 		}
 	}
 }
@@ -194,11 +173,11 @@ func (MulAdd[T]) Func() UpdateFunc[T] {
 	}
 }
 
-// Kernel implements Kerneler: mulAddRows on covered disjoint blocks,
-// the split row loop otherwise.
+// Kernel implements Kerneler: vec.MulAddRows on covered disjoint
+// blocks, the split row loop otherwise.
 func (MulAdd[T]) Kernel(o Operands[T], rg Ranger) {
 	if o.Disjoint && blockCovered(rg, o.I, o.J, o.K, o.S) {
-		mulAddRows(o)
+		vec.MulAddRows(rows(o))
 		return
 	}
 	for k := 0; k < o.S; k++ {
@@ -207,65 +186,12 @@ func (MulAdd[T]) Kernel(o Operands[T], rg Ranger) {
 			lo, hi := rg.JRange(o.I+i, gk)
 			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
 			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
-			addRow(xi[lo:mid], vk[lo:mid], ui[k])
-			addRow(xi[mid:hi], vk[mid:hi], ui[k])
-		}
-	}
-}
-
-// mulAddRows is the covered-block multiply kernel: X += U·V, two X
-// rows at a time, unrolled 4 ways over k. Each cell accumulates
-// ((x + a0·b0) + a1·b1) + a2·b2 + a3·b3 with every product and sum
-// rounded, in strict k order — exactly the generic path's sequence —
-// while the X rows are loaded and stored once per four values of k
-// instead of once per k, and each V element loaded serves both rows.
-// The dependence chain per cell is four adds per four k, as long as a
-// reassociated a0·b0 + a1·b1 + a2·b2 + a3·b3 sum; the independent cells
-// of the rows overlap those chains.
-func mulAddRows[T Real](o Operands[T]) {
-	x, u, v, s := o.X, o.U, o.V, o.S
-	i := 0
-	for ; i+1 < s; i += 2 {
-		xr0 := x[i*o.XS:][:s]
-		xr1 := x[(i+1)*o.XS:][:s]
-		ur0 := u[i*o.US:][:s]
-		ur1 := u[(i+1)*o.US:][:s]
-		k := 0
-		for ; k+3 < s; k += 4 {
-			a00, a01, a02, a03 := ur0[k], ur0[k+1], ur0[k+2], ur0[k+3]
-			a10, a11, a12, a13 := ur1[k], ur1[k+1], ur1[k+2], ur1[k+3]
-			b0 := v[k*o.VS:][:len(xr0)]
-			b1 := v[(k+1)*o.VS:][:len(xr0)]
-			b2 := v[(k+2)*o.VS:][:len(xr0)]
-			b3 := v[(k+3)*o.VS:][:len(xr0)]
-			xr1 := xr1[:len(xr0)]
-			for j, c0 := range xr0 {
-				c1 := xr1[j]
-				b := b0[j]
-				c0 += T(a00 * b)
-				c1 += T(a10 * b)
-				b = b1[j]
-				c0 += T(a01 * b)
-				c1 += T(a11 * b)
-				b = b2[j]
-				c0 += T(a02 * b)
-				c1 += T(a12 * b)
-				b = b3[j]
-				c0 += T(a03 * b)
-				c1 += T(a13 * b)
-				xr0[j], xr1[j] = c0, c1
+			if lo < mid {
+				vec.AddRow(xi[lo:mid], vk[lo:mid], ui[k])
 			}
-		}
-		for ; k < s; k++ {
-			b := v[k*o.VS:][:s]
-			addRow(xr0, b, ur0[k])
-			addRow(xr1, b, ur1[k])
-		}
-	}
-	if i < s { // odd side: the last row alone
-		xr := x[i*o.XS:][:s]
-		for k, a := range u[i*o.US:][:s] {
-			addRow(xr, v[k*o.VS:][:s], a)
+			if mid < hi {
+				vec.AddRow(xi[mid:hi], vk[mid:hi], ui[k])
+			}
 		}
 	}
 }
@@ -285,11 +211,11 @@ func (MulSub[T]) Func() UpdateFunc[T] {
 	}
 }
 
-// Kernel implements Kerneler: mulSubRows on covered disjoint blocks,
-// the split row loop otherwise.
+// Kernel implements Kerneler: vec.MulSubRows on covered disjoint
+// blocks, the split row loop otherwise.
 func (MulSub[T]) Kernel(o Operands[T], rg Ranger) {
 	if o.Disjoint && blockCovered(rg, o.I, o.J, o.K, o.S) {
-		mulSubRows(o)
+		vec.MulSubRows(rows(o))
 		return
 	}
 	for k := 0; k < o.S; k++ {
@@ -298,58 +224,12 @@ func (MulSub[T]) Kernel(o Operands[T], rg Ranger) {
 			lo, hi := rg.JRange(o.I+i, gk)
 			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
 			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
-			subRow(xi[lo:mid], vk[lo:mid], ui[k])
-			subRow(xi[mid:hi], vk[mid:hi], ui[k])
-		}
-	}
-}
-
-// mulSubRows is mulAddRows with subtracting accumulation: X −= U·V,
-// in strict k order per cell.
-func mulSubRows[T Real](o Operands[T]) {
-	x, u, v, s := o.X, o.U, o.V, o.S
-	i := 0
-	for ; i+1 < s; i += 2 {
-		xr0 := x[i*o.XS:][:s]
-		xr1 := x[(i+1)*o.XS:][:s]
-		ur0 := u[i*o.US:][:s]
-		ur1 := u[(i+1)*o.US:][:s]
-		k := 0
-		for ; k+3 < s; k += 4 {
-			a00, a01, a02, a03 := ur0[k], ur0[k+1], ur0[k+2], ur0[k+3]
-			a10, a11, a12, a13 := ur1[k], ur1[k+1], ur1[k+2], ur1[k+3]
-			b0 := v[k*o.VS:][:len(xr0)]
-			b1 := v[(k+1)*o.VS:][:len(xr0)]
-			b2 := v[(k+2)*o.VS:][:len(xr0)]
-			b3 := v[(k+3)*o.VS:][:len(xr0)]
-			xr1 := xr1[:len(xr0)]
-			for j, c0 := range xr0 {
-				c1 := xr1[j]
-				b := b0[j]
-				c0 -= T(a00 * b)
-				c1 -= T(a10 * b)
-				b = b1[j]
-				c0 -= T(a01 * b)
-				c1 -= T(a11 * b)
-				b = b2[j]
-				c0 -= T(a02 * b)
-				c1 -= T(a12 * b)
-				b = b3[j]
-				c0 -= T(a03 * b)
-				c1 -= T(a13 * b)
-				xr0[j], xr1[j] = c0, c1
+			if lo < mid {
+				vec.SubRow(xi[lo:mid], vk[lo:mid], ui[k])
 			}
-		}
-		for ; k < s; k++ {
-			b := v[k*o.VS:][:s]
-			subRow(xr0, b, ur0[k])
-			subRow(xr1, b, ur1[k])
-		}
-	}
-	if i < s { // odd side: the last row alone
-		xr := x[i*o.XS:][:s]
-		for k, a := range u[i*o.US:][:s] {
-			subRow(xr, v[k*o.VS:][:s], a)
+			if mid < hi {
+				vec.SubRow(xi[mid:hi], vk[mid:hi], ui[k])
+			}
 		}
 	}
 }
@@ -380,10 +260,10 @@ func (GaussElim[T]) Kernel(o Operands[T], rg Ranger) {
 			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
 			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
 			if lo < mid {
-				subRow(xi[lo:mid], vk[lo:mid], ui[k]/o.W[k*o.WS+k])
+				vec.SubRow(xi[lo:mid], vk[lo:mid], ui[k]/o.W[k*o.WS+k])
 			}
 			if mid < hi {
-				subRow(xi[mid:hi], vk[mid:hi], ui[k]/o.W[k*o.WS+k])
+				vec.SubRow(xi[mid:hi], vk[mid:hi], ui[k]/o.W[k*o.WS+k])
 			}
 		}
 	}
@@ -398,7 +278,7 @@ func (GaussElim[T]) Kernel(o Operands[T], rg Ranger) {
 // runs the elimination with u = l_ik registered. A block whose columns
 // miss its k-range has no j == k update, so there the LU update is
 // MulSub's, and a covered disjoint one — an in-place D block — runs
-// mulSubRows.
+// vec.MulSubRows.
 type LUFactor[T Real] struct{}
 
 // Func implements Op.
@@ -414,7 +294,7 @@ func (LUFactor[T]) Func() UpdateFunc[T] {
 // Kernel implements Kerneler.
 func (LUFactor[T]) Kernel(o Operands[T], rg Ranger) {
 	if o.Disjoint && disjointRange(o.J, o.K, o.S) && blockCovered(rg, o.I, o.J, o.K, o.S) {
-		mulSubRows(o)
+		vec.MulSubRows(rows(o))
 		return
 	}
 	for k := 0; k < o.S; k++ {
@@ -423,44 +303,16 @@ func (LUFactor[T]) Kernel(o Operands[T], rg Ranger) {
 			lo, hi := rg.JRange(o.I+i, gk)
 			lo, mid, hi := span(lo, hi, gk, o.J, o.S)
 			xi, ui := o.X[i*o.XS:], o.U[i*o.US:]
+			if lo < mid-1 {
+				vec.SubRow(xi[lo:mid-1], vk[lo:mid-1], ui[k])
+			}
 			if lo < mid { // the segment ends at the pivot, which stores x/w
-				subRow(xi[lo:mid-1], vk[lo:mid-1], ui[k])
 				xi[mid-1] /= o.W[k*o.WS+k]
 			}
-			subRow(xi[mid:hi], vk[mid:hi], ui[k])
+			if mid < hi {
+				vec.SubRow(xi[mid:hi], vk[mid:hi], ui[k])
+			}
 		}
-	}
-}
-
-// Row helpers of the fused kernels: one update per element of vr over
-// the matching prefix of xr, in ascending j. The re-slice to len(vr)
-// lets the compiler drop every bounds check in the loop. xr and vr may
-// be the same row (an in-place block with i == k): each element is
-// read right before its own update, as in the generic path.
-
-// minPlusRow sets xr[j] = min(xr[j], u + vr[j]).
-func minPlusRow[T Real](xr, vr []T, u T) {
-	xr = xr[:len(vr)]
-	for j, v := range vr {
-		if d := u + v; d < xr[j] {
-			xr[j] = d
-		}
-	}
-}
-
-// addRow sets xr[j] = xr[j] + round(u·vr[j]).
-func addRow[T Real](xr, vr []T, u T) {
-	xr = xr[:len(vr)]
-	for j, v := range vr {
-		xr[j] += T(u * v)
-	}
-}
-
-// subRow sets xr[j] = xr[j] − round(u·vr[j]).
-func subRow[T Real](xr, vr []T, u T) {
-	xr = xr[:len(vr)]
-	for j, v := range vr {
-		xr[j] -= T(u * v)
 	}
 }
 

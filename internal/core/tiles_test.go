@@ -214,3 +214,35 @@ func TestWithBaseCaseFallThrough(t *testing.T) {
 	}
 	bitsEqual(t, "fall-through", want, got)
 }
+
+// TestTileKernelAllocatesNothing runs one TileKernel call per float64
+// fused op on a D block (the covered-block kernels) and on a diagonal
+// block (the split row loop) and requires zero allocations: the
+// float64 rows reach the AVX2 tier through pointer assertions, where
+// boxing a slice, any(xr).([]float64), would allocate on every row.
+func TestTileKernelAllocatesNothing(t *testing.T) {
+	const s = 64
+	rng := rand.New(rand.NewSource(5))
+	x, u, v, w := make([]float64, s*s), make([]float64, s*s), make([]float64, s*s), make([]float64, s*s)
+	for i := range x {
+		x[i], u[i], v[i], w[i] = rng.Float64(), rng.Float64(), rng.Float64(), 1+rng.Float64()
+	}
+	for _, c := range []struct {
+		name string
+		op   Op[float64]
+		set  UpdateSet
+	}{
+		{"MinPlus", MinPlus[float64]{}, Full{}},
+		{"MulAdd", MulAdd[float64]{}, Full{}},
+		{"MulSub", MulSub[float64]{}, Full{}},
+		{"GaussElim", GaussElim[float64]{}, Gaussian{}},
+		{"LUFactor", LUFactor[float64]{}, LU{}},
+	} {
+		if a := testing.AllocsPerRun(5, func() { TileKernel(c.op, c.set, x, u, v, w, 128, 192, 64, s) }); a != 0 {
+			t.Errorf("%s D block: %v allocations per call, want 0", c.name, a)
+		}
+		if a := testing.AllocsPerRun(5, func() { TileKernel(c.op, c.set, w, w, w, w, 64, 64, 64, s) }); a != 0 {
+			t.Errorf("%s diagonal block: %v allocations per call, want 0", c.name, a)
+		}
+	}
+}

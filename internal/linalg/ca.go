@@ -86,7 +86,8 @@ func FactorCAParallel(a *matrix.Dense[float64], opts ...CAOption) (*LUP, error) 
 }
 
 // FactorCAParallelOn is FactorCAParallel with all forks confined to rt
-// (nil = the default runtime).
+// (nil = the default runtime). When rt is aborted mid-factorization it
+// returns an error at the first panel whose tournament lost matches.
 func FactorCAParallelOn(rt *par.Runtime, a *matrix.Dense[float64], opts ...CAOption) (*LUP, error) {
 	return factorCAOn(par.Or(rt), a, true, opts)
 }
@@ -133,6 +134,11 @@ func (r *caRun) factor() error {
 		// 1. Tournament: choose the panel's w pivot rows by the
 		// reduction tree over the current (already-updated) panel.
 		sel := r.tourney(kk, w, kk, n)
+		if len(sel) < w {
+			// An aborted runtime skipped matches of the tournament,
+			// whose winners never came back: stop before indexing them.
+			return fmt.Errorf("linalg: tournament for panel %d returned %d of %d pivot rows (runtime aborted)", kk, len(sel), w)
+		}
 		// 2. Apply the row exchanges across the full matrix width, so
 		// L of earlier panels and the pending right part stay
 		// consistent with one global permutation.

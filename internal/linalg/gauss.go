@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"gep/internal/matrix"
+	"gep/internal/vec"
 )
 
 // Gaussian elimination / LU decomposition without pivoting, in the
@@ -66,7 +67,8 @@ func LUGEPOpt(c *matrix.Dense[float64]) {
 // LUTiled is the cache-aware blocked right-looking factorization (the
 // structure of tuned BLAS/FLAME implementations): factor a column
 // panel, apply its eliminations to the row panel, then update the
-// trailing submatrix with a tiled matrix multiply.
+// trailing submatrix with a tiled matrix multiply. Its rows run
+// through I-GEP's row kernels (vec.SubRow, vec.MulSubRows).
 func LUTiled(c *matrix.Dense[float64], tile int) {
 	n := c.N()
 	if tile < 1 {
@@ -82,9 +84,7 @@ func LUTiled(c *matrix.Dense[float64], tile int) {
 				ci := c.Row(i)
 				m := ci[k] * inv
 				ci[k] = m
-				for j := k + 1; j < kMax; j++ {
-					ci[j] -= m * ck[j]
-				}
+				vec.SubRow(ci[k+1:kMax], ck[k+1:kMax], m)
 			}
 		}
 		// 2. Row-panel update: apply L11's eliminations to A12
@@ -93,10 +93,7 @@ func LUTiled(c *matrix.Dense[float64], tile int) {
 			ck := c.Row(k)
 			for i := k + 1; i < kMax; i++ {
 				ci := c.Row(i)
-				m := ci[k]
-				for j := kMax; j < n; j++ {
-					ci[j] -= m * ck[j]
-				}
+				vec.SubRow(ci[kMax:], ck[kMax:], ci[k])
 			}
 		}
 		// 3. Trailing update: A22 -= L21 · U12, tiled.
@@ -111,31 +108,13 @@ func LUTiled(c *matrix.Dense[float64], tile int) {
 }
 
 // negMulBlock computes C[i0:i1, j0:j1] -= C[i0:i1, k0:k1]·C[k0:k1, j0:j1]
-// (L-panel times U-panel of the same matrix; the regions are disjoint),
-// k-unrolled by 4.
+// (L-panel times U-panel of the same matrix; the regions are disjoint)
+// through vec.MulSubRows, the row kernel of I-GEP's LU.
 func negMulBlock(c *matrix.Dense[float64], i0, i1, k0, k1, j0, j1 int) {
-	for i := i0; i < i1; i++ {
-		ci := c.Row(i)[j0:j1]
-		li := c.Row(i)
-		k := k0
-		for ; k+3 < k1; k += 4 {
-			l0, l1, l2, l3 := li[k], li[k+1], li[k+2], li[k+3]
-			u0 := c.Row(k)[j0:j1]
-			u1 := c.Row(k + 1)[j0:j1]
-			u2 := c.Row(k + 2)[j0:j1]
-			u3 := c.Row(k + 3)[j0:j1]
-			for j := range ci {
-				ci[j] -= l0*u0[j] + l1*u1[j] + l2*u2[j] + l3*u3[j]
-			}
-		}
-		for ; k < k1; k++ {
-			lk := li[k]
-			uk := c.Row(k)[j0:j1]
-			for j := range ci {
-				ci[j] -= lk * uk[j]
-			}
-		}
-	}
+	x, xs := from(c, i0, j0)
+	u, us := from(c, i0, k0)
+	v, vs := from(c, k0, j0)
+	vec.MulSubRows(vec.Block[float64]{X: x, U: u, V: v, XS: xs, US: us, VS: vs, M: i1 - i0, K: k1 - k0, N: j1 - j0})
 }
 
 // SolveLU solves A·x = b given the packed in-place LU factors produced

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gep/internal/matrix"
+	"gep/internal/vec"
 )
 
 // MulFlops returns the floating-point operation count of an n×n matrix
@@ -50,10 +51,10 @@ func MulJKI(c, a, b *matrix.Dense[float64]) {
 	}
 }
 
-// MulTiled computes C += A·B with cache-aware square tiling and a
-// 4-way unrolled inner kernel — the cache-aware "tuned BLAS"
-// comparator. tile should be sized so three tiles fit in the target
-// cache (the cache-aware tuning knob I-GEP does not need).
+// MulTiled computes C += A·B with cache-aware square tiling over
+// I-GEP's row kernel — the cache-aware "tuned BLAS" comparator. tile
+// should be sized so three tiles fit in the target cache (the
+// cache-aware tuning knob I-GEP does not need).
 func MulTiled(c, a, b *matrix.Dense[float64], tile int) {
 	n := checkMulDims(c, a, b)
 	if tile < 1 {
@@ -71,31 +72,22 @@ func MulTiled(c, a, b *matrix.Dense[float64], tile int) {
 	}
 }
 
-// mulBlock is the shared register-blocked micro-kernel: C[i0:i1,j0:j1]
-// += A[i0:i1,k0:k1]·B[k0:k1,j0:j1], k-unrolled by 4.
+// mulBlock is the shared micro-kernel: C[i0:i1,j0:j1] +=
+// A[i0:i1,k0:k1]·B[k0:k1,j0:j1] through vec.MulAddRows, the row kernel
+// of I-GEP's multiply, so the tiled schedule and the cache-oblivious one
+// differ only in schedule.
 func mulBlock(c, a, b *matrix.Dense[float64], i0, i1, k0, k1, j0, j1 int) {
-	for i := i0; i < i1; i++ {
-		ci := c.Row(i)[j0:j1]
-		ai := a.Row(i)
-		k := k0
-		for ; k+3 < k1; k += 4 {
-			a0, a1, a2, a3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
-			b0 := b.Row(k)[j0:j1]
-			b1 := b.Row(k + 1)[j0:j1]
-			b2 := b.Row(k + 2)[j0:j1]
-			b3 := b.Row(k + 3)[j0:j1]
-			for j := range ci {
-				ci[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-		}
-		for ; k < k1; k++ {
-			aik := ai[k]
-			bk := b.Row(k)[j0:j1]
-			for j := range ci {
-				ci[j] += aik * bk[j]
-			}
-		}
-	}
+	x, xs := from(c, i0, j0)
+	u, us := from(a, i0, k0)
+	v, vs := from(b, k0, j0)
+	vec.MulAddRows(vec.Block[float64]{X: x, U: u, V: v, XS: xs, US: us, VS: vs, M: i1 - i0, K: k1 - k0, N: j1 - j0})
+}
+
+// from returns m's row-major backing from cell (i, j) on, and its row
+// stride.
+func from(m *matrix.Dense[float64], i, j int) ([]float64, int) {
+	data, stride, _ := matrix.Flat[float64](m)
+	return data[i*stride+j:], stride
 }
 
 // MulTiledMorton multiplies with the all-D 8-way recursion of MulFused
@@ -133,30 +125,9 @@ func mulMortonRec(c, a, b *matrix.Tiled[float64], i0, j0, k0, s, base int) {
 }
 
 // mulFlatBlock multiplies two contiguous row-major base×base tiles
-// into a third, k-unrolled by 4.
+// into a third through vec.MulAddRows.
 func mulFlatBlock(ct, at, bt []float64, n int) {
-	for i := 0; i < n; i++ {
-		ci := ct[i*n : (i+1)*n]
-		ai := at[i*n : (i+1)*n]
-		k := 0
-		for ; k+3 < n; k += 4 {
-			a0, a1, a2, a3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
-			b0 := bt[k*n : (k+1)*n]
-			b1 := bt[(k+1)*n : (k+2)*n]
-			b2 := bt[(k+2)*n : (k+3)*n]
-			b3 := bt[(k+3)*n : (k+4)*n]
-			for j := range ci {
-				ci[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-		}
-		for ; k < n; k++ {
-			aik := ai[k]
-			bk := bt[k*n : (k+1)*n]
-			for j := range ci {
-				ci[j] += aik * bk[j]
-			}
-		}
-	}
+	vec.MulAddRows(vec.Block[float64]{X: ct, U: at, V: bt, XS: n, US: n, VS: n, M: n, K: n, N: n})
 }
 
 func minInt(a, b int) int {

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,7 +66,7 @@ func TestMortonQuadrantContiguity(t *testing.T) {
 		size := 1 << r
 		for qi := 0; qi < n/size; qi++ {
 			for qj := 0; qj < n/size; qj++ {
-				lo, hi := 1<<62, -1
+				lo, hi := math.MaxInt, -1
 				for i := qi * size; i < (qi+1)*size; i++ {
 					for j := qj * size; j < (qj+1)*size; j++ {
 						z := MortonIndex(i, j)

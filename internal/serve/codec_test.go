@@ -123,11 +123,16 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"op":"lu","n":"2"}`, `{"op":"lu","n":2.5}`, `{"op":"lu","extra":1}`,
 		`{"op":"lu","n":8,"storage":{"out_of_core":true,"bogus":1}}`,
 		`{"op":"matrixchain","dims":[10,30,-5]}`,
+		// An array longer than commaSlack cells.
+		`{"op":"lu","n":9,"data":[` + strings.Repeat("1,", 80) + `1]}`,
 	} {
 		f.Add([]byte(s))
 	}
+	// The largest cap whose comma budget does not overflow int on any
+	// target, so no body is refused for its length.
+	const noCap = (math.MaxInt - commaSlack) / 2
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, gotErr := decodeSpec(body, 1<<40)
+		got, gotErr := decodeSpec(body, noCap)
 		want, wantErr := decodeReference(body)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("body %q: decodeSpec err = %v, reference err = %v", body, gotErr, wantErr)

@@ -476,6 +476,52 @@ func TestDeadlineAborts(t *testing.T) {
 	}
 }
 
+// TestTournamentAbortFailsOneJob aborts a tournament-pivoted LU by
+// deadline and by DELETE, then completes an ordinary job on the same
+// server. An abort makes the runtime skip the tournament's matches, so
+// CALU must fail the job on the missing winners, not index them and
+// take the process down.
+func TestTournamentAbortFailsOneJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, DefaultWorkers: 2, MaxWorkers: 2})
+	spec := Spec{Op: "lu", N: 2048, Seed: 1, Pivot: "tournament", DeadlineMS: 50}
+
+	_, v := postJob(t, ts, spec)
+	if fin := waitTerminal(t, ts, v.ID); fin.Status != StatusFailed || !strings.Contains(fin.Error, "deadline") {
+		t.Fatalf("deadline job finished %s (%q), want failed with deadline error", fin.Status, fin.Error)
+	}
+
+	spec.DeadlineMS = 0
+	_, v = postJob(t, ts, spec)
+	for start := time.Now(); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur JobView
+		decodeBody(t, resp, &cur)
+		if cur.Status == StatusRunning {
+			break
+		}
+		if cur.Status.Terminal() || time.Since(start) > 30*time.Second {
+			t.Fatalf("job to cancel reached %s before it ran", cur.Status)
+		}
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if fin := waitTerminal(t, ts, v.ID); fin.Status != StatusCanceled {
+		t.Fatalf("deleted job finished %s (%q), want canceled", fin.Status, fin.Error)
+	}
+
+	_, v = postJob(t, ts, Spec{Op: "lu", N: 64, Seed: 21, Pivot: "tournament"})
+	if fin := waitTerminal(t, ts, v.ID); fin.Status != StatusDone {
+		t.Fatalf("ordinary job after the aborts finished %s (%q), want done", fin.Status, fin.Error)
+	}
+}
+
 // TestCancelQueuedAndRunning cancels one queued and one running job
 // through the API and checks both report canceled.
 func TestCancelQueuedAndRunning(t *testing.T) {

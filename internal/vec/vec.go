@@ -1,0 +1,327 @@
+// Package vec holds the row kernels of the fused GEP ops and the one
+// decision of which instruction set runs them. internal/core's MinPlus,
+// MulAdd, MulSub, GaussElim and LUFactor kernels run every row through
+// this package, and so do linalg's tiled comparators, so the
+// cache-oblivious and the cache-aware schedules share one kernel.
+//
+// There are two kinds of kernel:
+//
+//   - the single-k row updates MinPlusRow, AddRow and SubRow, which
+//     run the split row loops of in-place blocks and the whole of
+//     GaussElim and LUFactor;
+//   - the covered-block kernels MinPlusRows, MulAddRows and
+//     MulSubRows, which apply every k of a Block to every cell of a
+//     disjoint X.
+//
+// Each is a Go loop for every Real element type. For float64 on amd64
+// with AVX2, and not under -race, an assembly tier (kernels_amd64.s)
+// runs the first len&^3 columns of every row four cells per
+// instruction, and the Go loop finishes the row. Lanes run across j,
+// so each cell still applies its updates in ascending k with the Go
+// loop's roundings, and the outputs are bit-identical to the Go
+// loops'. The tier is selected once, at init, from what the platform
+// reports (CPUID and XGETBV); no option, flag or environment variable
+// moves it. The race build runs the Go loops so that the race detector
+// sees every kernel write.
+package vec
+
+// Real is the constraint of the kernels: any ordered numeric type the
+// update arithmetic (+, *, <) is defined on.
+type Real interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 |
+		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr |
+		~float32 | ~float64
+}
+
+// useAVX2 selects the assembly tier for float64 rows. It is the one
+// switch the tests clear to run the Go loops.
+var useAVX2 = hasAVX2
+
+// AVX2 reports whether float64 kernels run the AVX2 tier.
+func AVX2() bool { return useAVX2 }
+
+// rowF64 returns a single-k row kernel's operands as float64 when the
+// row spans at least one vector (four cells), T is float64 and the
+// AVX2 tier is selected. The length is tested first, so short and
+// empty rows skip the assertions; those are on pointers, so they
+// neither copy nor allocate. The single-k kernels call it under
+// "if hasAVX2": in builds without the assembly hasAVX2 is the constant
+// false, the compiler drops the branch, and the kernel is small enough
+// to inline into core's row loops, as the scalar loops there did.
+func rowF64[T Real](x, v []T, u T) (xf, vf []float64, uf float64, ok bool) {
+	if len(v) < 4 || !useAVX2 {
+		return nil, nil, 0, false
+	}
+	if p, isF64 := any(&x).(*[]float64); isF64 {
+		return *p, *any(&v).(*[]float64), *any(&u).(*float64), true
+	}
+	return nil, nil, 0, false
+}
+
+// MinPlusRow relaxes x by u+v: x[j] = u+v[j] where u+v[j] < x[j], for
+// j < len(v). x and v may be the same row: each element is read right
+// before its own update.
+func MinPlusRow[T Real](x, v []T, u T) {
+	x = x[:len(v)]
+	j := 0
+	if hasAVX2 {
+		if xf, vf, uf, ok := rowF64(x, v, u); ok {
+			j = len(v) &^ 3
+			minPlusRow(&xf[0], &vf[0], uf, j)
+		}
+	}
+	x, v = x[j:], v[j:]
+	x = x[:len(v)]
+	for j, vj := range v {
+		if d := u + vj; d < x[j] {
+			x[j] = d
+		}
+	}
+}
+
+// AddRow sets x[j] = x[j] + round(u·v[j]) for j < len(v): the product
+// is rounded before the add (see the package comment of internal/core
+// on FMA). x and v may be the same row.
+func AddRow[T Real](x, v []T, u T) {
+	x = x[:len(v)]
+	j := 0
+	if hasAVX2 {
+		if xf, vf, uf, ok := rowF64(x, v, u); ok {
+			j = len(v) &^ 3
+			addRow(&xf[0], &vf[0], uf, j)
+		}
+	}
+	x, v = x[j:], v[j:]
+	x = x[:len(v)]
+	for j, vj := range v {
+		x[j] += T(u * vj)
+	}
+}
+
+// SubRow sets x[j] = x[j] − round(u·v[j]) for j < len(v). x and v may
+// be the same row.
+func SubRow[T Real](x, v []T, u T) {
+	x = x[:len(v)]
+	j := 0
+	if hasAVX2 {
+		if xf, vf, uf, ok := rowF64(x, v, u); ok {
+			j = len(v) &^ 3
+			subRow(&xf[0], &vf[0], uf, j)
+		}
+	}
+	x, v = x[j:], v[j:]
+	x = x[:len(v)]
+	for j, vj := range v {
+		x[j] -= T(u * vj)
+	}
+}
+
+// Block is the operand set of a covered-block kernel: an M×N block X
+// updated from U (M×K) and V (K×N), three row-major views. Cell (i, j)
+// of X is X[i*XS+j], U[i,k] is U[i*US+k] and V[k,j] is V[k*VS+j]. X
+// must share no cell with U or V.
+type Block[T Real] struct {
+	X, U, V    []T
+	XS, US, VS int
+	M, K, N    int
+}
+
+// from returns the block's columns [j, N).
+func (o Block[T]) from(j int) Block[T] {
+	o.X, o.V, o.N = o.X[j:], o.V[j:], o.N-j
+	return o
+}
+
+// avx2Rows runs kernel over columns [0, N&^3) of every row of o when T
+// is float64 and the AVX2 tier is selected, and returns the number of
+// columns it covered (0 otherwise). Its slicing checks every bound the
+// assembly relies on.
+func avx2Rows[T Real](o *Block[T], kernel func(x, u, v *float64, vs, kn, n int)) int {
+	f, isF64 := any(o).(*Block[float64])
+	if !useAVX2 || !isF64 || f.K == 0 || f.N < 4 {
+		return 0
+	}
+	n := f.N &^ 3
+	_ = f.V[(f.K-1)*f.VS:][:n]
+	for i := 0; i < f.M; i++ {
+		x, u := f.X[i*f.XS:][:n], f.U[i*f.US:][:f.K]
+		kernel(&x[0], &u[0], &f.V[0], f.VS, f.K, n)
+	}
+	return n
+}
+
+// MinPlusRows relaxes X by U and V in the (min, +) semiring:
+// x[i,j] = min(x[i,j], u[i,k]+v[k,j]) for k = 0, …, K-1 in turn. The Go
+// loop takes one X row at a time, unrolled 4 ways over k, so each cell
+// is relaxed by four k in ascending order while held in a register and
+// stored once per four k (storing an unchanged value is harmless: only
+// X is written).
+func MinPlusRows[T Real](o Block[T]) {
+	o = o.from(avx2Rows(&o, minPlusRowK))
+	x, u, v := o.X, o.U, o.V
+	for i := 0; i < o.M; i++ {
+		xr := x[i*o.XS:][:o.N]
+		ur := u[i*o.US:][:o.K]
+		k := 0
+		for ; k+3 < o.K; k += 4 {
+			a0, a1, a2, a3 := ur[k], ur[k+1], ur[k+2], ur[k+3]
+			b0 := v[k*o.VS:][:len(xr)]
+			b1 := v[(k+1)*o.VS:][:len(xr)]
+			b2 := v[(k+2)*o.VS:][:len(xr)]
+			b3 := v[(k+3)*o.VS:][:len(xr)]
+			for j, c := range xr {
+				if d := a0 + b0[j]; d < c {
+					c = d
+				}
+				if d := a1 + b1[j]; d < c {
+					c = d
+				}
+				if d := a2 + b2[j]; d < c {
+					c = d
+				}
+				if d := a3 + b3[j]; d < c {
+					c = d
+				}
+				xr[j] = c
+			}
+		}
+		for ; k < o.K; k++ {
+			MinPlusRow(xr, v[k*o.VS:][:o.N], ur[k])
+		}
+	}
+}
+
+// MulAddRows sets X += U·V with every product rounded before its add,
+// in strict k order per cell. The Go loop takes two X rows at a time,
+// unrolled 4 ways over k: each cell accumulates
+// ((x + a0·b0) + a1·b1) + a2·b2 + a3·b3 with every product and sum
+// rounded, exactly the generic path's sequence, while the X rows are
+// loaded and stored once per four values of k and each V element
+// loaded serves both rows.
+func MulAddRows[T Real](o Block[T]) {
+	o = o.from(avx2Rows(&o, mulAddRowK))
+	x, u, v := o.X, o.U, o.V
+	i := 0
+	for ; i+1 < o.M; i += 2 {
+		xr0 := x[i*o.XS:][:o.N]
+		xr1 := x[(i+1)*o.XS:][:o.N]
+		ur0 := u[i*o.US:][:o.K]
+		ur1 := u[(i+1)*o.US:][:o.K]
+		k := 0
+		for ; k+3 < o.K; k += 4 {
+			a00, a01, a02, a03 := ur0[k], ur0[k+1], ur0[k+2], ur0[k+3]
+			a10, a11, a12, a13 := ur1[k], ur1[k+1], ur1[k+2], ur1[k+3]
+			b0 := v[k*o.VS:][:len(xr0)]
+			b1 := v[(k+1)*o.VS:][:len(xr0)]
+			b2 := v[(k+2)*o.VS:][:len(xr0)]
+			b3 := v[(k+3)*o.VS:][:len(xr0)]
+			xr1 := xr1[:len(xr0)]
+			for j, c0 := range xr0 {
+				c1 := xr1[j]
+				b := b0[j]
+				c0 += T(a00 * b)
+				c1 += T(a10 * b)
+				b = b1[j]
+				c0 += T(a01 * b)
+				c1 += T(a11 * b)
+				b = b2[j]
+				c0 += T(a02 * b)
+				c1 += T(a12 * b)
+				b = b3[j]
+				c0 += T(a03 * b)
+				c1 += T(a13 * b)
+				xr0[j], xr1[j] = c0, c1
+			}
+		}
+		for ; k < o.K; k++ {
+			b := v[k*o.VS:][:o.N]
+			AddRow(xr0, b, ur0[k])
+			AddRow(xr1, b, ur1[k])
+		}
+	}
+	if i < o.M { // odd row count: the last row alone
+		xr := x[i*o.XS:][:o.N]
+		for k, a := range u[i*o.US:][:o.K] {
+			AddRow(xr, v[k*o.VS:][:o.N], a)
+		}
+	}
+}
+
+// MulSubRows is MulAddRows with subtracting accumulation: X −= U·V, in
+// strict k order per cell.
+func MulSubRows[T Real](o Block[T]) {
+	o = o.from(avx2Rows(&o, mulSubRowK))
+	x, u, v := o.X, o.U, o.V
+	i := 0
+	for ; i+1 < o.M; i += 2 {
+		xr0 := x[i*o.XS:][:o.N]
+		xr1 := x[(i+1)*o.XS:][:o.N]
+		ur0 := u[i*o.US:][:o.K]
+		ur1 := u[(i+1)*o.US:][:o.K]
+		k := 0
+		for ; k+3 < o.K; k += 4 {
+			a00, a01, a02, a03 := ur0[k], ur0[k+1], ur0[k+2], ur0[k+3]
+			a10, a11, a12, a13 := ur1[k], ur1[k+1], ur1[k+2], ur1[k+3]
+			b0 := v[k*o.VS:][:len(xr0)]
+			b1 := v[(k+1)*o.VS:][:len(xr0)]
+			b2 := v[(k+2)*o.VS:][:len(xr0)]
+			b3 := v[(k+3)*o.VS:][:len(xr0)]
+			xr1 := xr1[:len(xr0)]
+			for j, c0 := range xr0 {
+				c1 := xr1[j]
+				b := b0[j]
+				c0 -= T(a00 * b)
+				c1 -= T(a10 * b)
+				b = b1[j]
+				c0 -= T(a01 * b)
+				c1 -= T(a11 * b)
+				b = b2[j]
+				c0 -= T(a02 * b)
+				c1 -= T(a12 * b)
+				b = b3[j]
+				c0 -= T(a03 * b)
+				c1 -= T(a13 * b)
+				xr0[j], xr1[j] = c0, c1
+			}
+		}
+		for ; k < o.K; k++ {
+			b := v[k*o.VS:][:o.N]
+			SubRow(xr0, b, ur0[k])
+			SubRow(xr1, b, ur1[k])
+		}
+	}
+	if i < o.M { // odd row count: the last row alone
+		xr := x[i*o.XS:][:o.N]
+		for k, a := range u[i*o.US:][:o.K] {
+			SubRow(xr, v[k*o.VS:][:o.N], a)
+		}
+	}
+}
+
+// MulAddChains runs independent multiply-then-add chains a = a·m + c
+// for iters steps, as wide as the float64 kernels run, and returns the
+// flops it executed and a sum of the chains (which callers keep, so
+// the work is not dead). It is the calibration kernel of
+// bench.PeakGFLOPS: the fastest multiply-add rate the selected tier
+// reaches with every operand in a register. The AVX2 tier runs twelve
+// 4-lane chains, VMULPD then VADDPD; the Go loop runs eight scalar
+// chains.
+func MulAddChains(iters int) (flops, sum float64) {
+	const m, c = 0.999999, 1e-9
+	if useAVX2 {
+		return float64(iters) * 12 * 4 * 2, mulAddChains(iters, m, c)
+	}
+	a0, a1, a2, a3 := 1.0, 1.1, 1.2, 1.3
+	a4, a5, a6, a7 := 1.4, 1.5, 1.6, 1.7
+	for i := 0; i < iters; i++ {
+		a0 = a0*m + c
+		a1 = a1*m + c
+		a2 = a2*m + c
+		a3 = a3*m + c
+		a4 = a4*m + c
+		a5 = a5*m + c
+		a6 = a6*m + c
+		a7 = a7*m + c
+	}
+	return float64(iters) * 8 * 2, a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
+}
