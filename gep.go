@@ -19,18 +19,19 @@
 //     guaranteed to match Iterative for every f and Σ, at the cost of
 //     extra space (4n², or 2n² with GeneralCompact).
 //
-// Parallel executes the multithreaded recursion of the paper
-// (span O(n log² n)); Multiply, FloydWarshall and Factorize expose the
-// applications through the same engines with their fused ops, so every
-// entry point — serial or parallel, facade, gep-server or CLI — gives
-// the same bits for the same problem: per cell, updates apply in
-// ascending k, each rounded as in the op's UpdateFunc, exactly as the
-// Iterative loop applies them. Parallel execution runs on a
-// work-stealing fork-join scheduler: by default one process-wide
-// instance sized by GOMAXPROCS, or — for callers hosting concurrent
-// computations that must not contend for workers — per-computation
-// instances created with NewRuntime and selected with WithRuntime
-// (cmd/gep-server serves every job on its own instance this way).
+// With WithParallel, CacheOblivious and General run the multithreaded
+// recursion of the paper (span O(n log² n)); Multiply, FloydWarshall
+// and Factorize expose the applications through the same engines with
+// their fused ops, so every entry point — serial or parallel, facade,
+// gep-server or CLI — gives the same bits for the same problem: per
+// cell, updates apply in ascending k, each rounded as in the op's
+// UpdateFunc, exactly as the Iterative loop applies them. Parallel
+// execution runs on a work-stealing fork-join scheduler: by default
+// one process-wide instance sized by GOMAXPROCS, or — for callers
+// hosting concurrent computations that must not contend for workers —
+// per-computation instances created with NewRuntime and selected with
+// WithRuntime (cmd/gep-server serves every job on its own instance
+// this way).
 //
 // Matrices are addressed through the Grid interface, so the same
 // engines run over in-core matrices, cache simulators and out-of-core
@@ -133,10 +134,13 @@ func WithBaseSize[T any](b int) Option[T] { return core.WithBaseSize[T](b) }
 // WithPrune toggles the quadrant pruning test (default on).
 func WithPrune[T any](on bool) Option[T] { return core.WithPrune[T](on) }
 
-// WithParallel enables goroutine execution of Parallel's independent
-// recursive calls down to the given grain. Over a BitMatrix the grain
-// is raised to 64, one word, and the matrix must be word-aligned, so
-// concurrent calls never write the same word.
+// WithParallel makes CacheOblivious and General run the paper's
+// multithreaded A/B/C/D schedule (Figure 6) instead of the serial
+// recursion, forking its independent recursive calls down to the
+// given grain; the output is the same either way. GeneralCompact
+// ignores it. Over a BitMatrix the grain is raised to 64, one word,
+// and the matrix must be word-aligned, so concurrent calls never write
+// the same word.
 func WithParallel[T any](grain int) Option[T] { return core.WithParallel[T](grain) }
 
 // Runtime is one instance of the work-stealing fork-join scheduler the
@@ -200,37 +204,26 @@ func Iterative[T any](c Grid[T], op Op[T], set UpdateSet) {
 // Iterative, O(n³/(B√M)) I/Os, in place. Use it for the standard
 // instances (Floyd-Warshall, Gaussian elimination, LU, matrix
 // multiplication and friends); for arbitrary f and Σ use General.
-// The side must be a power of two.
+// The side must be a power of two. WithParallel runs the
+// multithreaded A/B/C/D recursion (Figure 6) with the same output, and
+// WithRuntime picks the scheduler it forks on.
 func CacheOblivious[T any](c Grid[T], op Op[T], set UpdateSet, opts ...Option[T]) {
 	core.RunIGEP(c, op, set, opts...)
 }
 
 // General runs C-GEP (the paper's H): cache-oblivious and guaranteed
 // to produce Iterative's output for every f and Σ, using 4n² extra
-// cells. The side must be a power of two.
+// cells. The side must be a power of two. WithParallel runs it over
+// the multithreaded Figure-6 schedule (§3: the parallel time bound of
+// I-GEP applies to C-GEP too) with the same output.
 func General[T any](c Grid[T], op Op[T], set UpdateSet, opts ...Option[T]) {
 	core.RunCGEP(c, op, set, opts...)
 }
 
 // GeneralCompact is General with the reduced-space (2n²) scheme; it
-// trades re-initialization passes for memory.
+// trades re-initialization passes for memory and runs serially.
 func GeneralCompact[T any](c Grid[T], op Op[T], set UpdateSet, opts ...Option[T]) {
 	core.RunCGEPCompact(c, op, set, opts...)
-}
-
-// GeneralParallel runs C-GEP over the multithreaded Figure-6 schedule
-// (§3: the parallel time bound of I-GEP applies to C-GEP too); combine
-// with WithParallel to enable goroutines. The unconditional-exactness
-// guarantee of General is preserved.
-func GeneralParallel[T any](c Grid[T], op Op[T], set UpdateSet, opts ...Option[T]) {
-	core.RunCGEPParallel(c, op, set, opts...)
-}
-
-// Parallel runs the multithreaded I-GEP recursion (the paper's
-// A/B/C/D functions). Combine with WithParallel to enable goroutines;
-// without it the call is equivalent to CacheOblivious.
-func Parallel[T any](c Grid[T], op Op[T], set UpdateSet, opts ...Option[T]) {
-	core.RunABCD(c, op, set, opts...)
 }
 
 // Multiply computes c += a·b with the cache-oblivious recursion over

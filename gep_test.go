@@ -38,9 +38,9 @@ func TestIterativeVsCacheObliviousFloydWarshall(t *testing.T) {
 		t.Fatal("CacheOblivious differs from Iterative on Floyd-Warshall")
 	}
 	par := d.Clone()
-	gep.Parallel[float64](par, minPlus, gep.Full, gep.WithParallel[float64](8))
+	gep.CacheOblivious[float64](par, minPlus, gep.Full, gep.WithParallel[float64](8))
 	if !par.EqualFunc(want, func(a, b float64) bool { return a == b }) {
-		t.Fatal("Parallel differs from Iterative on Floyd-Warshall")
+		t.Fatal("parallel CacheOblivious differs from Iterative on Floyd-Warshall")
 	}
 }
 
@@ -234,7 +234,7 @@ func TestParallelPackedClosureNoRace(t *testing.T) {
 		}
 	}
 	want := src.Clone()
-	gep.Parallel[bool](want, gep.ClosureOp(), gep.Full, gep.WithBaseSize[bool](8))
+	gep.CacheOblivious[bool](want, gep.ClosureOp(), gep.Full, gep.WithBaseSize[bool](8))
 	rt := gep.NewRuntime(4)
 	defer rt.Close()
 	for name, opts := range map[string][]gep.Option[bool]{
@@ -242,7 +242,7 @@ func TestParallelPackedClosureNoRace(t *testing.T) {
 		"own runtime":     {gep.WithBaseSize[bool](8), gep.WithParallel[bool](8), gep.WithRuntime[bool](rt)},
 	} {
 		got := src.Clone()
-		gep.Parallel[bool](got, gep.ClosureOp(), gep.Full, opts...)
+		gep.CacheOblivious[bool](got, gep.ClosureOp(), gep.Full, opts...)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if got.At(i, j) != want.At(i, j) {
@@ -335,9 +335,9 @@ func TestGeneralParallelFacade(t *testing.T) {
 	want := in.Clone()
 	gep.Iterative[int64](want, sum, gep.Full)
 	got := in.Clone()
-	gep.GeneralParallel[int64](got, sum, gep.Full, gep.WithParallel[int64](4))
+	gep.General[int64](got, sum, gep.Full, gep.WithParallel[int64](4))
 	if !got.EqualFunc(want, func(a, b int64) bool { return a == b }) {
-		t.Fatal("GeneralParallel differs from Iterative")
+		t.Fatal("parallel General differs from Iterative")
 	}
 }
 

@@ -13,16 +13,17 @@ import (
 // initially hold edge presence (the diagonal is forced true). Any side
 // length is accepted; the computation is cache-oblivious and runs the
 // fused core.Closure kernel (base cases skip whole rows whose c[i,k] is
-// false instead of calling the update per element) through the
-// A/B/C/D recursion (RunABCD). Without options it runs serially;
-// core.WithParallel forks the Figure-6 schedule and core.WithRuntime
-// confines the forks to one runtime, with the same output bits.
+// false instead of calling the update per element) through the I-GEP
+// recursion (RunIGEP). Without options it runs F's order serially;
+// core.WithParallel runs and forks the Figure-6 schedule and
+// core.WithRuntime confines the forks to one runtime, with the same
+// output bits.
 func TransitiveClosure(reach *matrix.Dense[bool], opts ...core.Option[bool]) {
 	for i := 0; i < reach.N(); i++ {
 		reach.Set(i, i, true)
 	}
 	matrix.OnPow2(reach, false, true, func(m *matrix.Dense[bool]) {
-		core.RunABCD[bool](m, core.Closure{}, core.Full{}, opts...)
+		core.RunIGEP[bool](m, core.Closure{}, core.Full{}, opts...)
 	})
 }
 

@@ -9,7 +9,7 @@ import (
 
 // Packed transitive closure: the same boolean-semiring GEP instance as
 // TransitiveClosure, run over a bit-packed matrix (64 cells per word).
-// The engine is identical — RunABCD with the core.Closure op — but
+// The engine is identical — RunIGEP with the core.Closure op — but
 // the base cases dispatch to the word-parallel OR kernels and the
 // four-Russians table kernel of internal/core/bits.go, so the closure
 // runs at ~64 cells per instruction plus the table gain. The
@@ -31,7 +31,7 @@ func TransitiveClosurePacked(reach *matrix.Bits, opts ...core.Option[bool]) {
 	for i := 0; i < n; i++ {
 		reach.Set(i, i, true)
 	}
-	run := func(m *matrix.Bits) { core.RunABCD[bool](m, core.Closure{}, core.Full{}, opts...) }
+	run := func(m *matrix.Bits) { core.RunIGEP[bool](m, core.Closure{}, core.Full{}, opts...) }
 	if n == 0 || matrix.IsPow2(n) {
 		run(reach)
 		return

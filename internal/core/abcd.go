@@ -2,9 +2,11 @@ package core
 
 import "gep/internal/matrix"
 
-// Multithreaded I-GEP (Figures 4-6 of the paper). The recursion is
-// specialized by the amount of overlap between the written submatrix X
-// and the read submatrices U = c[I,K], V = c[K,J], W = c[K,K]:
+// Multithreaded I-GEP (Figures 4-6 of the paper): the schedule
+// RunIGEP and RunCGEP run under WithParallel, and RunDisjoint always.
+// The recursion is specialized by the amount of overlap between the
+// written submatrix X and the read submatrices U = c[I,K], V = c[K,J],
+// W = c[K,K]:
 //
 //	A  — I = J = K          (X ≡ U ≡ V ≡ W, the initial call)
 //	B  — I = K, J ∩ K = ∅   (X ≡ V, U ≡ W)
@@ -25,30 +27,15 @@ import "gep/internal/matrix"
 // (Theorem 3.1), and O(n) for the all-D disjoint recursion of matrix
 // multiplication.
 
-// RunABCD executes the multithreaded I-GEP recursion on c. It performs
-// exactly the same updates with the same read-value semantics as
-// RunIGEP (both refine the same partial order), so the two always
-// produce identical results; RunABCD additionally exposes the
-// parallelism of Figure 6, enabled with WithParallel.
-func RunABCD[T any](c matrix.Grid[T], op Op[T], set UpdateSet, opts ...Option[T]) {
-	n := c.N()
-	checkPow2(n)
-	if n == 0 {
-		return
-	}
-	cfg := forkConfig(c, opts)
-	e := &engine[T]{d: cfg.bindFast(c, set, op), cfg: &cfg}
-	e.abcd(0, 0, 0, n)
-}
-
-// abcd is the A/B/C/D recursion of Figure 6; the overlap kind follows
-// from the coordinates.
+// abcd is the A/B/C/D recursion of Figure 6. In place, the overlap
+// kind follows from the coordinates; over the disjoint operands of
+// RunDisjoint every call is a D call.
 func (e *engine[T]) abcd(xi, xj, k0, s int) {
 	if e.leaf(xi, xj, k0, s) {
 		return
 	}
 	h := s / 2
-	iK, jK := xi == k0, xj == k0
+	iK, jK := e.d.inPlace && xi == k0, e.d.inPlace && xj == k0
 	switch {
 	case iK && jK: // A (Figure 6, function A)
 		e.abcd(xi, xj, k0, h) // A(X11)
@@ -120,7 +107,9 @@ func (e *engine[T]) abcd(xi, xj, k0, s int) {
 // grids: X is written, U is read at (i,k), V at (k,j) and W at (k,k).
 // This is how matrix multiplication runs in the framework
 // (C += A·B with X=C, U=A, V=B; f ignores w) with span O(n): with
-// disjoint matrices every quadrant of each half-pass is independent.
+// disjoint matrices every quadrant of each half-pass is independent,
+// so the run is abcd's D case at every level, forked with WithParallel
+// and in the same order without it.
 //
 // Note that, exactly as the paper observes for matrix multiplication,
 // RunDisjoint does not assume f is associative in its accumulation:
@@ -135,30 +124,9 @@ func RunDisjoint[T any](x, u, v, w matrix.Grid[T], op Op[T], set UpdateSet, opts
 	if n == 0 {
 		return
 	}
-	cfg := forkConfig(x, opts)
+	cfg := buildConfig(x, opts)
 	d := newDispatcher(op, set, operandOf(x), operandOf(u), operandOf(v), operandOf(w))
 	cfg.resolveBaseSize(d.flat, false)
 	e := &engine[T]{d: &d, cfg: &cfg}
-	e.disjoint(0, 0, 0, n)
-}
-
-// disjoint is the all-D recursion: each half-pass runs its four
-// quadrants in parallel.
-func (e *engine[T]) disjoint(xi, xj, k0, s int) {
-	if e.leaf(xi, xj, k0, s) {
-		return
-	}
-	h := s / 2
-	e.par(s,
-		func() { e.disjoint(xi, xj, k0, h) },
-		func() { e.disjoint(xi, xj+h, k0, h) },
-		func() { e.disjoint(xi+h, xj, k0, h) },
-		func() { e.disjoint(xi+h, xj+h, k0, h) },
-	)
-	e.par(s,
-		func() { e.disjoint(xi, xj, k0+h, h) },
-		func() { e.disjoint(xi, xj+h, k0+h, h) },
-		func() { e.disjoint(xi+h, xj, k0+h, h) },
-		func() { e.disjoint(xi+h, xj+h, k0+h, h) },
-	)
+	e.abcd(0, 0, 0, n)
 }

@@ -73,15 +73,17 @@ func BenchmarkEngineCGEPCompact(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineABCD runs the Figure 6 schedule serially: a grain of
+// n forks nothing.
 func BenchmarkEngineABCD(b *testing.B) {
 	benchEngine(b, func(m *matrix.Dense[float64]) {
-		RunABCD[float64](m, benchMinPlus, Full{}, WithBaseSize[float64](32))
+		RunIGEP[float64](m, benchMinPlus, Full{}, WithBaseSize[float64](32), WithParallel[float64](benchN))
 	})
 }
 
 func BenchmarkEngineABCDParallel(b *testing.B) {
 	benchEngine(b, func(m *matrix.Dense[float64]) {
-		RunABCD[float64](m, benchMinPlus, Full{}, WithBaseSize[float64](32), WithParallel[float64](64))
+		RunIGEP[float64](m, benchMinPlus, Full{}, WithBaseSize[float64](32), WithParallel[float64](64))
 	})
 }
 
@@ -153,13 +155,13 @@ func BenchmarkCGEPFastVsGeneric(b *testing.B) {
 
 func BenchmarkABCDFastVsGeneric(b *testing.B) {
 	benchFastVsGeneric(b, []int{128, 512}, func(c matrix.Grid[float64]) {
-		RunABCD[float64](c, benchMinPlus, Full{}, WithBaseSize[float64](64))
+		RunIGEP[float64](c, benchMinPlus, Full{}, WithBaseSize[float64](64), WithParallel[float64](c.N()))
 	})
 }
 
 // BenchmarkABCDParallelPool measures the runtime-backed parallel
-// engine (fast path) against its serial run, the WithParallel scaling
-// check.
+// engine (fast path) against the same schedule run serially (a grain
+// of n forks nothing), the WithParallel scaling check.
 func BenchmarkABCDParallelPool(b *testing.B) {
 	for _, n := range []int{256, 512} {
 		in := benchFWMatrixN(n)
@@ -168,7 +170,7 @@ func BenchmarkABCDParallelPool(b *testing.B) {
 				b.StopTimer()
 				m := in.Clone()
 				b.StartTimer()
-				RunABCD[float64](m, benchMinPlus, Full{}, WithBaseSize[float64](64))
+				RunIGEP[float64](m, benchMinPlus, Full{}, WithBaseSize[float64](64), WithParallel[float64](n))
 			}
 		})
 		b.Run(fmt.Sprintf("parallel-n%d", n), func(b *testing.B) {
@@ -176,7 +178,7 @@ func BenchmarkABCDParallelPool(b *testing.B) {
 				b.StopTimer()
 				m := in.Clone()
 				b.StartTimer()
-				RunABCD[float64](m, benchMinPlus, Full{}, WithBaseSize[float64](64), WithParallel[float64](64))
+				RunIGEP[float64](m, benchMinPlus, Full{}, WithBaseSize[float64](64), WithParallel[float64](64))
 			}
 		})
 	}

@@ -119,14 +119,15 @@ func TestPackedMatchesGenericABCD(t *testing.T) {
 	for _, n := range []int{64, 128, 256} {
 		for _, tc := range packedOps {
 			_, src := randPackedPair(rng, n, 30)
-			// Serial A/B/C/D on the opaque grid at the same base size is
-			// the oracle: same recursion shape, generic per-cell kernel.
+			// Serial A/B/C/D (a grain of n forks nothing) on the opaque
+			// grid at the same base size is the oracle: same recursion
+			// shape, generic per-cell kernel.
 			want := src.Clone()
-			RunABCD[bool](opaqueGrid[bool]{want}, tc.op, tc.set, WithBaseSize[bool](32))
+			RunIGEP[bool](opaqueGrid[bool]{want}, tc.op, tc.set, WithBaseSize[bool](32), WithParallel[bool](n))
 			for _, p := range []int{1, 2, 4} {
 				par.SetWorkers(p)
 				got := matrix.PackBool(src)
-				RunABCD[bool](got, tc.op, tc.set,
+				RunIGEP[bool](got, tc.op, tc.set,
 					WithBaseSize[bool](32), WithTableWidth[bool](4), WithParallel[bool](64))
 				if !packedEqualsDense(got, want) {
 					t.Fatalf("n=%d %s p=%d: packed ABCD diverges from generic", n, tc.name, p)

@@ -3,11 +3,12 @@ package core
 import "gep/internal/matrix"
 
 // C-GEP (function H, Figure 3): the fully general cache-oblivious
-// implementation of GEP. It follows exactly the recursion of I-GEP but
-// replaces the direct reads of c[i,k], c[k,j] and c[k,k] with reads of
-// saved intermediate states so that every update sees precisely the
-// values the iterative G would have supplied (second column of
-// Table 1). Four auxiliary matrices record the states:
+// implementation of GEP. It runs I-GEP's recursion (the same engine,
+// in either schedule) with a different base case, which replaces the
+// direct reads of c[i,k], c[k,j] and c[k,k] with reads of saved
+// intermediate states so that every update sees precisely the values
+// the iterative G would have supplied (second column of Table 1).
+// Four auxiliary matrices record the states:
 //
 //	u0[i,j] — value of c[i,j] in state τ_ij(j-1)
 //	u1[i,j] — value of c[i,j] in state τ_ij(j)
@@ -22,15 +23,16 @@ import "gep/internal/matrix"
 // and re-saves c[i,j] into whichever of the four slots has k as its
 // trigger. Time and I/O bounds are those of I-GEP.
 
-// cgepState bundles the recursion parameters of H. For RunCGEP the aux
-// matrices are full n×n and the band bases are 0; for RunCGEPCompact
-// u0/u1 are n×(n/2) column bands (columns [uColBase, uColBase+n/2))
-// and v0/v1 are (n/2)×n row bands.
+// cgepState is H's base case: the matrix, the op's Func, the set and
+// the aux matrices. For RunCGEP the aux matrices are full n×n and the
+// band bases are 0; for RunCGEPCompact u0/u1 are n×(n/2) column bands
+// (columns [uColBase, uColBase+n/2)) and v0/v1 are (n/2)×n row bands.
+// The recursion is the in-place engine's (igep.go, abcd.go), with
+// baseCase as its dispatcher's hook.
 type cgepState[T any] struct {
 	c   matrix.Grid[T]
 	f   UpdateFunc[T]
 	set UpdateSet
-	cfg *config[T]
 
 	u0, u1 matrix.Rect[T]
 	v0, v1 matrix.Rect[T]
@@ -49,11 +51,12 @@ type cgepState[T any] struct {
 	rg                     Ranger
 }
 
-// bindFlat resolves the flat views of c and the aux matrices plus the
-// set's TauSet/Ranger hooks, and the automatic base size. The fast
-// kernel runs only when all five stores are dense; a file-backed aux
-// factory (WithAuxFactory) or a wrapper grid falls back to the generic
-// kernel.
+// newCGEP allocates H's aux matrices, u0/u1 with uCols columns and
+// v0/v1 with vRows rows, through cfg's factory, and binds the flat
+// views of c and the aux matrices plus the set's TauSet/Ranger hooks,
+// and the automatic base size. The flat kernel runs only when all five
+// stores are dense; a file-backed aux factory (WithAuxFactory) or a
+// wrapper grid falls back to the generic kernel.
 //
 // The C-GEP engines accept fused ops but never run their kernels:
 // H's base case must route the u/v/w reads through the saved-state aux
@@ -61,14 +64,39 @@ type cgepState[T any] struct {
 // direct-read kernel cannot do. They run the op's Func through the flat
 // or generic H kernels instead — the fused → flat → generic hierarchy
 // simply has its first rung empty here (see DESIGN.md §10).
-func (st *cgepState[T]) bindFlat() {
+func newCGEP[T any](c matrix.Grid[T], op Op[T], set UpdateSet, cfg *config[T], uCols, vRows int) *cgepState[T] {
+	n := c.N()
+	st := &cgepState[T]{
+		c: c, f: op.Func(), set: set,
+		u0: cfg.newAux(n, uCols), u1: cfg.newAux(n, uCols),
+		v0: cfg.newAux(vRows, n), v1: cfg.newAux(vRows, n),
+		uCols: uCols, vRows: vRows,
+	}
 	st.fc = flatOf(st.c)
 	st.fu0, st.fu1 = flatRectOf(st.u0), flatRectOf(st.u1)
 	st.fv0, st.fv1 = flatRectOf(st.v0), flatRectOf(st.v1)
 	st.flat = st.fc.ok && st.fu0.ok && st.fu1.ok && st.fv0.ok && st.fv1.ok
 	st.tauSet, _ = st.set.(TauSet)
 	st.rg, _ = st.set.(Ranger)
-	st.cfg.resolveBaseSize(st.flat, false)
+	cfg.resolveBaseSize(st.flat, false)
+	return st
+}
+
+// engine returns the in-place engine whose base case is H's: the
+// dispatcher's hook consumes every block. It is in place, so abcd reads
+// the A/B/C/D kind from the block coordinates as for I-GEP.
+func (st *cgepState[T]) engine(cfg *config[T]) *engine[T] {
+	return &engine[T]{d: &dispatcher[T]{set: st.set, inPlace: true, hook: st.baseCase}, cfg: cfg}
+}
+
+// baseCase runs one block through the flat or the generic H kernel.
+func (st *cgepState[T]) baseCase(i0, j0, k0, s int) bool {
+	if st.flat {
+		st.kernelFlat(i0, j0, k0, s)
+	} else {
+		st.kernel(i0, j0, k0, s)
+	}
+	return true
 }
 
 // tauOf is Tau(st.set, i, j, l) with the TauSet assertion hoisted.
@@ -88,20 +116,23 @@ func (st *cgepState[T]) tauOf(i, j, l int) int {
 // It is a provably correct cache-oblivious implementation of RunGEP
 // for every update function and update set: the two always produce
 // identical results. The side length must be a power of two.
+//
+// Like RunIGEP it runs F's order by default and the A/B/C/D schedule
+// of Figure 6 with WithParallel (§3: "A similar parallel algorithm
+// with the same parallel time bound applies to C-GEP"): parallel
+// tasks write disjoint X blocks and save aux state only at their own
+// (i,j) cells, while their aux reads target cells owned by recursive
+// calls already sequenced before them — the same dependence argument
+// that makes multithreaded I-GEP safe. Results are identical either
+// way.
 func RunCGEP[T any](c matrix.Grid[T], op Op[T], set UpdateSet, opts ...Option[T]) {
 	n := c.N()
 	checkPow2(n)
 	if n == 0 {
 		return
 	}
-	cfg := buildConfig(opts)
-	st := &cgepState[T]{
-		c: c, f: op.Func(), set: set, cfg: &cfg,
-		u0: cfg.newAux(n, n), u1: cfg.newAux(n, n),
-		v0: cfg.newAux(n, n), v1: cfg.newAux(n, n),
-		uCols: n, vRows: n,
-	}
-	st.bindFlat()
+	cfg := buildConfig(c, opts)
+	st := newCGEP(c, op, set, &cfg, n, n)
 	// Initialize every aux matrix to c (Figure 3 preamble).
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -112,7 +143,7 @@ func RunCGEP[T any](c matrix.Grid[T], op Op[T], set UpdateSet, opts ...Option[T]
 			st.v1.Set(i, j, x)
 		}
 	}
-	st.rec(0, 0, 0, n)
+	st.engine(&cfg).run(n)
 }
 
 // RunCGEPCompact executes C-GEP with the reduced-space scheme: the aux
@@ -120,7 +151,8 @@ func RunCGEP[T any](c matrix.Grid[T], op Op[T], set UpdateSet, opts ...Option[T]
 // of the half of the k-range currently being processed, and is
 // re-initialized from c between the two halves — 2n² extra cells
 // instead of 4n², at the cost of the extra (re)initialization passes
-// the paper observed to make the compact variant slightly slower.
+// the paper observed to make the compact variant slightly slower. It
+// runs F's order only and ignores WithParallel.
 //
 // (The technical report's variant reaches n²+n extra cells with a finer
 // scheme; this implementation keeps the same top-level idea — trade
@@ -145,32 +177,28 @@ func RunCGEPCompact[T any](c matrix.Grid[T], op Op[T], set UpdateSet, opts ...Op
 		RunGEP(c, op, set)
 		return
 	}
-	cfg := buildConfig(opts)
+	// No grid for the fork check: the compact scheme never forks.
+	cfg := buildConfig[T](nil, opts)
 	m := n / 2
-	st := &cgepState[T]{
-		c: c, f: op.Func(), set: set, cfg: &cfg,
-		u0: cfg.newAux(n, m), u1: cfg.newAux(n, m),
-		v0: cfg.newAux(m, n), v1: cfg.newAux(m, n),
-		uCols: m, vRows: m,
-	}
-	st.bindFlat()
+	st := newCGEP(c, op, set, &cfg, m, m)
+	e := st.engine(&cfg)
 
 	// First half: k ∈ [0, m). Bands hold columns/rows [0, m).
 	st.uColBase, st.vRowBase = 0, 0
 	st.reinitBands()
-	st.rec(0, 0, 0, m) // X11, forward pass of the root
-	st.rec(0, m, 0, m) // X12
-	st.rec(m, 0, 0, m) // X21
-	st.rec(m, m, 0, m) // X22
+	e.igep(0, 0, 0, m) // X11, forward pass of the root
+	e.igep(0, m, 0, m) // X12
+	e.igep(m, 0, 0, m) // X21
+	e.igep(m, m, 0, m) // X22
 
 	// Second half: k ∈ [m, n). Re-point the bands at columns/rows
 	// [m, n) and refill them with c's current state.
 	st.uColBase, st.vRowBase = m, m
 	st.reinitBands()
-	st.rec(m, m, m, m) // X22, backward pass of the root
-	st.rec(m, 0, m, m) // X21
-	st.rec(0, m, m, m) // X12
-	st.rec(0, 0, m, m) // X11
+	e.igep(m, m, m, m) // X22, backward pass of the root
+	e.igep(m, 0, m, m) // X21
+	e.igep(0, m, m, m) // X12
+	e.igep(0, 0, m, m) // X11
 }
 
 // reinitBands loads the active columns of u0/u1 and rows of v0/v1 from
@@ -191,31 +219,6 @@ func (st *cgepState[T]) reinitBands() {
 			st.v1.Set(i, j, x)
 		}
 	}
-}
-
-// rec is H(X, k1, k2) with X = c[i0 : i0+s, j0 : j0+s] and k-range
-// [k0, k0+s) — the same recursion shape as igep.
-func (st *cgepState[T]) rec(i0, j0, k0, s int) {
-	if st.cfg.prune && !st.set.Intersects(i0, i0+s-1, j0, j0+s-1, k0, k0+s-1) {
-		return
-	}
-	if s <= st.cfg.baseSize {
-		if st.flat {
-			st.kernelFlat(i0, j0, k0, s)
-		} else {
-			st.kernel(i0, j0, k0, s)
-		}
-		return
-	}
-	h := s / 2
-	st.rec(i0, j0, k0, h)       // X11  forward
-	st.rec(i0, j0+h, k0, h)     // X12
-	st.rec(i0+h, j0, k0, h)     // X21
-	st.rec(i0+h, j0+h, k0, h)   // X22
-	st.rec(i0+h, j0+h, k0+h, h) // X22  backward
-	st.rec(i0+h, j0, k0+h, h)   // X21
-	st.rec(i0, j0+h, k0+h, h)   // X12
-	st.rec(i0, j0, k0+h, h)     // X11
 }
 
 // kernel executes a base-case block in G order with the H read/save

@@ -157,8 +157,8 @@ func TestTauScanFallback(t *testing.T) {
 }
 
 // TestCGEPParallelMatchesGEP: the multithreaded C-GEP recursion (§3)
-// must preserve the unconditional exactness guarantee, serially and on
-// goroutines.
+// must preserve the unconditional exactness guarantee, serially (a
+// grain of n forks nothing) and on goroutines.
 func TestCGEPParallelMatchesGEP(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, n := range []int{1, 2, 4, 8, 16, 32} {
@@ -166,12 +166,12 @@ func TestCGEPParallelMatchesGEP(t *testing.T) {
 		for name, f := range testFuncs {
 			in := randMatrix(t, rng, n)
 			want := runOnClone(in, func(m *matrix.Dense[int64]) { RunGEP[int64](m, f, set) })
-			serial := runOnClone(in, func(m *matrix.Dense[int64]) { RunCGEPParallel[int64](m, f, set) })
-			requireEqual(t, want, serial, "serial RunCGEPParallel "+name)
+			serial := runOnClone(in, func(m *matrix.Dense[int64]) { RunCGEP[int64](m, f, set, WithParallel[int64](n)) })
+			requireEqual(t, want, serial, "serial Figure 6 RunCGEP "+name)
 			par := runOnClone(in, func(m *matrix.Dense[int64]) {
-				RunCGEPParallel[int64](m, f, set, WithParallel[int64](4), WithBaseSize[int64](2))
+				RunCGEP[int64](m, f, set, WithParallel[int64](4), WithBaseSize[int64](2))
 			})
-			requireEqual(t, want, par, "parallel RunCGEPParallel "+name)
+			requireEqual(t, want, par, "parallel RunCGEP "+name)
 		}
 	}
 }

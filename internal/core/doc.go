@@ -11,10 +11,13 @@
 //   - RunCGEP / RunCGEPCompact: the fully general C-GEP H (Figure 3),
 //     which matches G on every input by saving the intermediate cell
 //     states G would have read (4n² extra cells for RunCGEP, 2n² for
-//     the compact band variant).
-//   - RunABCD / RunDisjoint: the multithreaded I-GEP function family
-//     A/B/C/D (Figures 4-6) with T∞ = O(n log² n), and its disjoint
-//     variant for matrix multiplication with T∞ = O(n).
+//     the compact band variant). H is F's recursion with another base
+//     case, and runs on the same engine.
+//   - WithParallel: RunIGEP and RunCGEP then run the multithreaded
+//     A/B/C/D schedule (Figures 4-6) with T∞ = O(n log² n) instead of
+//     F's order, with the same output.
+//   - RunDisjoint: the all-D schedule over four disjoint matrices, for
+//     matrix multiplication with T∞ = O(n).
 //   - Pi / Delta: the aligned-block functions of Definition 2.2 used by
 //     Theorem 2.2 to characterize exactly which cell states I-GEP reads.
 //

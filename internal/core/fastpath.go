@@ -3,14 +3,16 @@ package core
 import "gep/internal/matrix"
 
 // Base-case dispatch. Every engine hands its base-case blocks to one
-// function, (*dispatcher).baseCase: the in-place recursions (RunIGEP,
-// RunABCD), RunGEP's single whole-matrix block, RunDisjoint, and the
-// detached entries TileKernel (resident out-of-core tiles) and
-// DisjointBlock (the Strassen and CALU leaves). A dispatcher binds the
-// op, the set and the storage of X, U, V and W once per run (or call),
-// and each block then takes the first tier that applies:
+// function, (*dispatcher).baseCase: the in-place recursion (RunIGEP
+// and RunCGEP, in either schedule), RunGEP's single whole-matrix
+// block, RunDisjoint, and the detached entries TileKernel (resident
+// out-of-core tiles) and DisjointBlock (the Strassen and CALU leaves).
+// A dispatcher binds the op, the set and the storage of X, U, V and W
+// once per run (or call), and each block then takes the first tier
+// that applies:
 //
-//  1. the WithBaseCase hook, which may consume the block;
+//  1. the hook, which may consume the block: WithBaseCase's, or
+//     C-GEP's saved-state kernel (cgep.go), which consumes every one;
 //  2. the op's packed word kernel over a *matrix.Bits (bits.go);
 //  3. the op's fused kernel (ops.go) over flat storage when the set is
 //     a Ranger — counted by core.kernel.fused;

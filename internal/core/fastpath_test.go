@@ -64,10 +64,10 @@ func diffEngines(base int) map[string]func(c matrix.Grid[int64], f UpdateFunc[in
 			RunCGEPCompact(c, f, set, WithBaseSize[int64](base))
 		},
 		"cgep-parallel": func(c matrix.Grid[int64], f UpdateFunc[int64], set UpdateSet) {
-			RunCGEPParallel(c, f, set, WithBaseSize[int64](base), WithParallel[int64](8))
+			RunCGEP(c, f, set, WithBaseSize[int64](base), WithParallel[int64](8))
 		},
 		"abcd": func(c matrix.Grid[int64], f UpdateFunc[int64], set UpdateSet) {
-			RunABCD(c, f, set, WithBaseSize[int64](base), WithParallel[int64](8))
+			RunIGEP(c, f, set, WithBaseSize[int64](base), WithParallel[int64](8))
 		},
 	}
 }
@@ -207,16 +207,17 @@ func TestParallelEnginesBoundedPool(t *testing.T) {
 		for fname, f := range testFuncs {
 			want := runOnClone(src, func(m *matrix.Dense[int64]) { RunGEP[int64](m, f, set) })
 			gotABCD := runOnClone(src, func(m *matrix.Dense[int64]) {
-				RunABCD[int64](m, f, set, WithBaseSize[int64](4), WithParallel[int64](4))
+				RunIGEP[int64](m, f, set, WithBaseSize[int64](4), WithParallel[int64](4))
 			})
 			gotCGEP := runOnClone(src, func(m *matrix.Dense[int64]) {
-				RunCGEPParallel[int64](m, f, set, WithBaseSize[int64](4), WithParallel[int64](4))
+				RunCGEP[int64](m, f, set, WithBaseSize[int64](4), WithParallel[int64](4))
 			})
 			// I-GEP (and hence ABCD) is only guaranteed to equal G on
 			// instances where I-GEP is legal; C-GEP always is. Compare
-			// ABCD against serial ABCD instead, C-GEP against G.
+			// ABCD against serial ABCD (a grain of n forks nothing)
+			// instead, C-GEP against G.
 			wantABCD := runOnClone(src, func(m *matrix.Dense[int64]) {
-				RunABCD[int64](m, f, set, WithBaseSize[int64](4))
+				RunIGEP[int64](m, f, set, WithBaseSize[int64](4), WithParallel[int64](n))
 			})
 			requireEqual(t, wantABCD, gotABCD, "abcd-parallel/"+setName+"/"+fname)
 			requireEqual(t, want, gotCGEP, "cgep-parallel/"+setName+"/"+fname)

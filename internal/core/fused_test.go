@@ -79,10 +79,10 @@ func fusedEngines(base int) map[string]func(c matrix.Grid[float64], op Op[float6
 			RunIGEP(c, op, set, WithBaseSize[float64](base))
 		},
 		"abcd": func(c matrix.Grid[float64], op Op[float64], set UpdateSet) {
-			RunABCD(c, op, set, WithBaseSize[float64](base))
+			RunIGEP(c, op, set, WithBaseSize[float64](base), WithParallel[float64](c.N()))
 		},
 		"abcd-par": func(c matrix.Grid[float64], op Op[float64], set UpdateSet) {
-			RunABCD(c, op, set, WithBaseSize[float64](base), WithParallel[float64](8))
+			RunIGEP(c, op, set, WithBaseSize[float64](base), WithParallel[float64](8))
 		},
 	}
 }
@@ -214,7 +214,9 @@ func TestFusedGF2ElimBitIdentical(t *testing.T) {
 				for engName, run := range map[string]func(c matrix.Grid[bool], op Op[bool]){
 					"gep":  func(c matrix.Grid[bool], op Op[bool]) { RunGEP(c, op, set) },
 					"igep": func(c matrix.Grid[bool], op Op[bool]) { RunIGEP(c, op, set, WithBaseSize[bool](base)) },
-					"abcd": func(c matrix.Grid[bool], op Op[bool]) { RunABCD(c, op, set, WithBaseSize[bool](base)) },
+					"abcd": func(c matrix.Grid[bool], op Op[bool]) {
+						RunIGEP(c, op, set, WithBaseSize[bool](base), WithParallel[bool](n))
+					},
 				} {
 					want := in.Clone()
 					run(opaqueGrid[bool]{want}, GF2Elim{})
@@ -369,10 +371,12 @@ func TestProductsRoundedTwice(t *testing.T) {
 	} {
 		init := inPlace(c.xv, c.diag)
 		for label, run := range map[string]func(m *matrix.Dense[float64]){
-			"gep":       func(m *matrix.Dense[float64]) { RunGEP(m, c.op, c.set) },
-			"igep-b8":   func(m *matrix.Dense[float64]) { RunIGEP(m, c.op, c.set, WithBaseSize[float64](8)) },
-			"igep-b4":   func(m *matrix.Dense[float64]) { RunIGEP(m, c.op, c.set, WithBaseSize[float64](4)) },
-			"abcd-b4":   func(m *matrix.Dense[float64]) { RunABCD(m, c.op, c.set, WithBaseSize[float64](4)) },
+			"gep":     func(m *matrix.Dense[float64]) { RunGEP(m, c.op, c.set) },
+			"igep-b8": func(m *matrix.Dense[float64]) { RunIGEP(m, c.op, c.set, WithBaseSize[float64](8)) },
+			"igep-b4": func(m *matrix.Dense[float64]) { RunIGEP(m, c.op, c.set, WithBaseSize[float64](4)) },
+			"abcd-b4": func(m *matrix.Dense[float64]) {
+				RunIGEP(m, c.op, c.set, WithBaseSize[float64](4), WithParallel[float64](m.N()))
+			},
 			"bare-func": func(m *matrix.Dense[float64]) { RunGEP(m, c.op.Func(), c.set) },
 		} {
 			m := init.Clone()

@@ -82,7 +82,7 @@ func FuzzCGEPMatchesGEP(fz *testing.F) {
 		for name, run := range map[string]func(m *matrix.Dense[int64]){
 			"cgep":    func(m *matrix.Dense[int64]) { RunCGEP[int64](m, f, set) },
 			"compact": func(m *matrix.Dense[int64]) { RunCGEPCompact[int64](m, f, set) },
-			"par":     func(m *matrix.Dense[int64]) { RunCGEPParallel[int64](m, f, set, WithParallel[int64](2)) },
+			"par":     func(m *matrix.Dense[int64]) { RunCGEP[int64](m, f, set, WithParallel[int64](2)) },
 		} {
 			got := in.Clone()
 			run(got)

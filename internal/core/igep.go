@@ -1,11 +1,18 @@
 package core
 
-import "gep/internal/matrix"
+import (
+	"gep/internal/matrix"
+	"gep/internal/par"
+)
 
 // RunIGEP executes the cache-oblivious I-GEP recursion F of Figure 2 on
 // the square matrix c, in place. With the default options it performs
 // exactly the pure recursion; WithBaseSize switches to an iterative
-// kernel at small subproblems (§4.2 of the paper).
+// kernel at small subproblems (§4.2 of the paper). WithParallel runs
+// the multithreaded A/B/C/D schedule of Figure 6 (abcd.go) instead of
+// F's order: both refine the same partial order with the same
+// read-value semantics, so the two schedules always produce identical
+// results.
 //
 // I-GEP performs the same set of updates as RunGEP (Theorem 2.1) but
 // may supply different intermediate values to f (Theorem 2.2); it is
@@ -27,17 +34,28 @@ func RunIGEP[T any](c matrix.Grid[T], op Op[T], set UpdateSet, opts ...Option[T]
 	if n == 0 {
 		return
 	}
-	cfg := buildConfig(opts)
+	cfg := buildConfig(c, opts)
 	e := &engine[T]{d: cfg.bindFast(c, set, op), cfg: &cfg}
-	e.igep(0, 0, 0, n)
+	e.run(n)
 }
 
-// engine is one run of an in-core recursion: its base-case
-// dispatcher and knobs. The I-GEP (igep), A/B/C/D (abcd) and all-D
-// (disjoint) recursions differ only in their quadrant schedule.
+// engine is one run of the in-core recursion over a base-case
+// dispatcher: I-GEP's fused, flat and Grid tiers, C-GEP's saved-state
+// kernel (cgep.go), or IGEPBlocks' recorder. It has two schedules of
+// the same quadrant calls: igep (F's order) and abcd (Figure 6).
 type engine[T any] struct {
 	d   *dispatcher[T]
 	cfg *config[T]
+}
+
+// run executes the whole n×n computation: the Figure 6 schedule when
+// WithParallel is set, F's order otherwise.
+func (e *engine[T]) run(n int) {
+	if e.cfg.parallel {
+		e.abcd(0, 0, 0, n)
+	} else {
+		e.igep(0, 0, 0, n)
+	}
 }
 
 // leaf ends the recursion at the quadrant when it can: one whose update
@@ -55,10 +73,32 @@ func (e *engine[T]) leaf(i0, j0, k0, s int) bool {
 	return false
 }
 
-// par runs the given tasks, concurrently when parallel execution is on
-// and the subproblem side s is above the grain. The last task always
-// runs on the calling goroutine.
-func (e *engine[T]) par(s int, tasks ...func()) { parGroup(e.cfg, s, tasks...) }
+// par executes tasks as one fork-join group, the `parallel:` step of
+// Figure 6: when parallel execution is enabled and the subproblem side
+// s is above the grain, all but the last task are forked on the run's
+// work-stealing runtime (internal/par; the default one unless
+// WithRuntime set another) and the last runs on the calling goroutine;
+// otherwise all run serially in order. A fork goes to the caller's
+// worker deque, and forks at or past the runtime's depth cutoff run
+// inline, so a run never oversubscribes the Go scheduler.
+func (e *engine[T]) par(s int, tasks ...func()) {
+	if !e.cfg.parallel || s <= e.cfg.grain {
+		for _, t := range tasks {
+			t()
+		}
+		return
+	}
+	forkCount.Add(int64(len(tasks) - 1))
+	rt := par.Or(e.cfg.rt)
+	waits := make([]func(), 0, len(tasks)-1)
+	for _, t := range tasks[:len(tasks)-1] {
+		waits = append(waits, rt.Spawn(t))
+	}
+	tasks[len(tasks)-1]()
+	for _, w := range waits {
+		w()
+	}
+}
 
 // igep is F(X, k1, k2) with X = c[i0 : i0+s, j0 : j0+s] and the k-range
 // [k0, k0+s). Input conditions 2.1 hold by construction: the i-, j- and

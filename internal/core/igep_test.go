@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gep/internal/matrix"
+	"gep/internal/par"
 )
 
 // I-GEP must agree with iterative GEP on every instance the paper
@@ -210,7 +211,8 @@ func TestCounterexample221(t *testing.T) {
 }
 
 // TestABCDMatchesIGEP: the multithreaded recursion performs the same
-// computation as F on correct instances, serially and in parallel.
+// computation as F on correct instances, serially (a grain of n forks
+// nothing) and in parallel.
 func TestABCDMatchesIGEP(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
@@ -219,11 +221,11 @@ func TestABCDMatchesIGEP(t *testing.T) {
 		RunIGEP[int64](want, fwMinInt, Full{})
 
 		serial := in.Clone()
-		RunABCD[int64](serial, fwMinInt, Full{})
+		RunIGEP[int64](serial, fwMinInt, Full{}, WithParallel[int64](n))
 		requireEqual(t, want, serial, "serial ABCD")
 
 		par := in.Clone()
-		RunABCD[int64](par, fwMinInt, Full{}, WithParallel[int64](4))
+		RunIGEP[int64](par, fwMinInt, Full{}, WithParallel[int64](4))
 		requireEqual(t, want, par, "parallel ABCD")
 	}
 }
@@ -235,7 +237,7 @@ func TestABCDGaussianParallel(t *testing.T) {
 		want := in.Clone()
 		RunGEP[float64](want, geUpdate, Gaussian{})
 		got := in.Clone()
-		RunABCD[float64](got, geUpdate, Gaussian{}, WithParallel[float64](2), WithBaseSize[float64](2))
+		RunIGEP[float64](got, geUpdate, Gaussian{}, WithParallel[float64](2), WithBaseSize[float64](2))
 		if !got.EqualFunc(want, func(a, b float64) bool { return a == b }) {
 			t.Fatalf("n=%d: parallel ABCD Gaussian differs from GEP", n)
 		}
@@ -273,6 +275,34 @@ func TestRunDisjointMultiply(t *testing.T) {
 		RunDisjoint[float64](par, a, b, b, mulUpdate, Full{}, WithParallel[float64](4))
 		if !par.EqualFunc(want, func(x, y float64) bool { return x == y }) {
 			t.Fatalf("n=%d: parallel RunDisjoint multiply differs from naive", n)
+		}
+	}
+}
+
+// TestWithParallelForks: both schedules give the same bits, so only
+// the fork counter shows whether an entry honours WithParallel. On a
+// dedicated 2-worker runtime at n = 64, base 8 and grain 8, each entry
+// must fork with the option and never without it.
+func TestWithParallelForks(t *testing.T) {
+	rt := par.NewRuntime(2)
+	defer rt.Close()
+	const n = 64
+	in := floydWarshallInputInt(rand.New(rand.NewSource(23)), n)
+	for name, run := range map[string]func(opts ...Option[int64]){
+		"RunIGEP": func(opts ...Option[int64]) { RunIGEP[int64](in.Clone(), fwMinInt, Full{}, opts...) },
+		"RunCGEP": func(opts ...Option[int64]) { RunCGEP[int64](in.Clone(), fwMinInt, Full{}, opts...) },
+		"RunDisjoint": func(opts ...Option[int64]) {
+			RunDisjoint[int64](matrix.NewSquare[int64](n), in, in, in, fwMinInt, Full{}, opts...)
+		},
+	} {
+		before := forkCount.Value()
+		run(WithBaseSize[int64](8), WithRuntime[int64](rt))
+		if d := forkCount.Value() - before; d != 0 {
+			t.Fatalf("%s forked %d tasks without WithParallel", name, d)
+		}
+		run(WithBaseSize[int64](8), WithRuntime[int64](rt), WithParallel[int64](8))
+		if forkCount.Value() == before {
+			t.Fatalf("%s never forked with WithParallel(8)", name)
 		}
 	}
 }

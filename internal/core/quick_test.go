@@ -84,16 +84,17 @@ func TestQuickIGEPUpdateCount(t *testing.T) {
 	}
 }
 
-// Property: I-GEP and the ABCD recursion produce identical outputs on
-// every instance (they refine the same partial order with the same
-// read semantics), even when I-GEP itself diverges from G.
+// Property: I-GEP and the ABCD recursion (run serially: a grain of n
+// forks nothing) produce identical outputs on every instance (they
+// refine the same partial order with the same read semantics), even
+// when I-GEP itself diverges from G.
 func TestQuickABCDEqualsIGEP(t *testing.T) {
 	prop := func(seed int64, sizeExp, density, baseExp uint8) bool {
 		inst := decodeInstance(seed, sizeExp, density, baseExp)
 		a := inst.in.Clone()
 		RunIGEP[int64](a, quickF, inst.set, WithBaseSize[int64](inst.base))
 		b := inst.in.Clone()
-		RunABCD[int64](b, quickF, inst.set, WithBaseSize[int64](inst.base))
+		RunIGEP[int64](b, quickF, inst.set, WithBaseSize[int64](inst.base), WithParallel[int64](inst.n))
 		return matrix.Equal(a, b)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {

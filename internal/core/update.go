@@ -173,11 +173,13 @@ func WithPrune[T any](on bool) Option[T] {
 	return func(c *config[T]) { c.prune = on }
 }
 
-// WithParallel enables goroutine execution of the parallel steps of the
-// multithreaded A/B/C/D recursion (Figure 6). grain is the subproblem
-// side below which calls run serially; it bounds spawn overhead.
-// Only RunABCD, RunDisjoint and RunCGEPParallel honor this option;
-// over a *matrix.Bits they raise the grain to 64 (see forkConfig).
+// WithParallel makes RunIGEP and RunCGEP run the multithreaded A/B/C/D
+// schedule of Figure 6 instead of F's order, and forks the parallel
+// steps of that schedule and of RunDisjoint's. grain is the subproblem
+// side at or below which calls run serially; it bounds spawn overhead,
+// and a grain >= n runs Figure 6's order with no fork. Over a
+// *matrix.Bits the grain is raised to 64 (see buildConfig).
+// RunCGEPCompact ignores it and runs F's order.
 func WithParallel[T any](grain int) Option[T] {
 	if grain < 1 {
 		panic("core: parallel grain must be >= 1")
@@ -221,21 +223,16 @@ func WithRuntime[T any](rt *par.Runtime) Option[T] {
 	return func(c *config[T]) { c.rt = rt }
 }
 
-func buildConfig[T any](opts []Option[T]) config[T] {
+// buildConfig applies opts to the defaults for a run that writes g.
+// Concurrent siblings split g's columns at multiples of the grain, so
+// over a *matrix.Bits, which packs 64 cells per word, a forking run
+// needs g to start on a word boundary and raises the grain to 64: then
+// no two tasks write the same word.
+func buildConfig[T any](g matrix.Grid[T], opts []Option[T]) config[T] {
 	c := defaultConfig[T]()
 	for _, o := range opts {
 		o(&c)
 	}
-	return c
-}
-
-// forkConfig is buildConfig for the engines that fork (RunABCD,
-// RunDisjoint, RunCGEPParallel) while writing g. Concurrent siblings
-// split g's columns at multiples of the grain, so over a *matrix.Bits,
-// which packs 64 cells per word, g must start on a word boundary and
-// the grain is raised to 64: then no two tasks write the same word.
-func forkConfig[T any](g matrix.Grid[T], opts []Option[T]) config[T] {
-	c := buildConfig(opts)
 	if b, ok := any(g).(*matrix.Bits); ok && c.parallel {
 		if !b.Aligned() {
 			panic("core: parallel run over a word-unaligned matrix.Bits view (see Bits.Aligned)")

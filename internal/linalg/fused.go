@@ -3,7 +3,7 @@ package linalg
 // The cache-oblivious I-GEP entry points: matrix multiplication, LU
 // decomposition and Gaussian elimination, each the one path for its
 // computation — the facade, gep-server, gesolve and the benchmarks all
-// call these. Each runs a generic core engine (RunDisjoint, RunABCD)
+// call these. Each runs a generic core engine (RunDisjoint, RunIGEP)
 // with a fused update op, so every base case is a closed-form kernel
 // and every cell applies its updates in ascending k, each rounded as
 // in the op's Func: the output equals the iterative GEP loop G run
@@ -12,9 +12,10 @@ package linalg
 // sizes must be at least 1.
 //
 // Each entry takes the engine options after its positional arguments.
-// Without options it runs serially; core.WithParallel(grain) forks the
-// Figure-6 schedule above grain, and core.WithRuntime(rt) confines the
-// forks to rt — the per-job isolation internal/serve is built on.
+// Without options it runs serially (F's order for RunIGEP);
+// core.WithParallel(grain) runs the Figure-6 schedule and forks it
+// above grain, and core.WithRuntime(rt) confines the forks to rt — the
+// per-job isolation internal/serve is built on.
 
 import (
 	"gep/internal/core"
@@ -35,7 +36,7 @@ func MulFused(c, a, b *matrix.Dense[float64], base int, opts ...core.Option[floa
 }
 
 // LUIGEP performs in-place LU decomposition without pivoting through
-// the A/B/C/D recursion (RunABCD) with the fused LU op over the LU set
+// the I-GEP recursion (RunIGEP) with the fused LU op over the LU set
 // {k < i ∧ k <= j}: the multipliers end strictly below the diagonal
 // (unit diagonal of L implicit) and U on and above it. The input must
 // be factorizable without pivoting (e.g. diagonally dominant). Any
@@ -43,15 +44,15 @@ func MulFused(c, a, b *matrix.Dense[float64], base int, opts ...core.Option[floa
 // with an identity block, which leaves the leading factors unchanged.
 func LUIGEP(c *matrix.Dense[float64], base int, opts ...core.Option[float64]) {
 	matrix.OnPow2(c, 0, 1, func(m *matrix.Dense[float64]) {
-		core.RunABCD[float64](m, core.LUFactor[float64]{}, core.LU{}, withBase(base, opts)...)
+		core.RunIGEP[float64](m, core.LUFactor[float64]{}, core.LU{}, withBase(base, opts)...)
 	})
 }
 
 // GaussFused performs in-place Gaussian elimination (no multipliers
-// stored) through RunABCD with the fused elimination op over the
+// stored) through RunIGEP with the fused elimination op over the
 // Gaussian set. The side must be a power of two.
 func GaussFused(c *matrix.Dense[float64], base int, opts ...core.Option[float64]) {
-	core.RunABCD[float64](c, core.GaussElim[float64]{}, core.Gaussian{}, withBase(base, opts)...)
+	core.RunIGEP[float64](c, core.GaussElim[float64]{}, core.Gaussian{}, withBase(base, opts)...)
 }
 
 // withBase puts the positional base size ahead of the caller's

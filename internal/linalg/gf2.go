@@ -12,7 +12,7 @@ import (
 // here:
 //
 //   - the GEP-path eliminator GaussGF2Fused — the exact boolean
-//     analogue of GaussFused: RunABCD with the core.GF2Elim op over
+//     analogue of GaussFused: RunIGEP with the core.GF2Elim op over
 //     the Gaussian set, word-parallel via the packed kernels of
 //     internal/core/bits.go. Like all unpivoted GEP elimination it
 //     requires every leading principal minor to be nonsingular (over
@@ -25,7 +25,7 @@ import (
 
 // GaussGF2Fused performs in-place GF(2) Gaussian elimination (no
 // multipliers stored — over GF(2) the multiplier equals the eliminated
-// bit) through RunABCD with the packed word-parallel kernel. The side
+// bit) through RunIGEP with the packed word-parallel kernel. The side
 // must be a power of two. The options are the engine's: the base case
 // defaults to the packed side of 512 (core.WithBaseSize), the
 // four-Russians group width to 8 (core.WithTableWidth, 0 disables the
@@ -34,7 +34,7 @@ import (
 // eliminable without pivoting; for general matrices use SolveGF2 /
 // RankGF2.
 func GaussGF2Fused(c *matrix.Bits, opts ...core.Option[bool]) {
-	core.RunABCD[bool](c, core.GF2Elim{}, core.Gaussian{}, opts...)
+	core.RunIGEP[bool](c, core.GF2Elim{}, core.Gaussian{}, opts...)
 }
 
 // SolveGF2 solves A·x = b over GF(2). a is not modified; b must have

@@ -26,9 +26,9 @@ package linalg
 //     no full-matrix padding copy.
 //   - Parallel entry points fork the classical sub-multiplies'
 //     quadrants on the par.Runtime work-stealing pool with the same
-//     depth-cutoff discipline as RunABCD (the runtime inlines forks
-//     past its cutoff); the fork grain is sized from Runtime.Workers,
-//     never from GOMAXPROCS. The Winograd chain itself is sequenced so
+//     depth-cutoff discipline as core's A/B/C/D schedule (the runtime
+//     inlines forks past its cutoff); the fork grain is sized from
+//     Runtime.Workers, never from GOMAXPROCS. The Winograd chain itself is sequenced so
 //     sibling products can share the two arena temporaries.
 //   - Determinism: every output cell's value is a fixed expression
 //     tree — the schedule fixes which products feed which quadrant and

@@ -27,12 +27,13 @@ import (
 // recovered frontier and skip the finished prefix without any I/O —
 // the resumed run is bit-identical to an uninterrupted one.
 
-// ErrStopped is returned by RunIGEP when RunOptions.StopAfter ended
-// the run early — the crash-drill hook; the store is deliberately
-// left unsynced (pair with Store.Abandon to simulate a kill).
+// ErrStopped is returned by RunIGEP when RunOptions.StopAfter or Stop
+// ended the run early, and by RunStrassen when Stop did — the
+// crash-drill and abort hooks; the store is deliberately left
+// unsynced (pair with Store.Abandon to simulate a kill).
 var ErrStopped = errors.New("ooc: run stopped at requested block")
 
-// RunOptions configures RunIGEP.
+// RunOptions configures RunIGEP, and RunStrassen's Prefetch and Stop.
 type RunOptions struct {
 	// Prefetch enables background read-ahead of the next blocks' tiles
 	// (issued after each block's pins, bounded by the store's
@@ -60,10 +61,10 @@ type RunOptions struct {
 	// point with its tag (the completed-block count). The oocrun
 	// subcommand uses it to announce kill points.
 	OnCheckpoint func(blocks int64)
-	// Stop, when set, is polled before each block; returning true
-	// aborts the run with ErrStopped, leaving the store unsynced like
-	// StopAfter does. The job server maps runtime aborts (cancel,
-	// deadline) onto it.
+	// Stop, when set, is polled before each block (RunStrassen: before
+	// each tile it writes); returning true aborts the run with
+	// ErrStopped, leaving the store unsynced like StopAfter does. The
+	// job server maps runtime aborts (cancel, deadline) onto it.
 	Stop func() bool
 }
 

@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"errors"
 	"fmt"
 
 	"gep/internal/core"
@@ -41,6 +42,11 @@ import (
 // store past the three matrices is used as scratch. crossover < tile
 // side is clamped up to it; crossover ≥ n runs the purely classical
 // tile loop (the comparator the bounds2 experiment uses).
+//
+// Of opts it reads Prefetch and Stop. Stop is polled once per C tile
+// of the leaf loop and once per tile of each quadrant addition;
+// returning true ends the run with ErrStopped, leaving the store
+// unsynced as RunIGEP does.
 func RunStrassen(c, a, b *Matrix, crossover int, opts RunOptions) error {
 	if c.s != a.s || c.s != b.s {
 		return fmt.Errorf("ooc: RunStrassen needs c, a, b in one store")
@@ -78,11 +84,15 @@ func RunStrassen(c, a, b *Matrix, crossover int, opts RunOptions) error {
 		ts:        ts,
 		crossover: crossover,
 		prefetch:  opts.Prefetch,
+		stop:      opts.Stop,
 		layout:    MortonTiledLayout(ts),
 		next:      (scratch + 4095) &^ 4095,
 		freeList:  map[int][]int64{},
 	}
 	err := rs.mul(mvOf(c), mvOf(a), mvOf(b), n)
+	if errors.Is(err, ErrStopped) {
+		return err
+	}
 	if serr := c.s.SyncTiles(); err == nil {
 		err = serr
 	}
@@ -97,6 +107,7 @@ type strassenOOC struct {
 	ts        int
 	crossover int
 	prefetch  bool
+	stop      func() bool // RunOptions.Stop; nil never stops
 	layout    LayoutFunc
 	next      int64           // bump pointer for fresh scratch matrices
 	freeList  map[int][]int64 // released scratch bases by side
@@ -131,6 +142,9 @@ func (rs *strassenOOC) alloc(h int) *Matrix {
 func (rs *strassenOOC) release(h int, m *Matrix) {
 	rs.freeList[h] = append(rs.freeList[h], m.base)
 }
+
+// stopped polls RunOptions.Stop, between tiles, with nothing pinned.
+func (rs *strassenOOC) stopped() bool { return rs.stop != nil && rs.stop() }
 
 func (rs *strassenOOC) mul(c, a, b mview, s int) error {
 	if s <= rs.crossover {
@@ -192,6 +206,9 @@ func (rs *strassenOOC) leaf(c, a, b mview, s int) error {
 	nt := s / rs.ts
 	for ti := 0; ti < nt; ti++ {
 		for tj := 0; tj < nt; tj++ {
+			if rs.stopped() {
+				return ErrStopped
+			}
 			ct, err := rs.s.PinTileZero(c.off(ti, tj), rs.ts)
 			if err != nil {
 				return err
@@ -231,6 +248,9 @@ func (rs *strassenOOC) binTile(dst, x, y mview, s int, f func(d, xv, yv []float6
 	nt := s / rs.ts
 	for ti := 0; ti < nt; ti++ {
 		for tj := 0; tj < nt; tj++ {
+			if rs.stopped() {
+				return ErrStopped
+			}
 			do, xo, yo := dst.off(ti, tj), x.off(ti, tj), y.off(ti, tj)
 			xt, err := rs.s.PinTile(xo, rs.ts)
 			if err != nil {

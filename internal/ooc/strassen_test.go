@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -154,4 +155,27 @@ func TestRunStrassenValidation(t *testing.T) {
 		t.Fatalf("unload: %v", err)
 	}
 	bitsEqual(t, "post-validation run", want, got)
+}
+
+// TestRunStrassenStop: a Stop that fires on its m-th poll ends the run
+// with ErrStopped at that poll, in the classical tile loop (crossover
+// n, polled per C tile) and under Winograd (crossover = tile side,
+// where the quadrant additions poll first).
+func TestRunStrassenStop(t *testing.T) {
+	const n, side = 64, 16
+	a, b := randomDense(n, 98), randomDense(n, 99)
+	for _, co := range []int{n, side} {
+		for _, m := range []int{1, 7} {
+			s, mc, ma, mb := strassenStore(t, n, side, 1<<20, a, b)
+			polls := 0
+			stop := func() bool { polls++; return polls >= m }
+			if err := RunStrassen(mc, ma, mb, co, RunOptions{Stop: stop}); !errors.Is(err, ErrStopped) {
+				t.Fatalf("co=%d m=%d: RunStrassen returned %v, want ErrStopped", co, m, err)
+			}
+			if polls != m {
+				t.Fatalf("co=%d m=%d: Stop polled %d times, want %d", co, m, polls, m)
+			}
+			s.Abandon()
+		}
+	}
 }

@@ -492,8 +492,22 @@ func TestTournamentAbortFailsOneJob(t *testing.T) {
 
 	spec.DeadlineMS = 0
 	_, v = postJob(t, ts, spec)
+	deleteWhenRunning(t, ts, v.ID)
+	if fin := waitTerminal(t, ts, v.ID); fin.Status != StatusCanceled {
+		t.Fatalf("deleted job finished %s (%q), want canceled", fin.Status, fin.Error)
+	}
+
+	_, v = postJob(t, ts, Spec{Op: "lu", N: 64, Seed: 21, Pivot: "tournament"})
+	if fin := waitTerminal(t, ts, v.ID); fin.Status != StatusDone {
+		t.Fatalf("ordinary job after the aborts finished %s (%q), want done", fin.Status, fin.Error)
+	}
+}
+
+// deleteWhenRunning waits until job id runs, then DELETEs it.
+func deleteWhenRunning(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
 	for start := time.Now(); ; time.Sleep(5 * time.Millisecond) {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID)
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,20 +520,12 @@ func TestTournamentAbortFailsOneJob(t *testing.T) {
 			t.Fatalf("job to cancel reached %s before it ran", cur.Status)
 		}
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if fin := waitTerminal(t, ts, v.ID); fin.Status != StatusCanceled {
-		t.Fatalf("deleted job finished %s (%q), want canceled", fin.Status, fin.Error)
-	}
-
-	_, v = postJob(t, ts, Spec{Op: "lu", N: 64, Seed: 21, Pivot: "tournament"})
-	if fin := waitTerminal(t, ts, v.ID); fin.Status != StatusDone {
-		t.Fatalf("ordinary job after the aborts finished %s (%q), want done", fin.Status, fin.Error)
-	}
 }
 
 // TestCancelQueuedAndRunning cancels one queued and one running job

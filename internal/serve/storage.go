@@ -155,7 +155,7 @@ func runDurableMultiply(st *StorageSpec, rt *par.Runtime, a, b *matrix.Dense[flo
 		err = s.Checkpoint(0)
 	}
 	if err == nil {
-		err = ooc.RunStrassen(lc, la, lb, crossover, ooc.RunOptions{Prefetch: true})
+		err = ooc.RunStrassen(lc, la, lb, crossover, ooc.RunOptions{Prefetch: true, Stop: rt.Aborted})
 	}
 	if err != nil {
 		s.Abandon()

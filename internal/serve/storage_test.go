@@ -164,6 +164,40 @@ func TestStorageDeadlineAborts(t *testing.T) {
 	}
 }
 
+// TestStorageMultiplyAborts runs an out-of-core multiply with each
+// engine under a deadline and under DELETE. RunStrassen polls the
+// job's abort between tiles, so each job ends failed or canceled
+// before its product is done, and the server then completes an
+// ordinary job. The times to a terminal state are logged, not
+// asserted.
+func TestStorageMultiplyAborts(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, DefaultWorkers: 1})
+	for _, engine := range []string{"classical", "strassen"} {
+		spec := Spec{Op: "multiply", N: 1024, Seed: 1, Engine: engine, DeadlineMS: 50,
+			Storage: &StorageSpec{OutOfCore: true}}
+		start := time.Now()
+		_, v := postJob(t, ts, spec)
+		fin := waitTerminal(t, ts, v.ID)
+		if fin.Status != StatusFailed || !strings.Contains(fin.Error, "deadline") {
+			t.Fatalf("%s deadline job finished %s (%q), want failed with deadline error", engine, fin.Status, fin.Error)
+		}
+		t.Logf("%s: deadline job terminal %v after POST (wall %.0f ms)", engine, time.Since(start), fin.WallMS)
+
+		spec.DeadlineMS = 0
+		_, v = postJob(t, ts, spec)
+		deleteWhenRunning(t, ts, v.ID)
+		start = time.Now()
+		if fin = waitTerminal(t, ts, v.ID); fin.Status != StatusCanceled {
+			t.Fatalf("%s deleted job finished %s (%q), want canceled", engine, fin.Status, fin.Error)
+		}
+		t.Logf("%s: deleted job terminal %v after DELETE (wall %.0f ms)", engine, time.Since(start), fin.WallMS)
+	}
+	_, v := postJob(t, ts, Spec{Op: "multiply", N: 64, Seed: 2, Storage: smallStorage()})
+	if fin := waitTerminal(t, ts, v.ID); fin.Status != StatusDone {
+		t.Fatalf("ordinary job after the aborts finished %s (%q), want done", fin.Status, fin.Error)
+	}
+}
+
 // TestStressStorageJobs hammers the server with concurrent durable
 // jobs on tiny caches — many stores faulting, compressing, and
 // journaling in parallel on private runtimes — and checks every job

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gep/internal/core"
@@ -164,7 +165,7 @@ func TestRecorderConcurrent(t *testing.T) {
 	in := randMat(rng, n)
 	var rec Recorder
 	c := in.Clone()
-	core.RunABCD[int64](c, rec.Wrap(func(i, j, k int, x, u, v, w int64) int64 {
+	core.RunIGEP[int64](c, rec.Wrap(func(i, j, k int, x, u, v, w int64) int64 {
 		if d := u + v; d < x {
 			return d
 		}
@@ -182,8 +183,9 @@ func TestRecorderConcurrent(t *testing.T) {
 }
 
 // TestTheorem22HoldsForABCD: the multithreaded recursion (run
-// serially) is another linear extension of I-GEP's partial order, so
-// Theorem 2.2's state characterization must hold for its traces too.
+// serially: a grain of n forks nothing) is another linear extension of
+// I-GEP's partial order, so Theorem 2.2's state characterization must
+// hold for its traces too.
 func TestTheorem22HoldsForABCD(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	for _, n := range []int{4, 8, 16} {
@@ -192,7 +194,7 @@ func TestTheorem22HoldsForABCD(t *testing.T) {
 		var rec Recorder
 		c := in.Clone()
 		// Base 1: Theorem 2.2 describes the pure recursion's reads.
-		core.RunABCD[int64](c, rec.Wrap(linF), set, core.WithBaseSize[int64](1))
+		core.RunIGEP[int64](c, rec.Wrap(linF), set, core.WithBaseSize[int64](1), core.WithParallel[int64](n))
 		ups := rec.Updates()
 		if err := CheckTheorem21(ups, set, n); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -204,22 +206,68 @@ func TestTheorem22HoldsForABCD(t *testing.T) {
 }
 
 // TestIGEPAndABCDSameFinalStateOnArbitraryInstances: even where both
-// diverge from G, F and the ABCD refinement agree with each other.
+// diverge from G, F and the ABCD refinement (run serially: a grain of
+// n forks nothing) agree with each other.
 func TestIGEPAndABCDSameFinalStateOnArbitraryInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	for trial := 0; trial < 10; trial++ {
 		n := 8
 		set := randSet(rng, n, 0.8)
 		in := randMat(rng, n)
+		// Base 1: at the automatic base size the 8×8 matrix is one
+		// base-case block under either schedule.
 		a := in.Clone()
-		core.RunIGEP[int64](a, linF, set)
+		core.RunIGEP[int64](a, linF, set, core.WithBaseSize[int64](1))
 		b := in.Clone()
-		core.RunABCD[int64](b, linF, set)
+		core.RunIGEP[int64](b, linF, set, core.WithBaseSize[int64](1), core.WithParallel[int64](n))
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if a.At(i, j) != b.At(i, j) {
 					t.Fatalf("trial %d: F and ABCD diverge at (%d,%d)", trial, i, j)
 				}
+			}
+		}
+	}
+}
+
+// TestCGEPFollowsIGEPRecursion: C-GEP is I-GEP's recursion with another
+// base case, so both visit the updates ⟨i,j,k⟩ in one order at every
+// base size. Serially that is F's order, for RunCGEPCompact too (base
+// < n throughout, so its root split is F's first level). Under
+// WithParallel(n), whose grain forks nothing, it is Figure 6's. At
+// n = 16, base 1 the two orders differ, so both schedules really run.
+func TestCGEPFollowsIGEPRecursion(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	for _, n := range []int{8, 16} {
+		set := randSet(rng, n, 0.6)
+		in := randMat(rng, n)
+		for _, base := range []int{1, 4} {
+			order := func(run func(c *matrix.Dense[int64], f core.UpdateFunc[int64])) [][3]int {
+				var rec Recorder
+				run(in.Clone(), rec.Wrap(linF))
+				var ijk [][3]int
+				for _, u := range rec.Updates() {
+					ijk = append(ijk, [3]int{u.I, u.J, u.K})
+				}
+				return ijk
+			}
+			bs, fig6 := core.WithBaseSize[int64](base), core.WithParallel[int64](n)
+			f := order(func(c *matrix.Dense[int64], f core.UpdateFunc[int64]) { core.RunIGEP(c, f, set, bs) })
+			h := order(func(c *matrix.Dense[int64], f core.UpdateFunc[int64]) { core.RunCGEP(c, f, set, bs) })
+			if !slices.Equal(f, h) {
+				t.Fatalf("n=%d base=%d: serial RunCGEP visits the updates in another order than RunIGEP", n, base)
+			}
+			hc := order(func(c *matrix.Dense[int64], f core.UpdateFunc[int64]) { core.RunCGEPCompact(c, f, set, bs) })
+			if !slices.Equal(f, hc) {
+				t.Fatalf("n=%d base=%d: RunCGEPCompact visits the updates in another order than RunIGEP", n, base)
+			}
+			a := order(func(c *matrix.Dense[int64], f core.UpdateFunc[int64]) { core.RunIGEP(c, f, set, bs, fig6) })
+			ha := order(func(c *matrix.Dense[int64], f core.UpdateFunc[int64]) { core.RunCGEP(c, f, set, bs, fig6) })
+			if !slices.Equal(a, ha) {
+				t.Fatalf("n=%d base=%d: RunCGEP under WithParallel(n) visits the updates in another order than RunIGEP", n, base)
+			}
+			if n == 16 && base == 1 && slices.Equal(f, a) {
+				t.Fatalf("n=16 base=1: Figure 6's order equals F's, so the schedules are not both running")
 			}
 		}
 	}

@@ -107,7 +107,7 @@ func TestStressGeneralAgainstIterative(t *testing.T) {
 				gep.GeneralCompact[int64](m, f, set, gep.WithBaseSize[int64](8))
 			},
 			"parallel": func(m *gep.Matrix[int64]) {
-				gep.GeneralParallel[int64](m, f, set, gep.WithBaseSize[int64](8), gep.WithParallel[int64](16))
+				gep.General[int64](m, f, set, gep.WithBaseSize[int64](8), gep.WithParallel[int64](16))
 			},
 		} {
 			got := in.Clone()
