@@ -243,15 +243,12 @@ func MultiplyParallel(c, a, b *Matrix[float64]) {
 // alias a or b) with the sub-cubic Strassen-Winograd recursion over
 // the fused classical kernels: O(n^lg7) work, deterministic output,
 // any side length. Elementwise error vs the classical product is
-// within linalg.StrassenErrorBound. See DESIGN.md §15.
-func MultiplyStrassen(c, a, b *Matrix[float64]) {
-	linalg.MulStrassen(c, a, b)
-}
-
-// MultiplyStrassenParallel is MultiplyStrassen on goroutines; the
-// result is bit-identical to the serial MultiplyStrassen.
-func MultiplyStrassenParallel(c, a, b *Matrix[float64]) {
-	linalg.MulStrassenParallel(c, a, b)
+// within linalg.StrassenErrorBound. WithParallel forks the classical
+// leaves' quadrants above its grain and WithRuntime picks the
+// scheduler; the result is bit-identical either way. See DESIGN.md
+// §15.
+func MultiplyStrassen(c, a, b *Matrix[float64], opts ...Option[float64]) {
+	linalg.MulStrassen(c, a, b, linalg.DefaultCrossover, opts...)
 }
 
 // FloydWarshall computes all-pairs shortest path distances in place:

@@ -128,9 +128,9 @@ func TestMultiplyStrassen(t *testing.T) {
 		c := gep.NewMatrix[float64](n)
 		gep.MultiplyStrassen(c, a, b)
 		cp := gep.NewMatrix[float64](n)
-		gep.MultiplyStrassenParallel(cp, a, b)
+		gep.MultiplyStrassen(cp, a, b, gep.WithParallel[float64](64))
 		if !c.EqualFunc(cp, func(x, y float64) bool { return x == y }) {
-			t.Fatal("MultiplyStrassenParallel not bit-identical to MultiplyStrassen")
+			t.Fatal("MultiplyStrassen with WithParallel not bit-identical to serial")
 		}
 		for _, ij := range [][2]int{{0, 0}, {3, 7}, {n - 1, 1}, {n / 2, n / 2}} {
 			i, j := ij[0], ij[1]

@@ -91,8 +91,9 @@ func strassenMMLowerBound(n int, mElems, bElems float64) float64 {
 	return lb
 }
 
-// bounds2InCore traces both engines once via the generic mirror
-// (bit-identical to the flat engines) over Morton-tiled addressing —
+// bounds2InCore traces both engines once through MulStrassenGeneric,
+// the matrix.Grid backend of the schedule MulStrassen and RunStrassen
+// run (bit-identical to both), over Morton-tiled addressing —
 // the same best-layout assumption exp_bounds makes — then replays each
 // trace against a sweep of LRU cache sizes.
 func bounds2InCore(w io.Writer, scale Scale) error {
@@ -287,7 +288,10 @@ func bounds2Wall(w io.Writer, scale Scale) error {
 				c.Apply(func(int, int, float64) float64 { return 0 })
 				linalg.MulFused(c, a, b, 64, core.WithParallel[float64](128), core.WithRuntime[float64](rt))
 			}},
-			{"MulStrassen", func() { linalg.MulStrassenParallelOn(rt, c, a, b) }},
+			{"MulStrassen", func() {
+				linalg.MulStrassen(c, a, b, linalg.DefaultCrossover,
+					core.WithParallel[float64](64), core.WithRuntime[float64](rt))
+			}},
 		} {
 			wall, mets := TimeBestMetered(1, e.run)
 			extra := map[string]float64{}

@@ -241,3 +241,17 @@ func buildConfig[T any](g matrix.Grid[T], opts []Option[T]) config[T] {
 	}
 	return c
 }
+
+// FlatSchedule resolves opts for a recursion over flat storage that
+// runs outside this package's engines (linalg's Strassen): base is
+// WithBaseSize's side or the automatic flat one, and under
+// WithParallel rt is the runtime to fork on above grain (WithRuntime's
+// or the default one). Without WithParallel rt is nil: run serially.
+func FlatSchedule[T any](opts ...Option[T]) (base, grain int, rt *par.Runtime) {
+	c := buildConfig[T](nil, opts)
+	c.resolveBaseSize(true, false)
+	if c.parallel {
+		rt = par.Or(c.rt)
+	}
+	return c.baseSize, c.grain, rt
+}

@@ -1,21 +1,22 @@
 package linalg
 
 import (
+	"gep/internal/core"
 	"gep/internal/matrix"
 )
 
-// MulStrassenGeneric mirrors MulStrassen element-for-element over the
-// matrix.Grid interface: same recursion shape, same Winograd schedule,
-// same peeling, same ascending-k classical leaves, same two-rounding
-// discipline — so its result is bitwise identical to MulStrassen
-// (strassen_test.go pins this). Its purpose is instrumentation: the
-// bounds2 experiment runs it over cachesim recording grids to obtain
-// the engine's exact memory-access trace, including the arena
-// temporaries, which the caller supplies through get/put so traced
-// runs can model the pool's address reuse (a recycled buffer must
-// reappear at the same simulated address, exactly as the real arena
-// hands back the same allocation). get(h) returns an h×h grid; put
-// returns it to the pool. Pass nil for both to allocate plainly.
+// MulStrassenGeneric runs MulStrassen's schedule (winograd.go) over
+// the matrix.Grid interface: same recursion, same peeling, same
+// ascending-k classical leaves, same two-rounding discipline — so its
+// result is bitwise identical to MulStrassen (strassen_test.go pins
+// this). Its purpose is instrumentation: the bounds2 experiment runs
+// it over cachesim recording grids to obtain the engine's exact
+// memory-access trace, including the arena temporaries, which the
+// caller supplies through get/put so traced runs can model the pool's
+// address reuse (a recycled buffer must reappear at the same simulated
+// address, exactly as the real arena hands back the same allocation).
+// get(h) returns an h×h grid; put returns it to the pool. Pass nil for
+// both to allocate plainly.
 //
 // The classical leaves replay the generic-path element order (k-outer
 // triple loop per base block). The fused kernels permute accesses
@@ -23,7 +24,7 @@ import (
 // I/O bounds are about unchanged; DESIGN.md §15 discusses this.
 //
 // The optional trailing base overrides the classical leaf side
-// (default strassenBase). The result is bitwise independent of base —
+// (default MulStrassen's). The result is bitwise independent of base —
 // every cell's additions stay strictly ascending in k at any blocking
 // — but the access trace is not: simulations at small M pass a finer
 // base (exp_bounds traces I-GEP at base 8 for the same reason) so the
@@ -36,26 +37,16 @@ func MulStrassenGeneric(c, a, b matrix.Grid[float64], crossover int, get func(h 
 	if a.N() != n || b.N() != n {
 		panic("linalg: MulStrassenGeneric size mismatch")
 	}
-	if crossover < 1 {
-		crossover = DefaultCrossover
-	}
 	if get == nil {
 		get = func(h int) matrix.Grid[float64] { return matrix.NewSquare[float64](h) }
 		put = func(int, matrix.Grid[float64]) {}
 	}
-	bs := strassenBase
+	g := &gridOps{get: get, put: put}
+	g.base, _, _ = core.FlatSchedule[float64]()
 	if len(base) > 0 && base[0] >= 1 {
-		bs = base[0]
+		g.base = base[0]
 	}
-	st := &gStrassen{crossover: crossover, base: bs, get: get, put: put}
-	st.mul(gv(c), gv(a), gv(b), n)
-}
-
-type gStrassen struct {
-	crossover int
-	base      int
-	get       func(h int) matrix.Grid[float64]
-	put       func(h int, g matrix.Grid[float64])
+	_ = Strassen(g, gview{g: c}, gview{g: a}, gview{g: b}, n, crossover) // gridOps returns no error
 }
 
 // gview is fview's grid twin: an offset window over a Grid.
@@ -64,98 +55,83 @@ type gview struct {
 	i0, j0 int
 }
 
-func gv(g matrix.Grid[float64]) gview   { return gview{g: g} }
 func (v gview) sub(i, j int) gview      { return gview{g: v.g, i0: v.i0 + i, j0: v.j0 + j} }
 func (v gview) at(i, j int) float64     { return v.g.At(v.i0+i, v.j0+j) }
 func (v gview) set(i, j int, x float64) { v.g.Set(v.i0+i, v.j0+j, x) }
 
-func (st *gStrassen) mul(c, a, b gview, s int) {
-	if s <= st.crossover {
-		gZero(c, s)
-		st.classic(c, a, b, s)
-		return
-	}
-	if s&1 == 1 {
-		st.mul(c, a, b, s-1)
-		st.peelFixup(c, a, b, s, true)
-		return
-	}
-	st.winograd(c, a, b, s)
+// gridOps is the matrix.Grid backend of Strassen and classic: serial,
+// with temporaries from the caller's pool.
+type gridOps struct {
+	base int
+	get  func(h int) matrix.Grid[float64]
+	put  func(h int, g matrix.Grid[float64])
 }
 
-// winograd is the same two-temporary schedule as strassen.go, with the
-// temporaries drawn from the caller's pool.
-func (st *gStrassen) winograd(c, a, b gview, s int) {
-	h := s / 2
-	a11, a12, a21, a22 := a, a.sub(0, h), a.sub(h, 0), a.sub(h, h)
-	b11, b12, b21, b22 := b, b.sub(0, h), b.sub(h, 0), b.sub(h, h)
-	c11, c12, c21, c22 := c, c.sub(0, h), c.sub(h, 0), c.sub(h, h)
-
-	xg, yg := st.get(h), st.get(h)
-	x, y := gv(xg), gv(yg)
-
-	gSub(x, a11, a21, h)   // X = S3
-	gSub(y, b22, b12, h)   // Y = T3
-	st.mul(c21, x, y, h)   // C21 = P7
-	gAdd(x, a21, a22, h)   // X = S1
-	gSub(y, b12, b11, h)   // Y = T1
-	st.mul(c22, x, y, h)   // C22 = P5
-	gSub(x, x, a11, h)     // X = S2
-	gSub(y, b22, y, h)     // Y = T2
-	st.mul(c12, x, y, h)   // C12 = P6
-	gSub(x, a12, x, h)     // X = S4
-	st.mul(c11, x, b22, h) // C11 = P3
-	st.mul(x, a11, b11, h) // X = P1
-	gAddAcc(c12, x, h)     // C12 = U2
-	gAddAcc(c21, c12, h)   // C21 = U3
-	gAddAcc(c12, c22, h)   // C12 = U4
-	gAddAcc(c22, c21, h)   // C22 final
-	gAddAcc(c12, c11, h)   // C12 final
-	gSub(y, b21, y, h)     // Y = T4′
-	st.mul(c11, a22, y, h) // C11 = P4′
-	gAddAcc(c21, c11, h)   // C21 final
-	st.mul(y, a12, b21, h) // Y = P2
-	gAdd(c11, x, y, h)     // C11 = P1 + P2 final
-
-	st.put(h, xg)
-	st.put(h, yg)
+func (o *gridOps) Quad(v gview, h int) (gview, gview, gview, gview) {
+	return v, v.sub(0, h), v.sub(h, 0), v.sub(h, h)
 }
 
-func (st *gStrassen) classic(c, a, b gview, s int) {
-	if s <= st.base {
-		// Generic-path leaf: k-outer ascending triple loop, the same
-		// per-cell order and rounding as the fused kernels.
-		for k := 0; k < s; k++ {
-			for i := 0; i < s; i++ {
-				u := a.at(i, k)
-				for j := 0; j < s; j++ {
-					t := u * b.at(k, j)
-					c.set(i, j, c.at(i, j)+t)
-				}
+func (o *gridOps) Get(h int) gview    { return gview{g: o.get(h)} }
+func (o *gridOps) Put(h int, v gview) { o.put(h, v.g) }
+
+func (o *gridOps) Add(dst, x, y gview, s int) error {
+	for i := 0; i < s; i++ {
+		for j := 0; j < s; j++ {
+			dst.set(i, j, x.at(i, j)+y.at(i, j))
+		}
+	}
+	return nil
+}
+
+func (o *gridOps) Sub(dst, x, y gview, s int) error {
+	for i := 0; i < s; i++ {
+		for j := 0; j < s; j++ {
+			dst.set(i, j, x.at(i, j)-y.at(i, j))
+		}
+	}
+	return nil
+}
+
+func (o *gridOps) Leaf(c, a, b gview, s int) error {
+	for i := 0; i < s; i++ {
+		for j := 0; j < s; j++ {
+			c.set(i, j, 0)
+		}
+	}
+	classic(o, c, a, b, s)
+	return nil
+}
+
+func (o *gridOps) Peel(c, a, b gview, s int) error {
+	o.peel(c, a, b, s, true)
+	return nil
+}
+
+// block is the generic-path leaf: k-outer ascending triple loop, the
+// same per-cell order and rounding as the fused kernels.
+func (o *gridOps) block(c, a, b gview, s int) bool {
+	if s > o.base {
+		return false
+	}
+	for k := 0; k < s; k++ {
+		for i := 0; i < s; i++ {
+			u := a.at(i, k)
+			for j := 0; j < s; j++ {
+				t := u * b.at(k, j)
+				c.set(i, j, c.at(i, j)+t)
 			}
 		}
-		return
 	}
-	if s&1 == 1 {
-		st.classic(c, a, b, s-1)
-		st.peelFixup(c, a, b, s, false)
-		return
-	}
-	h := s / 2
-	c11, c12, c21, c22 := c, c.sub(0, h), c.sub(h, 0), c.sub(h, h)
-	a1, a2 := a, a.sub(0, h)
-	b1, b2 := b, b.sub(h, 0)
-	st.classic(c11, a1, b1, h)
-	st.classic(c12, a1, b1.sub(0, h), h)
-	st.classic(c21, a1.sub(h, 0), b1, h)
-	st.classic(c22, a1.sub(h, 0), b1.sub(0, h), h)
-	st.classic(c11, a2, b2, h)
-	st.classic(c12, a2, b2.sub(0, h), h)
-	st.classic(c21, a2.sub(h, 0), b2, h)
-	st.classic(c22, a2.sub(h, 0), b2.sub(0, h), h)
+	return true
 }
 
-func (st *gStrassen) peelFixup(c, a, b gview, s int, overwrite bool) {
+func (o *gridOps) fork(_ int, tasks ...func()) {
+	for _, t := range tasks {
+		t()
+	}
+}
+
+func (o *gridOps) peel(c, a, b gview, s int, overwrite bool) {
 	m := s - 1
 	for i := 0; i < m; i++ {
 		u := a.at(i, m)
@@ -185,38 +161,6 @@ func (st *gStrassen) peelFixup(c, a, b gview, s int, overwrite bool) {
 		for j := 0; j < s; j++ {
 			t := u * b.at(k, j)
 			c.set(m, j, c.at(m, j)+t)
-		}
-	}
-}
-
-func gZero(c gview, s int) {
-	for i := 0; i < s; i++ {
-		for j := 0; j < s; j++ {
-			c.set(i, j, 0)
-		}
-	}
-}
-
-func gAdd(dst, x, y gview, s int) {
-	for i := 0; i < s; i++ {
-		for j := 0; j < s; j++ {
-			dst.set(i, j, x.at(i, j)+y.at(i, j))
-		}
-	}
-}
-
-func gSub(dst, x, y gview, s int) {
-	for i := 0; i < s; i++ {
-		for j := 0; j < s; j++ {
-			dst.set(i, j, x.at(i, j)-y.at(i, j))
-		}
-	}
-}
-
-func gAddAcc(dst, src gview, s int) {
-	for i := 0; i < s; i++ {
-		for j := 0; j < s; j++ {
-			dst.set(i, j, dst.at(i, j)+src.at(i, j))
 		}
 	}
 }

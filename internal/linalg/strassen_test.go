@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gep/internal/core"
 	"gep/internal/matrix"
 	"gep/internal/metrics"
 	"gep/internal/par"
@@ -51,7 +52,7 @@ func TestMulStrassenMatchesNaive(t *testing.T) {
 		MulNaive(want, a, b)
 		for _, co := range []int{2, 4, 8, 0} {
 			got := matrix.NewSquare[float64](n)
-			MulStrassen(got, a, b, WithCrossover(co))
+			MulStrassen(got, a, b, co)
 			eff := co
 			if eff == 0 {
 				eff = DefaultCrossover
@@ -78,7 +79,7 @@ func TestMulStrassenDifferential(t *testing.T) {
 		a, b := randDense(rng, n), randDense(rng, n)
 		for _, co := range []int{(n + 1) / 2, 0, 16} { // one level, auto, deep
 			serial := matrix.NewSquare[float64](n)
-			MulStrassen(serial, a, b, WithCrossover(co))
+			MulStrassen(serial, a, b, co)
 			eff := co
 			if eff == 0 {
 				eff = DefaultCrossover
@@ -87,7 +88,7 @@ func TestMulStrassenDifferential(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				rt := par.NewRuntime(workers)
 				got := matrix.NewSquare[float64](n)
-				MulStrassenParallelOn(rt, got, a, b, WithCrossover(co))
+				MulStrassen(got, a, b, co, core.WithParallel[float64](64), core.WithRuntime[float64](rt))
 				rt.Close()
 				if !serial.EqualFunc(got, func(x, y float64) bool { return x == y }) {
 					t.Fatalf("n=%d crossover=%d workers=%d: parallel not bitwise equal to serial", n, co, workers)
@@ -107,10 +108,10 @@ func TestMulStrassenBitwiseReproducible(t *testing.T) {
 	rt := par.NewRuntime(4)
 	defer rt.Close()
 	first := matrix.NewSquare[float64](n)
-	MulStrassenParallelOn(rt, first, a, b, WithCrossover(16))
+	MulStrassen(first, a, b, 16, core.WithParallel[float64](64), core.WithRuntime[float64](rt))
 	for run := 0; run < 3; run++ {
 		got := matrix.NewSquare[float64](n)
-		MulStrassenParallelOn(rt, got, a, b, WithCrossover(16))
+		MulStrassen(got, a, b, 16, core.WithParallel[float64](64), core.WithRuntime[float64](rt))
 		if !first.EqualFunc(got, func(x, y float64) bool { return x == y }) {
 			t.Fatalf("run %d: not bit-reproducible", run)
 		}
@@ -125,10 +126,10 @@ func TestMulStrassenParallelForks(t *testing.T) {
 	n := 384
 	a, b := randDense(rng, n), randDense(rng, n)
 	serial := matrix.NewSquare[float64](n)
-	MulStrassen(serial, a, b)
+	MulStrassen(serial, a, b, 0)
 	rt := par.NewRuntime(4)
 	got := matrix.NewSquare[float64](n)
-	MulStrassenParallelOn(rt, got, a, b)
+	MulStrassen(got, a, b, 0, core.WithParallel[float64](64), core.WithRuntime[float64](rt))
 	pooled := rt.Metrics().Snapshot()["par.spawn.pooled"]
 	rt.Close()
 	if !serial.EqualFunc(got, func(x, y float64) bool { return x == y }) {
@@ -150,7 +151,7 @@ func TestMulStrassenClassicalFallback(t *testing.T) {
 		want := matrix.NewSquare[float64](n)
 		MulFused(want, a, b, 64)
 		got := matrix.NewSquare[float64](n)
-		MulStrassen(got, a, b, WithCrossover(n))
+		MulStrassen(got, a, b, n)
 		if !want.EqualFunc(got, func(x, y float64) bool { return x == y }) {
 			t.Fatalf("n=%d: classical fallback not bitwise equal to MulFused", n)
 		}
@@ -166,7 +167,7 @@ func TestStrassenArenaBalanced(t *testing.T) {
 	a, b := randDense(rng, n), randDense(rng, n)
 	c := matrix.NewSquare[float64](n)
 	before := metrics.Snapshot()
-	MulStrassen(c, a, b, WithCrossover(16))
+	MulStrassen(c, a, b, 16)
 	d := metrics.Diff(before, metrics.Snapshot())
 	get, put, alloc := d["linalg.strassen.arena.get"], d["linalg.strassen.arena.put"], d["linalg.strassen.arena.alloc"]
 	if get == 0 {
@@ -180,7 +181,7 @@ func TestStrassenArenaBalanced(t *testing.T) {
 	}
 }
 
-// TestMulStrassenGenericBitwise: the grid mirror the bounds2
+// TestMulStrassenGenericBitwise: the Grid backend the bounds2
 // experiment traces must be bitwise identical to the flat engine —
 // same recursion shape, same schedule, same rounding — at every shape
 // class and crossover.
@@ -190,7 +191,7 @@ func TestMulStrassenGenericBitwise(t *testing.T) {
 		a, b := randDense(rng, n), randDense(rng, n)
 		for _, co := range []int{4, 16, 0} {
 			want := matrix.NewSquare[float64](n)
-			MulStrassen(want, a, b, WithCrossover(co))
+			MulStrassen(want, a, b, co)
 			got := matrix.NewSquare[float64](n)
 			MulStrassenGeneric(got, a, b, co, nil, nil)
 			if !want.EqualFunc(got, func(x, y float64) bool { return x == y }) {
@@ -213,7 +214,7 @@ func FuzzStrassenVsClassical(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randDense(rng, n), randDense(rng, n)
 		got := matrix.NewSquare[float64](n)
-		MulStrassen(got, a, b, WithCrossover(co))
+		MulStrassen(got, a, b, co)
 		want := matrix.NewSquare[float64](n)
 		MulNaive(want, a, b)
 		eff := co

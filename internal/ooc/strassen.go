@@ -5,20 +5,22 @@ import (
 	"fmt"
 
 	"gep/internal/core"
+	"gep/internal/linalg"
 	"gep/internal/matrix"
 )
 
 // Out-of-core Strassen-Winograd multiplication over the tile-granular
 // store — the first non-GEP access pattern on the tile runtime. The
-// recursion is the same two-temporary Winograd schedule as the in-core
-// engine (internal/linalg/strassen.go): seven sub-products plus
-// fifteen quadrant additions per level, sequenced so the two scratch
-// matrices are reused across sibling products, with classical leaves
-// below the crossover. Every matrix operation is tile-granular:
-// quadrants of a Morton-tiled layout are tile-aligned, so a quadrant
-// view is just a tile-coordinate offset, additions stream tile
-// triples, and leaves run the fused disjoint kernel over resident
-// tile buffers with the C tile pinned across the k sweep.
+// recursion is linalg.Strassen, the in-core engine's two-temporary
+// Winograd schedule (internal/linalg/winograd.go): seven sub-products
+// plus fifteen quadrant additions per level, sequenced so the two
+// scratch matrices are reused across sibling products, with classical
+// leaves below the crossover. This file is its tile backend; every
+// operation is tile-granular: quadrants of a Morton-tiled layout are
+// tile-aligned, so a quadrant view is just a tile-coordinate offset,
+// additions stream tile triples, and leaves run the fused disjoint
+// kernel over resident tile buffers with the C tile pinned across the
+// k sweep.
 //
 // Scratch lives in the same store, past the three matrices, managed by
 // a per-run free list keyed by side: the serial schedule needs two
@@ -80,16 +82,15 @@ func RunStrassen(c, a, b *Matrix, crossover int, opts RunOptions) error {
 		scratch = e
 	}
 	rs := &strassenOOC{
-		s:         c.s,
-		ts:        ts,
-		crossover: crossover,
-		prefetch:  opts.Prefetch,
-		stop:      opts.Stop,
-		layout:    MortonTiledLayout(ts),
-		next:      (scratch + 4095) &^ 4095,
-		freeList:  map[int][]int64{},
+		s:        c.s,
+		ts:       ts,
+		prefetch: opts.Prefetch,
+		stop:     opts.Stop,
+		layout:   MortonTiledLayout(ts),
+		next:     (scratch + 4095) &^ 4095,
+		freeList: map[int][]int64{},
 	}
-	err := rs.mul(mvOf(c), mvOf(a), mvOf(b), n)
+	err := linalg.Strassen(rs, mvOf(c), mvOf(a), mvOf(b), n, crossover)
 	if errors.Is(err, ErrStopped) {
 		return err
 	}
@@ -102,15 +103,15 @@ func RunStrassen(c, a, b *Matrix, crossover int, opts RunOptions) error {
 	return err
 }
 
+// strassenOOC is the tile backend of linalg.Strassen.
 type strassenOOC struct {
-	s         *Store
-	ts        int
-	crossover int
-	prefetch  bool
-	stop      func() bool // RunOptions.Stop; nil never stops
-	layout    LayoutFunc
-	next      int64           // bump pointer for fresh scratch matrices
-	freeList  map[int][]int64 // released scratch bases by side
+	s        *Store
+	ts       int
+	prefetch bool
+	stop     func() bool // RunOptions.Stop; nil never stops
+	layout   LayoutFunc
+	next     int64           // bump pointer for fresh scratch matrices
+	freeList map[int][]int64 // released scratch bases by side
 }
 
 // mview is a quadrant view in tile coordinates: the quadrant whose
@@ -124,85 +125,44 @@ func mvOf(m *Matrix) mview           { return mview{m: m} }
 func (v mview) sub(ti, tj int) mview { return mview{m: v.m, tr: v.tr + ti, tc: v.tc + tj} }
 func (v mview) off(ti, tj int) int64 { return v.m.TileOffset(v.tr+ti, v.tc+tj) }
 
-// alloc hands out an h×h scratch matrix, recycling a released one of
-// the same side when available.
-func (rs *strassenOOC) alloc(h int) *Matrix {
-	if l := rs.freeList[h]; len(l) > 0 {
-		base := l[len(l)-1]
-		rs.freeList[h] = l[:len(l)-1]
-		scratchReuseCount.Inc()
-		return NewMatrix(rs.s, h, base, rs.layout)
-	}
-	base := rs.next
-	rs.next += (int64(h)*int64(h)*8 + 4095) &^ 4095
-	scratchAllocCount.Inc()
-	return NewMatrix(rs.s, h, base, rs.layout)
+func (rs *strassenOOC) Quad(v mview, h int) (mview, mview, mview, mview) {
+	ht := h / rs.ts
+	return v, v.sub(0, ht), v.sub(ht, 0), v.sub(ht, ht)
 }
 
-func (rs *strassenOOC) release(h int, m *Matrix) {
-	rs.freeList[h] = append(rs.freeList[h], m.base)
+// Get hands out an h×h scratch matrix, recycling a released one of
+// the same side when available.
+func (rs *strassenOOC) Get(h int) mview {
+	base := rs.next
+	if l := rs.freeList[h]; len(l) > 0 {
+		base = l[len(l)-1]
+		rs.freeList[h] = l[:len(l)-1]
+		scratchReuseCount.Inc()
+	} else {
+		rs.next += (int64(h)*int64(h)*8 + 4095) &^ 4095
+		scratchAllocCount.Inc()
+	}
+	return mvOf(NewMatrix(rs.s, h, base, rs.layout))
+}
+
+func (rs *strassenOOC) Put(h int, v mview) {
+	rs.freeList[h] = append(rs.freeList[h], v.m.base)
+}
+
+// Peel is never reached: RunStrassen takes power-of-two sides only.
+func (rs *strassenOOC) Peel(_, _, _ mview, s int) error {
+	return fmt.Errorf("ooc: RunStrassen cannot peel odd side %d", s)
 }
 
 // stopped polls RunOptions.Stop, between tiles, with nothing pinned.
 func (rs *strassenOOC) stopped() bool { return rs.stop != nil && rs.stop() }
 
-func (rs *strassenOOC) mul(c, a, b mview, s int) error {
-	if s <= rs.crossover {
-		return rs.leaf(c, a, b, s)
-	}
-	return rs.winograd(c, a, b, s)
-}
-
-// winograd is one recursion level — the same schedule, operand for
-// operand, as the in-core engine; see strassen.go for the expression
-// trees it realizes.
-func (rs *strassenOOC) winograd(c, a, b mview, s int) error {
-	h := s / 2
-	ht := h / rs.ts
-	a11, a12, a21, a22 := a, a.sub(0, ht), a.sub(ht, 0), a.sub(ht, ht)
-	b11, b12, b21, b22 := b, b.sub(0, ht), b.sub(ht, 0), b.sub(ht, ht)
-	c11, c12, c21, c22 := c, c.sub(0, ht), c.sub(ht, 0), c.sub(ht, ht)
-	xm, ym := rs.alloc(h), rs.alloc(h)
-	x, y := mvOf(xm), mvOf(ym)
-	for _, step := range []func() error{
-		func() error { return rs.sub(x, a11, a21, h) }, // X = S3
-		func() error { return rs.sub(y, b22, b12, h) }, // Y = T3
-		func() error { return rs.mul(c21, x, y, h) },   // C21 = P7
-		func() error { return rs.add(x, a21, a22, h) }, // X = S1
-		func() error { return rs.sub(y, b12, b11, h) }, // Y = T1
-		func() error { return rs.mul(c22, x, y, h) },   // C22 = P5
-		func() error { return rs.sub(x, x, a11, h) },   // X = S2
-		func() error { return rs.sub(y, b22, y, h) },   // Y = T2
-		func() error { return rs.mul(c12, x, y, h) },   // C12 = P6
-		func() error { return rs.sub(x, a12, x, h) },   // X = S4
-		func() error { return rs.mul(c11, x, b22, h) }, // C11 = P3
-		func() error { return rs.mul(x, a11, b11, h) }, // X = P1
-		func() error { return rs.addAcc(c12, x, h) },   // C12 = U2
-		func() error { return rs.addAcc(c21, c12, h) }, // C21 = U3
-		func() error { return rs.addAcc(c12, c22, h) }, // C12 = U4
-		func() error { return rs.addAcc(c22, c21, h) }, // C22 final
-		func() error { return rs.addAcc(c12, c11, h) }, // C12 final
-		func() error { return rs.sub(y, b21, y, h) },   // Y = T4′
-		func() error { return rs.mul(c11, a22, y, h) }, // C11 = P4′
-		func() error { return rs.addAcc(c21, c11, h) }, // C21 final
-		func() error { return rs.mul(y, a12, b21, h) }, // Y = P2
-		func() error { return rs.addTo(c11, x, y, h) }, // C11 = P1+P2 final
-	} {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	rs.release(h, xm)
-	rs.release(h, ym)
-	return nil
-}
-
-// leaf is the classical tile loop: for each C tile, pin it fresh
+// Leaf is the classical tile loop: for each C tile, pin it fresh
 // (zeroed, no read) and sweep k ascending, running the fused disjoint
 // kernel over the resident buffers — the per-cell update order is
 // ascending k exactly as in the in-core classical recursion, so leaf
 // results are bitwise identical to MulFused's at any tile side.
-func (rs *strassenOOC) leaf(c, a, b mview, s int) error {
+func (rs *strassenOOC) Leaf(c, a, b mview, s int) error {
 	nt := s / rs.ts
 	for ti := 0; ti < nt; ti++ {
 		for tj := 0; tj < nt; tj++ {
@@ -297,11 +257,5 @@ func subF(d, xv, yv []float64) {
 	}
 }
 
-// add sets dst = x + y; sub sets dst = x − y (dst may alias x or y);
-// addAcc sets dst += src; addTo sets dst = x + y with dst disjoint.
-func (rs *strassenOOC) add(dst, x, y mview, s int) error { return rs.binTile(dst, x, y, s, addF) }
-func (rs *strassenOOC) sub(dst, x, y mview, s int) error { return rs.binTile(dst, x, y, s, subF) }
-func (rs *strassenOOC) addAcc(dst, src mview, s int) error {
-	return rs.binTile(dst, dst, src, s, addF)
-}
-func (rs *strassenOOC) addTo(dst, x, y mview, s int) error { return rs.binTile(dst, x, y, s, addF) }
+func (rs *strassenOOC) Add(dst, x, y mview, s int) error { return rs.binTile(dst, x, y, s, addF) }
+func (rs *strassenOOC) Sub(dst, x, y mview, s int) error { return rs.binTile(dst, x, y, s, subF) }

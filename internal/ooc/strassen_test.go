@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestRunStrassenBitIdenticalToInCore(t *testing.T) {
 	a, b := randomDense(n, 90), randomDense(n, 91)
 	for _, co := range []int{16, 32, 64} {
 		want := matrix.NewSquare[float64](n)
-		linalg.MulStrassen(want, a, b, linalg.WithCrossover(co))
+		linalg.MulStrassen(want, a, b, co)
 		for _, side := range []int{16, 32} {
 			if side > co {
 				continue // crossover is clamped up to the tile side
@@ -144,12 +145,34 @@ func TestRunStrassenValidation(t *testing.T) {
 	if err := RunStrassen(rm, other, other, 16, RunOptions{}); err == nil {
 		t.Fatalf("row-major (untiled) layout accepted")
 	}
+	// A tile-contiguous layout (8² tiles in row-major tile order) over
+	// a side that is not a power of two: the tile backend cannot peel.
+	tiles8 := func(n int) Layout {
+		nt := n / 8
+		tile := func(ti, tj int) int64 { return int64(ti*nt+tj) * 64 }
+		return Layout{
+			Index: func(i, j int) int64 { return tile(i/8, j/8) + int64(i%8*8+j%8) },
+			Tile:  &Tiling{Side: 8, Index: tile},
+		}
+	}
+	const odd = 24
+	oddBytes := int64(odd) * int64(odd) * 8
+	oa := NewMatrix(s2, odd, 2*int64(n)*int64(n)*8, tiles8)
+	ob := NewMatrix(s2, odd, oa.base+oddBytes, tiles8)
+	oc := NewMatrix(s2, odd, ob.base+oddBytes, tiles8)
+	if err := RunStrassen(oc, oa, ob, 8, RunOptions{}); err == nil {
+		t.Fatalf("side %d (not a power of two) accepted", odd)
+	}
+	m8 := NewMatrix(s, n, 3*int64(n)*int64(n)*8, MortonTiledLayout(8))
+	if err := RunStrassen(mc, ma, m8, 16, RunOptions{}); err == nil {
+		t.Fatalf("mismatched tile sides (16 and 8) accepted")
+	}
 	// The in-store matrices are untouched by the failed calls.
 	if err := RunStrassen(mc, ma, mb, 16, RunOptions{}); err != nil {
 		t.Fatalf("valid call after rejected ones: %v", err)
 	}
 	want := matrix.NewSquare[float64](n)
-	linalg.MulStrassen(want, a, b, linalg.WithCrossover(16))
+	linalg.MulStrassen(want, a, b, 16)
 	got, err := mc.Unload()
 	if err != nil {
 		t.Fatalf("unload: %v", err)
@@ -178,4 +201,42 @@ func TestRunStrassenStop(t *testing.T) {
 			s.Abandon()
 		}
 	}
+}
+
+// FuzzStrassenBackends: the three backends of linalg.Strassen — flat
+// slices (MulStrassen), matrix.Grid (MulStrassenGeneric) and store
+// tiles (RunStrassen) — give the same bits for a power-of-two side n
+// in [8, 128], a tile side in [8, n] (one 512-byte page or more), a
+// crossover at or above the tile side (at or above n: purely
+// classical) and a cache of 3 to 18 tiles. Auto-discovered by the CI
+// fuzz job.
+func FuzzStrassenBackends(f *testing.F) {
+	// TestRunStrassenBitIdenticalToInCore's n = 64, tile 16, 3-tile
+	// cache case, at crossovers 16 and 32.
+	f.Add(int64(90), uint8(3), uint8(2), uint8(0), uint8(0), false)
+	f.Add(int64(90), uint8(3), uint8(2), uint8(1), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, nLog, tileShift, coShift, cacheTiles uint8, prefetch bool) {
+		n := 8 << (nLog % 5)
+		side := n >> (int(tileShift) % (bits.Len(uint(n)) - 3)) // n/side ≤ n/8
+		co := side << (int(coShift) % (bits.Len(uint(n/side)) + 1))
+		cache := int64(cacheTiles%16+3) * int64(side) * int64(side) * 8
+		a, b := randomDense(n, seed), randomDense(n, seed+1)
+
+		want := matrix.NewSquare[float64](n)
+		linalg.MulStrassen(want, a, b, co)
+		grid := matrix.NewSquare[float64](n)
+		linalg.MulStrassenGeneric(grid, a, b, co, nil, nil)
+		bitsEqual(t, "MulStrassenGeneric", want, grid)
+
+		s, mc, ma, mb := strassenStore(t, n, side, cache, a, b)
+		defer s.Close()
+		if err := RunStrassen(mc, ma, mb, co, RunOptions{Prefetch: prefetch}); err != nil {
+			t.Fatalf("n=%d side=%d co=%d cache=%d: RunStrassen: %v", n, side, co, cache, err)
+		}
+		got, err := mc.Unload()
+		if err != nil {
+			t.Fatalf("unload: %v", err)
+		}
+		bitsEqual(t, "RunStrassen", want, got)
+	})
 }

@@ -263,14 +263,16 @@ func execMultiply(s *Spec, rt *par.Runtime) (*output, error) {
 	} else {
 		a, b = randMatrix(s.N, s.Seed, false), randMatrix(s.N, s.Seed+1, false)
 	}
+	// Strassen recurses down to crossover 32 rather than the
+	// wall-clock-tuned default, so even modest jobs run sub-cubically,
+	// in core and out of core alike: the two agree bit for bit.
+	// Crossover n is the purely classical tile loop, bit-identical to
+	// the fused in-core engine.
+	crossover := s.N
+	if s.Engine == "strassen" {
+		crossover = 32
+	}
 	if s.Storage != nil {
-		// Crossover n = purely classical tile loop (bit-identical to
-		// the fused in-core engine); 32 matches the in-core Strassen
-		// crossover so both engines agree bit-for-bit.
-		crossover := s.N
-		if s.Engine == "strassen" {
-			crossover = 32
-		}
 		c, err := runDurableMultiply(s.Storage, rt, a, b, crossover)
 		if err != nil {
 			return nil, err
@@ -279,10 +281,9 @@ func execMultiply(s *Spec, rt *par.Runtime) (*output, error) {
 	}
 	c := matrix.NewSquare[float64](s.N)
 	if s.Engine == "strassen" {
-		// Crossover 32 rather than the wall-clock-tuned default so
-		// even modest jobs actually recurse sub-cubically (and fork on
-		// the job's private runtime), mirroring execBase/execGrain.
-		linalg.MulStrassenParallelOn(rt, c, a, b, linalg.WithCrossover(32))
+		// The job never forks: each classical leaf is one fused block
+		// of side at most 32, and quadrants fork only above execGrain.
+		linalg.MulStrassen(c, a, b, crossover, append(onJob[float64](rt), core.WithBaseSize[float64](execBase))...)
 	} else {
 		linalg.MulFused(c, a, b, execBase, onJob[float64](rt)...)
 	}
