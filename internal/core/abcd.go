@@ -1,6 +1,9 @@
 package core
 
-import "gep/internal/matrix"
+import (
+	"gep/internal/matrix"
+	"gep/internal/par"
+)
 
 // Multithreaded I-GEP (Figures 4-6 of the paper): the schedule
 // RunIGEP and RunCGEP run under WithParallel, and RunDisjoint always.
@@ -27,10 +30,10 @@ import "gep/internal/matrix"
 // (Theorem 3.1), and O(n) for the all-D disjoint recursion of matrix
 // multiplication.
 
-// abcd is the A/B/C/D recursion of Figure 6. In place, the overlap
-// kind follows from the coordinates; over the disjoint operands of
-// RunDisjoint every call is a D call.
-func (e *engine[T]) abcd(xi, xj, k0, s int) {
+// abcd is the A/B/C/D recursion of Figure 6, forking from cx. In
+// place, the overlap kind follows from the coordinates; over the
+// disjoint operands of RunDisjoint every call is a D call.
+func (e *engine[T]) abcd(cx par.Ctx, xi, xj, k0, s int) {
 	if e.leaf(xi, xj, k0, s) {
 		return
 	}
@@ -38,67 +41,67 @@ func (e *engine[T]) abcd(xi, xj, k0, s int) {
 	iK, jK := e.d.inPlace && xi == k0, e.d.inPlace && xj == k0
 	switch {
 	case iK && jK: // A (Figure 6, function A)
-		e.abcd(xi, xj, k0, h) // A(X11)
-		e.par(s,
-			func() { e.abcd(xi, xj+h, k0, h) }, // B1(X12)
-			func() { e.abcd(xi+h, xj, k0, h) }, // C1(X21)
+		e.abcd(cx, xi, xj, k0, h) // A(X11)
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi, xj+h, k0, h) }, // B1(X12)
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj, k0, h) }, // C1(X21)
 		)
-		e.abcd(xi+h, xj+h, k0, h)   // D1(X22)
-		e.abcd(xi+h, xj+h, k0+h, h) // A(X22)
-		e.par(s,
-			func() { e.abcd(xi+h, xj, k0+h, h) }, // B2(X21)
-			func() { e.abcd(xi, xj+h, k0+h, h) }, // C2(X12)
+		e.abcd(cx, xi+h, xj+h, k0, h)   // D1(X22)
+		e.abcd(cx, xi+h, xj+h, k0+h, h) // A(X22)
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj, k0+h, h) }, // B2(X21)
+			func(cx par.Ctx) { e.abcd(cx, xi, xj+h, k0+h, h) }, // C2(X12)
 		)
-		e.abcd(xi, xj, k0+h, h) // D4(X11)
+		e.abcd(cx, xi, xj, k0+h, h) // D4(X11)
 
 	case iK: // B (X rows coincide with the pivot rows)
-		e.par(s,
-			func() { e.abcd(xi, xj, k0, h) },   // B(X11)
-			func() { e.abcd(xi, xj+h, k0, h) }, // B(X12)
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi, xj, k0, h) },   // B(X11)
+			func(cx par.Ctx) { e.abcd(cx, xi, xj+h, k0, h) }, // B(X12)
 		)
-		e.par(s,
-			func() { e.abcd(xi+h, xj, k0, h) },   // D(X21)
-			func() { e.abcd(xi+h, xj+h, k0, h) }, // D(X22)
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj, k0, h) },   // D(X21)
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj+h, k0, h) }, // D(X22)
 		)
-		e.par(s,
-			func() { e.abcd(xi+h, xj, k0+h, h) },   // B(X21)
-			func() { e.abcd(xi+h, xj+h, k0+h, h) }, // B(X22)
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj, k0+h, h) },   // B(X21)
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj+h, k0+h, h) }, // B(X22)
 		)
-		e.par(s,
-			func() { e.abcd(xi, xj, k0+h, h) },   // D(X11)
-			func() { e.abcd(xi, xj+h, k0+h, h) }, // D(X12)
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi, xj, k0+h, h) },   // D(X11)
+			func(cx par.Ctx) { e.abcd(cx, xi, xj+h, k0+h, h) }, // D(X12)
 		)
 
 	case jK: // C (X columns coincide with the pivot columns)
-		e.par(s,
-			func() { e.abcd(xi, xj, k0, h) },   // C(X11)
-			func() { e.abcd(xi+h, xj, k0, h) }, // C(X21)
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi, xj, k0, h) },   // C(X11)
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj, k0, h) }, // C(X21)
 		)
-		e.par(s,
-			func() { e.abcd(xi, xj+h, k0, h) },   // D(X12)
-			func() { e.abcd(xi+h, xj+h, k0, h) }, // D(X22)
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi, xj+h, k0, h) },   // D(X12)
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj+h, k0, h) }, // D(X22)
 		)
-		e.par(s,
-			func() { e.abcd(xi, xj+h, k0+h, h) },   // C(X12)
-			func() { e.abcd(xi+h, xj+h, k0+h, h) }, // C(X22)
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi, xj+h, k0+h, h) },   // C(X12)
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj+h, k0+h, h) }, // C(X22)
 		)
-		e.par(s,
-			func() { e.abcd(xi, xj, k0+h, h) },   // D(X11)
-			func() { e.abcd(xi+h, xj, k0+h, h) }, // D(X21)
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi, xj, k0+h, h) },   // D(X11)
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj, k0+h, h) }, // D(X21)
 		)
 
 	default: // D (X disjoint from pivot rows and columns)
-		e.par(s,
-			func() { e.abcd(xi, xj, k0, h) },
-			func() { e.abcd(xi, xj+h, k0, h) },
-			func() { e.abcd(xi+h, xj, k0, h) },
-			func() { e.abcd(xi+h, xj+h, k0, h) },
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi, xj, k0, h) },
+			func(cx par.Ctx) { e.abcd(cx, xi, xj+h, k0, h) },
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj, k0, h) },
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj+h, k0, h) },
 		)
-		e.par(s,
-			func() { e.abcd(xi, xj, k0+h, h) },
-			func() { e.abcd(xi, xj+h, k0+h, h) },
-			func() { e.abcd(xi+h, xj, k0+h, h) },
-			func() { e.abcd(xi+h, xj+h, k0+h, h) },
+		e.par(cx, s,
+			func(cx par.Ctx) { e.abcd(cx, xi, xj, k0+h, h) },
+			func(cx par.Ctx) { e.abcd(cx, xi, xj+h, k0+h, h) },
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj, k0+h, h) },
+			func(cx par.Ctx) { e.abcd(cx, xi+h, xj+h, k0+h, h) },
 		)
 	}
 }
@@ -128,5 +131,5 @@ func RunDisjoint[T any](x, u, v, w matrix.Grid[T], op Op[T], set UpdateSet, opts
 	d := newDispatcher(op, set, operandOf(x), operandOf(u), operandOf(v), operandOf(w))
 	cfg.resolveBaseSize(d.flat, false)
 	e := &engine[T]{d: &d, cfg: &cfg}
-	e.abcd(0, 0, 0, n)
+	e.abcd(par.Or(cfg.rt).Root(), 0, 0, 0, n)
 }

@@ -49,10 +49,11 @@ type engine[T any] struct {
 }
 
 // run executes the whole n×n computation: the Figure 6 schedule when
-// WithParallel is set, F's order otherwise.
+// WithParallel is set, forking from a root of the run's runtime, and
+// F's order otherwise.
 func (e *engine[T]) run(n int) {
 	if e.cfg.parallel {
-		e.abcd(0, 0, 0, n)
+		e.abcd(par.Or(e.cfg.rt).Root(), 0, 0, 0, n)
 	} else {
 		e.igep(0, 0, 0, n)
 	}
@@ -75,29 +76,21 @@ func (e *engine[T]) leaf(i0, j0, k0, s int) bool {
 
 // par executes tasks as one fork-join group, the `parallel:` step of
 // Figure 6: when parallel execution is enabled and the subproblem side
-// s is above the grain, all but the last task are forked on the run's
-// work-stealing runtime (internal/par; the default one unless
-// WithRuntime set another) and the last runs on the calling goroutine;
-// otherwise all run serially in order. A fork goes to the caller's
-// worker deque, and forks at or past the runtime's depth cutoff run
-// inline, so a run never oversubscribes the Go scheduler.
-func (e *engine[T]) par(s int, tasks ...func()) {
+// s is above the grain, it is cx.Do on the run's work-stealing runtime
+// (internal/par; the default one unless WithRuntime set another) —
+// all but the last task forked, the last run in cx; otherwise all run
+// serially in order in cx. A fork goes to the caller's worker deque,
+// and forks at or past the runtime's depth cutoff run inline, so a run
+// never oversubscribes the Go scheduler.
+func (e *engine[T]) par(cx par.Ctx, s int, tasks ...func(par.Ctx)) {
 	if !e.cfg.parallel || s <= e.cfg.grain {
 		for _, t := range tasks {
-			t()
+			t(cx)
 		}
 		return
 	}
 	forkCount.Add(int64(len(tasks) - 1))
-	rt := par.Or(e.cfg.rt)
-	waits := make([]func(), 0, len(tasks)-1)
-	for _, t := range tasks[:len(tasks)-1] {
-		waits = append(waits, rt.Spawn(t))
-	}
-	tasks[len(tasks)-1]()
-	for _, w := range waits {
-		w()
-	}
+	cx.Do(tasks...)
 }
 
 // igep is F(X, k1, k2) with X = c[i0 : i0+s, j0 : j0+s] and the k-range

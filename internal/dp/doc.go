@@ -15,14 +15,14 @@
 // steps for the cross-quadrant contributions. With integer costs the
 // two forms produce bitwise-identical tables.
 //
+// Both forms are serial.
+//
 // Key entry points:
 //
-//   - ParenthesisIterative / ParenthesisCacheOblivious /
-//     ParenthesisParallel over a CostFunc, with MatrixChainOrder as
-//     the classic instantiation and Traceback to recover the optimal
-//     split tree.
-//   - AlignIterative / AlignCacheOblivious / AlignParallel over
-//     GapCosts; AffineCosts builds the affine special case and
-//     GotohAffine is the independent O(nm) oracle the tests compare
-//     against.
+//   - ParenthesisIterative / ParenthesisCacheOblivious over a
+//     CostFunc, with MatrixChainOrder as the classic instantiation and
+//     Traceback to recover the optimal split tree.
+//   - AlignIterative / AlignCacheOblivious over GapCosts; AffineCosts
+//     builds the affine special case and GotohAffine is the
+//     independent O(nm) oracle the tests compare against.
 package dp

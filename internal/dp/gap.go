@@ -87,12 +87,7 @@ type gapSolver struct {
 	d     *matrix.Dense[float64]
 	g     GapCosts
 	block int
-	// grain > 0 enables goroutine execution of the independent
-	// top-right/bottom-left quadrants above the grain size.
-	grain int
 }
-
-func (s *gapSolver) parAt(size int) bool { return s.grain > 0 && size > s.grain }
 
 // solve computes cells [i1,i2] × [j1,j2] (inclusive), assuming every
 // contribution from cells above/left of the block — the diagonal
@@ -111,18 +106,16 @@ func (s *gapSolver) solve(i1, i2, j1, j2 int) {
 	if i2-i1+1 > s.block && j2-j1+1 > s.block {
 		// Quadrant split: after the top-left quadrant, the top-right
 		// and bottom-left quadrants touch disjoint cells and read only
-		// completed regions — they run in parallel (the gap-problem
-		// analogue of Figure 6's independent B/C calls).
+		// completed regions — they are independent (the gap-problem
+		// analogue of Figure 6's B/C calls).
 		im, jm := (i1+i2)/2, (j1+j2)/2
 		s.solve(i1, im, j1, jm) // TL
 		s.applyRow(i1, im, j1, jm, jm+1, j2)
 		s.applyDiagCol(jm+1, i1, im)
 		s.applyCol(im+1, i2, i1, im, j1, jm)
 		s.applyDiagRow(im+1, j1, jm)
-		par2(s.parAt(i2-i1+1),
-			func() { s.solve(i1, im, jm+1, j2) }, // TR
-			func() { s.solve(im+1, i2, j1, jm) }, // BL
-		)
+		s.solve(i1, im, jm+1, j2) // TR
+		s.solve(im+1, i2, j1, jm) // BL
 		s.applyCol(im+1, i2, i1, im, jm+1, j2)
 		s.applyRow(im+1, i2, j1, jm, jm+1, j2)
 		s.applyDiagRow(im+1, jm+1, j2)

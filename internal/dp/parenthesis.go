@@ -75,9 +75,6 @@ type parenSolver struct {
 	c     *matrix.Dense[float64]
 	w     CostFunc
 	block int
-	// grain > 0 enables goroutine execution of independent calls on
-	// subproblems larger than grain.
-	grain int
 	// dims, when non-nil, declares w to be the matrix-chain weight
 	// dims[i]·dims[k]·dims[j]; the hot loops then inline the product
 	// instead of making an indirect w call per candidate split. The
@@ -85,9 +82,6 @@ type parenSolver struct {
 	// MatrixChainCost, so results are bit-identical.
 	dims []float64
 }
-
-// parAt reports whether work of the given size should fork.
-func (p *parenSolver) parAt(size int) bool { return p.grain > 0 && size > p.grain }
 
 // solve computes every c[i][j] with l <= i < j <= r, assuming nothing
 // precomputed beyond the unit intervals.
@@ -122,9 +116,8 @@ func (p *parenSolver) solve(l, r int) {
 	}
 	m := (l + r) / 2
 	// The two half triangles are independent.
-	par2(p.parAt(r-l),
-		func() { p.solve(l, m) },
-		func() { p.solve(m, r) })
+	p.solve(l, m)
+	p.solve(m, r)
 	// Seed the rectangle X = [l,m) × (m,r] with the k = m split, the
 	// only contribution exterior to the whole rectangle.
 	if wd := p.dims; wd != nil {
@@ -238,20 +231,18 @@ func (p *parenSolver) apply(i1, i2, k1, k2, j1, j2 int) {
 	switch {
 	case di >= dk && di >= dj:
 		im := (i1 + i2) / 2
-		// Disjoint target rows: parallel-safe.
-		par2(p.parAt(di),
-			func() { p.apply(i1, im, k1, k2, j1, j2) },
-			func() { p.apply(im+1, i2, k1, k2, j1, j2) })
+		// Disjoint target rows.
+		p.apply(i1, im, k1, k2, j1, j2)
+		p.apply(im+1, i2, k1, k2, j1, j2)
 	case dk >= dj:
-		// Both halves fold into the same cells: keep sequential.
+		// Both halves fold into the same cells.
 		km := (k1 + k2) / 2
 		p.apply(i1, i2, k1, km, j1, j2)
 		p.apply(i1, i2, km+1, k2, j1, j2)
 	default:
 		jm := (j1 + j2) / 2
-		par2(p.parAt(dj),
-			func() { p.apply(i1, i2, k1, k2, j1, jm) },
-			func() { p.apply(i1, i2, k1, k2, jm+1, j2) })
+		p.apply(i1, i2, k1, k2, j1, jm)
+		p.apply(i1, i2, k1, k2, jm+1, j2)
 	}
 }
 

@@ -123,8 +123,11 @@ type caRun struct {
 	swaps int
 }
 
+// factor runs the panel loop, forking (when r.rt is set) from one
+// root of the runtime.
 func (r *caRun) factor() error {
 	n, b := r.n, r.cfg.panel
+	cx := par.Or(r.rt).Root()
 	for kk := 0; kk < n; kk += b {
 		w := b
 		if kk+w > n {
@@ -133,7 +136,7 @@ func (r *caRun) factor() error {
 		pivotPanels.Inc()
 		// 1. Tournament: choose the panel's w pivot rows by the
 		// reduction tree over the current (already-updated) panel.
-		sel := r.tourney(kk, w, kk, n)
+		sel := r.tourney(cx, kk, w, kk, n)
 		if len(sel) < w {
 			// An aborted runtime skipped matches of the tournament,
 			// whose winners never came back: stop before indexing them.
@@ -167,10 +170,10 @@ func (r *caRun) factor() error {
 			return err
 		}
 		// 4. Row-panel update: U12 ← L11⁻¹·A12 (unit lower triangle).
-		r.rowPanel(kk, w)
+		r.rowPanel(cx, kk, w)
 		// 5. Trailing Schur update A22 −= L21·U12 through the fused
 		// cache-oblivious kernel tier.
-		r.trailing(kk+w, n, kk+w, n, kk, w)
+		r.trailing(cx, kk+w, n, kk+w, n, kk, w)
 	}
 	return nil
 }
@@ -178,8 +181,8 @@ func (r *caRun) factor() error {
 // tourney selects w pivot rows for the panel columns [kk, kk+w) from
 // rows [lo, hi): blocks of 2w rows run a local partial-pivoted
 // factorization and their winners merge pairwise up the tree — the
-// CALU reduction. Independent subtrees fork on the runtime.
-func (r *caRun) tourney(kk, w, lo, hi int) []int {
+// CALU reduction. Independent subtrees fork from cx.
+func (r *caRun) tourney(cx par.Ctx, kk, w, lo, hi int) []int {
 	if hi-lo <= 2*w {
 		cand := make([]int, hi-lo)
 		for i := range cand {
@@ -193,13 +196,13 @@ func (r *caRun) tourney(kk, w, lo, hi int) []int {
 	mid := lo + (blocks/2)*2*w
 	var left, right []int
 	if r.rt != nil && hi-lo > 8*w {
-		r.rt.Do(
-			func() { left = r.tourney(kk, w, lo, mid) },
-			func() { right = r.tourney(kk, w, mid, hi) },
+		cx.Do(
+			func(cx par.Ctx) { left = r.tourney(cx, kk, w, lo, mid) },
+			func(cx par.Ctx) { right = r.tourney(cx, kk, w, mid, hi) },
 		)
 	} else {
-		left = r.tourney(kk, w, lo, mid)
-		right = r.tourney(kk, w, mid, hi)
+		left = r.tourney(cx, kk, w, lo, mid)
+		right = r.tourney(cx, kk, w, mid, hi)
 	}
 	pivotMatches.Inc()
 	merged := make([]int, 0, len(left)+len(right))
@@ -300,14 +303,17 @@ func (r *caRun) panelLU(kk, w int) error {
 
 // rowPanel applies L11's eliminations to the row panel A12 (forward
 // substitution with the unit lower triangle), forking disjoint column
-// ranges on the runtime.
-func (r *caRun) rowPanel(kk, w int) {
+// ranges from cx.
+func (r *caRun) rowPanel(cx par.Ctx, kk, w int) {
 	n := r.lu.N()
-	var apply func(j0, j1 int)
-	apply = func(j0, j1 int) {
+	var apply func(cx par.Ctx, j0, j1 int)
+	apply = func(cx par.Ctx, j0, j1 int) {
 		if r.rt != nil && j1-j0 > r.cfg.grain {
 			h := j0 + (j1-j0)/2
-			r.rt.Do(func() { apply(j0, h) }, func() { apply(h, j1) })
+			cx.Do(
+				func(cx par.Ctx) { apply(cx, j0, h) },
+				func(cx par.Ctx) { apply(cx, h, j1) },
+			)
 			return
 		}
 		for k := kk; k < kk+w; k++ {
@@ -321,7 +327,7 @@ func (r *caRun) rowPanel(kk, w int) {
 			}
 		}
 	}
-	apply(kk+w, n)
+	apply(cx, kk+w, n)
 }
 
 // trailing runs the Schur-complement update
@@ -330,8 +336,8 @@ func (r *caRun) rowPanel(kk, w int) {
 // leaves dispatch core.DisjointBlock with the fused MulSub op — the
 // same kernel tier (and counters) as the pivot-free engines — and the
 // ragged edges of non-multiple sides fall back to the register-blocked
-// rectangular loop.
-func (r *caRun) trailing(i0, i1, j0, j1, k0, w int) {
+// rectangular loop. Both halves of a split fork from cx.
+func (r *caRun) trailing(cx par.Ctx, i0, i1, j0, j1, k0, w int) {
 	m, q := i1-i0, j1-j0
 	if m <= 0 || q <= 0 {
 		return
@@ -354,12 +360,12 @@ func (r *caRun) trailing(i0, i1, j0, j1, k0, w int) {
 	}
 	// Halve the longer axis at a multiple of w so interior leaves stay
 	// exactly w×w; both halves write disjoint C tiles, so they fork.
-	fork := func(size int, f1, f2 func()) {
+	fork := func(size int, f1, f2 func(par.Ctx)) {
 		if r.rt != nil && size > r.cfg.grain {
-			r.rt.Do(f1, f2)
+			cx.Do(f1, f2)
 		} else {
-			f1()
-			f2()
+			f1(cx)
+			f2(cx)
 		}
 	}
 	if m >= q {
@@ -369,8 +375,8 @@ func (r *caRun) trailing(i0, i1, j0, j1, k0, w int) {
 		}
 		h := i0 + half
 		fork(m,
-			func() { r.trailing(i0, h, j0, j1, k0, w) },
-			func() { r.trailing(h, i1, j0, j1, k0, w) })
+			func(cx par.Ctx) { r.trailing(cx, i0, h, j0, j1, k0, w) },
+			func(cx par.Ctx) { r.trailing(cx, h, i1, j0, j1, k0, w) })
 	} else {
 		half := (q / 2 / w) * w
 		if half == 0 {
@@ -378,8 +384,8 @@ func (r *caRun) trailing(i0, i1, j0, j1, k0, w int) {
 		}
 		h := j0 + half
 		fork(q,
-			func() { r.trailing(i0, i1, j0, h, k0, w) },
-			func() { r.trailing(i0, i1, h, j1, k0, w) })
+			func(cx par.Ctx) { r.trailing(cx, i0, i1, j0, h, k0, w) },
+			func(cx par.Ctx) { r.trailing(cx, i0, i1, h, j1, k0, w) })
 	}
 }
 

@@ -176,11 +176,13 @@ func (f *flatOps) Sub(dst, x, y fview, s int) error {
 	return nil
 }
 
+// Leaf roots each classical leaf's forks on rt: the Winograd chain
+// above it runs serially.
 func (f *flatOps) Leaf(c, a, b fview, s int) error {
 	for i := 0; i < s; i++ {
 		clear(c.row(i, s))
 	}
-	classic(f, c, a, b, s)
+	classic(f, par.Or(f.rt).Root(), c, a, b, s)
 	return nil
 }
 
@@ -198,13 +200,13 @@ func (f *flatOps) block(c, a, b fview, s int) bool {
 	return true
 }
 
-func (f *flatOps) fork(s int, tasks ...func()) {
+func (f *flatOps) fork(cx par.Ctx, s int, tasks ...func(par.Ctx)) {
 	if f.rt != nil && s > f.grain {
-		f.rt.Do(tasks...)
+		cx.Do(tasks...)
 		return
 	}
 	for _, t := range tasks {
-		t()
+		t(cx)
 	}
 }
 

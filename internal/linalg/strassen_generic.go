@@ -3,6 +3,7 @@ package linalg
 import (
 	"gep/internal/core"
 	"gep/internal/matrix"
+	"gep/internal/par"
 )
 
 // MulStrassenGeneric runs MulStrassen's schedule (winograd.go) over
@@ -59,8 +60,9 @@ func (v gview) sub(i, j int) gview      { return gview{g: v.g, i0: v.i0 + i, j0:
 func (v gview) at(i, j int) float64     { return v.g.At(v.i0+i, v.j0+j) }
 func (v gview) set(i, j int, x float64) { v.g.Set(v.i0+i, v.j0+j, x) }
 
-// gridOps is the matrix.Grid backend of Strassen and classic: serial,
-// with temporaries from the caller's pool.
+// gridOps is the matrix.Grid backend of Strassen and classic: serial
+// (its fork runs the tasks in order, in the zero par.Ctx its Leaf
+// passes), with temporaries from the caller's pool.
 type gridOps struct {
 	base int
 	get  func(h int) matrix.Grid[float64]
@@ -98,7 +100,7 @@ func (o *gridOps) Leaf(c, a, b gview, s int) error {
 			c.set(i, j, 0)
 		}
 	}
-	classic(o, c, a, b, s)
+	classic(o, par.Ctx{}, c, a, b, s)
 	return nil
 }
 
@@ -125,9 +127,9 @@ func (o *gridOps) block(c, a, b gview, s int) bool {
 	return true
 }
 
-func (o *gridOps) fork(_ int, tasks ...func()) {
+func (o *gridOps) fork(cx par.Ctx, _ int, tasks ...func(par.Ctx)) {
 	for _, t := range tasks {
-		t()
+		t(cx)
 	}
 }
 

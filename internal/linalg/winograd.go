@@ -1,5 +1,7 @@
 package linalg
 
+import "gep/internal/par"
+
 // The Strassen-Winograd recursion, written once: Strassen runs the
 // crossover test, the odd-side peel dispatch and the Winograd level
 // over any StrassenOps backend — flat slices (MulStrassen),
@@ -125,22 +127,23 @@ type classicOps[V any] interface {
 	// peel is Peel with overwrite set; without it the peeled column
 	// and row accumulate into c.
 	peel(c, a, b V, s int, overwrite bool)
-	// fork runs the tasks of one k-half, forked when the backend
-	// forks at side s.
-	fork(s int, tasks ...func())
+	// fork runs the tasks of one k-half in cx, forked from it when
+	// the backend forks at side s.
+	fork(cx par.Ctx, s int, tasks ...func(par.Ctx))
 }
 
 // classic computes c += a·b with the classical cache-oblivious
 // recursion on any side: base blocks run the backend's kernel, odd
 // sides peel, and even sides split 8-way with the two k-halves
 // sequenced, so each cell's additions stay in ascending k order. On
-// power-of-two sides this is exactly MulFused's update order.
-func classic[V any](o classicOps[V], c, a, b V, s int) {
+// power-of-two sides this is exactly MulFused's update order. Forks
+// come from cx.
+func classic[V any](o classicOps[V], cx par.Ctx, c, a, b V, s int) {
 	if o.block(c, a, b, s) {
 		return
 	}
 	if s&1 == 1 {
-		classic(o, c, a, b, s-1)
+		classic(o, cx, c, a, b, s-1)
 		o.peel(c, a, b, s, false)
 		return
 	}
@@ -148,14 +151,14 @@ func classic[V any](o classicOps[V], c, a, b V, s int) {
 	c11, c12, c21, c22 := o.Quad(c, h)
 	a11, a12, a21, a22 := o.Quad(a, h)
 	b11, b12, b21, b22 := o.Quad(b, h)
-	o.fork(s,
-		func() { classic(o, c11, a11, b11, h) },
-		func() { classic(o, c12, a11, b12, h) },
-		func() { classic(o, c21, a21, b11, h) },
-		func() { classic(o, c22, a21, b12, h) })
-	o.fork(s,
-		func() { classic(o, c11, a12, b21, h) },
-		func() { classic(o, c12, a12, b22, h) },
-		func() { classic(o, c21, a22, b21, h) },
-		func() { classic(o, c22, a22, b22, h) })
+	o.fork(cx, s,
+		func(cx par.Ctx) { classic(o, cx, c11, a11, b11, h) },
+		func(cx par.Ctx) { classic(o, cx, c12, a11, b12, h) },
+		func(cx par.Ctx) { classic(o, cx, c21, a21, b11, h) },
+		func(cx par.Ctx) { classic(o, cx, c22, a21, b12, h) })
+	o.fork(cx, s,
+		func(cx par.Ctx) { classic(o, cx, c11, a12, b21, h) },
+		func(cx par.Ctx) { classic(o, cx, c12, a12, b22, h) },
+		func(cx par.Ctx) { classic(o, cx, c21, a22, b21, h) },
+		func(cx par.Ctx) { classic(o, cx, c22, a22, b22, h) })
 }

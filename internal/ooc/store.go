@@ -384,22 +384,20 @@ func (s *Store) Frontier() int64 {
 	return s.jr.frontier
 }
 
-// spawn runs f on the store's configured runtime (or the package
-// default) and returns its join.
+// spawn forks f from a root of the store's configured runtime (or the
+// package default) and returns its join.
 func (s *Store) spawn(f func()) func() {
-	if s.cfg.Runtime != nil {
-		if s.cfg.Runtime.Aborted() {
-			// An aborted runtime drops spawned bodies, which would leak
-			// the in-flight slot the closure is responsible for
-			// releasing. Run inline instead: the store's accounting
-			// stays sound while the driver's Stop poll winds the run
-			// down (the job's output is discarded anyway).
-			f()
-			return func() {}
-		}
-		return s.cfg.Runtime.Spawn(f)
+	rt := par.Or(s.cfg.Runtime)
+	if rt.Aborted() {
+		// An aborted runtime drops spawned bodies, which would leak the
+		// in-flight slot the closure is responsible for releasing. Run
+		// inline instead: the store's accounting stays sound while the
+		// driver's Stop poll winds the run down (the job's output is
+		// discarded anyway).
+		f()
+		return func() {}
 	}
-	return par.Spawn(f)
+	return rt.Root().Spawn(func(par.Ctx) { f() })
 }
 
 // Stats returns a snapshot of the I/O counters.

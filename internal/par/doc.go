@@ -1,6 +1,6 @@
 // Package par is the work-stealing fork-join runtime behind the
-// parallel GEP engines (internal/core, internal/linalg, internal/apsp,
-// internal/dp).
+// parallel GEP engines (internal/core, internal/linalg, internal/apsp)
+// and the out-of-core store's background I/O (internal/ooc).
 //
 // The multithreaded recursions of Figure 6 expose far more parallel
 // tasks than there are processors — that surplus (parallel slack) is
@@ -21,13 +21,20 @@
 // stealing no shallower than the awaited fork), which makes nested
 // fork-join deadlock-free by construction.
 //
-// There are two ways to get a runtime. The package-level functions
-// (Spawn, Do, NewGroup, SetWorkers, ...) operate on the process-wide
-// default instance, sized by GOMAXPROCS — the right choice for a
-// program running one computation at a time, and the historical
-// behavior of this package. NewRuntime creates an additional isolated
-// instance with its own workers, deques and metrics registry: tasks
-// spawned on one runtime are only ever executed by that runtime's
+// Forks carry their context. Runtime.Root returns the Ctx a
+// computation starts from; Ctx.Spawn forks one task and returns a
+// wait function, and Ctx.Do runs a slice of tasks as one fork-join
+// group. Every task receives a Ctx naming the runtime, the worker
+// running it and its fork depth, and forks from it — that is what
+// routes a fork to the caller's own deque and what the depth cutoff
+// reads, at the same cost at any stack depth.
+//
+// There are two ways to get a runtime. Default is the process-wide
+// instance, sized by GOMAXPROCS, which the package-level SetWorkers,
+// ResetWorkers and Workers act on — the right choice for a program
+// running one computation at a time. NewRuntime creates an additional
+// isolated instance with its own workers, deques and metrics registry:
+// tasks forked on one runtime are only ever executed by that runtime's
 // workers (or inline by its callers), so concurrent computations on
 // separate Runtimes cannot occupy each other's worker budgets. That
 // isolation is what internal/serve builds its multi-tenant job
@@ -39,17 +46,14 @@
 // core.WithRuntime(rt))); passing nil means the default instance.
 //
 // A non-default Runtime has a lifecycle: Close drains its workers and
-// retires it (later Spawn/Do calls run inline, staying correct), and
-// Abort is best-effort cancellation — queued and future task bodies
-// are skipped and joiners released, leaving results undefined, which
-// is only acceptable because an aborted job's output is discarded.
-// Close and Abort of the default runtime panic.
+// retires it (later forks run inline, staying correct), and Abort is
+// best-effort cancellation — queued and future task bodies are
+// skipped and joiners released, leaving results undefined, which is
+// only acceptable because an aborted job's output is discarded. Close
+// and Abort of the default runtime panic.
 //
-// Key entry points: Runtime.Spawn forks one task and returns a wait
-// function (how the core engines fork); Runtime.Do
-// executes a slice of tasks as one fork-join group; Group is the
-// incremental variant. Every decision is recorded — "par.spawn.pooled"
-// vs "par.spawn.inline" on the fork side, "par.local" / "par.steal" /
+// Every decision is recorded — "par.spawn.pooled" vs
+// "par.spawn.inline" on the fork side, "par.local" / "par.steal" /
 // "par.help" on the execution side, and a per-worker depth histogram
 // ("par.w<i>.d<k>") — and lands in BENCH_*.json telemetry. See
 // DESIGN.md §11 for the scheduling discipline and its cache argument,

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,11 +14,11 @@ import (
 // fork-join groups.
 func TestDoRunsAllTasks(t *testing.T) {
 	var n atomic.Int64
-	tasks := make([]func(), 100)
+	tasks := make([]func(Ctx), 100)
 	for i := range tasks {
-		tasks[i] = func() { n.Add(1) }
+		tasks[i] = func(Ctx) { n.Add(1) }
 	}
-	Do(tasks...)
+	Default().Root().Do(tasks...)
 	if got := n.Load(); got != 100 {
 		t.Fatalf("Do ran %d of 100 tasks", got)
 	}
@@ -28,20 +29,20 @@ func TestDoRunsAllTasks(t *testing.T) {
 // deadlock-free.
 func TestNestedSpawnNoDeadlock(t *testing.T) {
 	var sum atomic.Int64
-	var rec func(depth int)
-	rec = func(depth int) {
+	var rec func(cx Ctx, depth int)
+	rec = func(cx Ctx, depth int) {
 		if depth == 0 {
 			sum.Add(1)
 			return
 		}
-		Do(
-			func() { rec(depth - 1) },
-			func() { rec(depth - 1) },
-			func() { rec(depth - 1) },
-			func() { rec(depth - 1) },
+		cx.Do(
+			func(cx Ctx) { rec(cx, depth-1) },
+			func(cx Ctx) { rec(cx, depth-1) },
+			func(cx Ctx) { rec(cx, depth-1) },
+			func(cx Ctx) { rec(cx, depth-1) },
 		)
 	}
-	rec(6) // 4^6 = 4096 leaves through the worker set
+	rec(Default().Root(), 6) // 4^6 = 4096 leaves through the worker set
 	if got := sum.Load(); got != 4096 {
 		t.Fatalf("nested recursion completed %d of 4096 leaves", got)
 	}
@@ -54,8 +55,9 @@ func TestSpawnBounded(t *testing.T) {
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
 	var waits []func()
+	root := Default().Root()
 	for i := 0; i < 200; i++ {
-		w := Spawn(func() {
+		w := root.Spawn(func(Ctx) {
 			c := cur.Add(1)
 			mu.Lock()
 			if c > peak.Load() {
@@ -94,7 +96,8 @@ func TestSetWorkersResizes(t *testing.T) {
 	}
 	// The runtime still works at the new size.
 	var n atomic.Int64
-	Do(func() { n.Add(1) }, func() { n.Add(1) }, func() { n.Add(1) })
+	inc := func(Ctx) { n.Add(1) }
+	Default().Root().Do(inc, inc, inc)
 	if n.Load() != 3 {
 		t.Fatal("Do lost tasks after SetWorkers")
 	}
@@ -130,8 +133,9 @@ func TestWorkersTracksGOMAXPROCS(t *testing.T) {
 	// generation drains, and any straggler is executed by its joiner.
 	var n atomic.Int64
 	var waits []func()
+	root := Default().Root()
 	for i := 0; i < 8; i++ {
-		waits = append(waits, Spawn(func() { n.Add(1) }))
+		waits = append(waits, root.Spawn(func(Ctx) { n.Add(1) }))
 		if i == 3 {
 			runtime.GOMAXPROCS(orig)
 		}
@@ -155,12 +159,14 @@ func spawnDelta(f func()) (pooled, inline, local, steal, help int64) {
 }
 
 // TestSpawnAccountingExact asserts the two accounting invariants the
-// telemetry promises: every Spawn is counted exactly once as pooled or
+// telemetry promises: every fork is counted exactly once as pooled or
 // inline, and every pooled task is executed (and counted) exactly once
 // as local, stolen, or helped — with no drops or double counts even
 // when SetWorkers retires a generation mid-stream.
 func TestSpawnAccountingExact(t *testing.T) {
 	defer ResetWorkers()
+	root := Default().Root()
+	nop := func(Ctx) {}
 
 	check := func(name string, spawns int64, body func()) {
 		t.Helper()
@@ -180,7 +186,7 @@ func TestSpawnAccountingExact(t *testing.T) {
 	check("p=1", 50, func() {
 		var waits []func()
 		for i := 0; i < 50; i++ {
-			waits = append(waits, Spawn(func() {}))
+			waits = append(waits, root.Spawn(nop))
 		}
 		for _, w := range waits {
 			w()
@@ -192,13 +198,9 @@ func TestSpawnAccountingExact(t *testing.T) {
 	// forks 3 and runs the last task directly, so the outer group
 	// spawns 3 and each of the 4 bodies spawns 3 more: 15 total.
 	SetWorkers(4)
+	inner := func(cx Ctx) { cx.Do(nop, nop, nop, nop) }
 	check("p=4 nested", 15, func() {
-		Do(
-			func() { Do(func() {}, func() {}, func() {}, func() {}) },
-			func() { Do(func() {}, func() {}, func() {}, func() {}) },
-			func() { Do(func() {}, func() {}, func() {}, func() {}) },
-			func() { Do(func() {}, func() {}, func() {}, func() {}) },
-		)
+		root.Do(inner, inner, inner, inner)
 	})
 
 	// Resize mid-stream: spawn against a 4-worker set, retire it to a
@@ -206,7 +208,7 @@ func TestSpawnAccountingExact(t *testing.T) {
 	check("resize mid-stream", 40, func() {
 		var waits []func()
 		for i := 0; i < 40; i++ {
-			waits = append(waits, Spawn(func() {}))
+			waits = append(waits, root.Spawn(nop))
 			if i == 20 {
 				SetWorkers(2)
 			}
@@ -222,8 +224,9 @@ func TestSpawnAccountingExact(t *testing.T) {
 func TestSpawnCountPrecise(t *testing.T) {
 	defer ResetWorkers()
 	SetWorkers(1)
+	nop := func(Ctx) {}
 	pooled, inline, _, _, _ := spawnDelta(func() {
-		Do(func() {}, func() {}, func() {}, func() {})
+		Default().Root().Do(nop, nop, nop, nop)
 	})
 	if pooled != 0 || inline != 3 {
 		t.Fatalf("Do(4) at p=1: pooled=%d inline=%d, want 0/3 (last task runs direct)", pooled, inline)
@@ -244,16 +247,18 @@ func TestWorkDistribution(t *testing.T) {
 	parentStarted := make(chan struct{})
 	childRan := make(chan struct{}, 4)
 	before := metrics.Snapshot()
-	parentWait := Spawn(func() {
+	parentWait := Default().Root().Spawn(func(cx Ctx) {
 		close(parentStarted)
-		var g Group
+		var waits []func()
 		for i := 0; i < 4; i++ {
-			g.Go(func() { childRan <- struct{}{} })
+			waits = append(waits, cx.Spawn(func(Ctx) { childRan <- struct{}{} }))
 		}
 		// The parent's goroutine is blocked here, outside any join:
 		// only a thief or a helping joiner can run the first child.
 		<-childRan
-		g.Wait()
+		for _, w := range waits {
+			w()
+		}
 	})
 	// Don't join until the parent is running on a worker, so its forks
 	// are local pushes rather than injections.
@@ -303,56 +308,36 @@ func TestDequeDiscipline(t *testing.T) {
 // TestDepthCutoffInlines verifies the policy cutoff: forks at depth >=
 // cutoff run inline even though workers and deque space are free.
 func TestDepthCutoffInlines(t *testing.T) {
-	defer func() {
-		SetDepthCutoff(0)
-		ResetWorkers()
-	}()
-	SetWorkers(4)
-	SetDepthCutoff(1) // every nested fork (depth >= 1) inlines
+	r := NewRuntime(4)
+	defer r.Close()
+	if c := r.current().cutoff; c != 5 {
+		t.Fatalf("automatic cutoff at 4 workers = %d, want 5", c)
+	}
 
 	var leaves atomic.Int64
-	pooled, inline, _, _, _ := spawnDelta(func() {
-		var rec func(d int)
-		rec = func(d int) {
-			if d == 0 {
-				leaves.Add(1)
-				return
-			}
-			Do(func() { rec(d - 1) }, func() { rec(d - 1) })
+	var rec func(cx Ctx, d int)
+	rec = func(cx Ctx, d int) {
+		if d == 0 {
+			leaves.Add(1)
+			return
 		}
-		rec(5)
-	})
-	if leaves.Load() != 32 {
-		t.Fatalf("completed %d of 32 leaves", leaves.Load())
+		cx.Do(func(cx Ctx) { rec(cx, d-1) }, func(cx Ctx) { rec(cx, d-1) })
 	}
-	// Depth counts Spawn edges: forks made while executing a pooled
-	// task sit at depth >= 1 and must inline under cutoff 1. Only the
-	// calling goroutine's direct recursion chain forks at depth 0 —
-	// once per level, 5 in total. 2^5-1 = 31 spawns altogether.
-	if pooled != 5 || inline != 26 {
-		t.Fatalf("cutoff 1: pooled=%d inline=%d, want 5/26", pooled, inline)
+	before := r.Metrics().Snapshot()
+	rec(r.Root(), 7)
+	d := metrics.Diff(before, r.Metrics().Snapshot())
+	if leaves.Load() != 128 {
+		t.Fatalf("completed %d of 128 leaves", leaves.Load())
 	}
-	if got := DepthCutoff(); got != 1 {
-		t.Fatalf("DepthCutoff() = %d, want 1", got)
-	}
-}
-
-// TestGroupWaitsAll checks the incremental fork-join scope.
-func TestGroupWaitsAll(t *testing.T) {
-	var n atomic.Int64
-	var g Group
-	for i := 0; i < 37; i++ {
-		g.Go(func() { n.Add(1) })
-	}
-	g.Wait()
-	if n.Load() != 37 {
-		t.Fatalf("Group completed %d of 37 tasks", n.Load())
-	}
-	// Reusable after Wait.
-	g.Go(func() { n.Add(1) })
-	g.Wait()
-	if n.Load() != 38 {
-		t.Fatal("Group not reusable after Wait")
+	// Each Do forks its first task at its context's depth and runs the
+	// second in that context; a forked task's own forks sit one level
+	// deeper. So a fork's depth is the number of first-task edges on
+	// its path from the root, and of the 2^L groups at recursion level
+	// L (L = 0..6, 127 forks in all) C(L, j) fork at depth j. Under the
+	// cutoff of 5 the forks at depth >= 5 inline: C(5,5) + C(6,5) +
+	// C(6,6) = 8.
+	if d["par.spawn.pooled"] != 119 || d["par.spawn.inline"] != 8 {
+		t.Fatalf("cutoff 5: pooled=%d inline=%d, want 119/8", d["par.spawn.pooled"], d["par.spawn.inline"])
 	}
 }
 
@@ -366,12 +351,14 @@ func TestJoinHelpsOwnForks(t *testing.T) {
 	block := make(chan struct{})
 	var busyStarted sync.WaitGroup
 	busyStarted.Add(2)
-	busy1 := Spawn(func() { busyStarted.Done(); <-block })
-	busy2 := Spawn(func() { busyStarted.Done(); <-block })
+	root := Default().Root()
+	busy := func(Ctx) { busyStarted.Done(); <-block }
+	busy1 := root.Spawn(busy)
+	busy2 := root.Spawn(busy)
 	busyStarted.Wait() // both workers are now provably occupied
 	var ran atomic.Int64
 	_, _, _, _, help := spawnDelta(func() {
-		w := Spawn(func() { ran.Add(1) })
+		w := root.Spawn(func(Ctx) { ran.Add(1) })
 		w() // both workers blocked: only helping can run this
 	})
 	close(block)
@@ -383,4 +370,34 @@ func TestJoinHelpsOwnForks(t *testing.T) {
 	if help < 1 {
 		t.Fatalf("expected the joiner to help (par.help >= 1), got %d", help)
 	}
+}
+
+// BenchmarkSpawnJoin prices one fork and its join from a root context
+// on a 2-worker runtime, with the caller 1 or 64 frames deep: a fork
+// reads its context, not the goroutine's stack, so the two should cost
+// the same.
+func BenchmarkSpawnJoin(b *testing.B) {
+	r := NewRuntime(2)
+	defer r.Close()
+	for _, depth := range []int{1, 64} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			atDepth(depth, func() {
+				cx := r.Root()
+				for i := 0; i < b.N; i++ {
+					cx.Spawn(func(Ctx) {})()
+				}
+			})
+		})
+	}
+}
+
+// atDepth calls f from d nested frames.
+//
+//go:noinline
+func atDepth(d int, f func()) {
+	if d <= 1 {
+		f()
+		return
+	}
+	atDepth(d-1, f)
 }

@@ -17,7 +17,7 @@ import (
 
 // wtask is one forked task in flight.
 type wtask struct {
-	fn    func()
+	fn    func(Ctx)
 	depth int32
 	done  chan struct{}
 }
@@ -78,7 +78,7 @@ func (d *deque) stealMin(min int32) *wtask {
 
 // rtCounters is one Runtime's scheduler telemetry, registered in the
 // Runtime's metrics registry. The spawn-side pair is exhaustive and
-// exclusive: every Spawn call increments exactly one of
+// exclusive: every Ctx.Spawn call increments exactly one of
 // par.spawn.pooled (enqueued on a deque) or par.spawn.inline (ran on
 // the caller by policy: one worker, closed runtime, or fork depth
 // at/past the cutoff). The execution-side trio is exhaustive over
@@ -119,7 +119,6 @@ type worker struct {
 	idx   int
 	dq    deque
 	seed  uint64
-	ctx   *gctx
 	tasks *metrics.Counter
 	// depth[k] counts executed tasks forked at depth k (last bucket:
 	// depth >= depthBuckets-1) — the per-worker depth histogram
@@ -144,8 +143,9 @@ type scheduler struct {
 
 // Runtime is one instance of the work-stealing fork-join runtime: a
 // worker set with its own deques, depth cutoff, and metrics registry.
-// The package-level functions (Spawn, Do, SetWorkers, ...) delegate to
-// the process-wide Default runtime, which sizes itself from GOMAXPROCS
+// Computations fork through the Ctx that Root returns. The
+// package-level SetWorkers, ResetWorkers and Workers act on the
+// process-wide Default runtime, which sizes itself from GOMAXPROCS
 // — the library facade never needs to know runtimes exist. Additional
 // runtimes (NewRuntime) give each tenant of a long-lived process an
 // isolated worker budget: a job running on a 2-worker Runtime can
@@ -159,15 +159,12 @@ type Runtime struct {
 	cur atomic.Pointer[scheduler]
 	// procs is the GOMAXPROCS value the worker set was sized from, or 0
 	// when pinned by SetWorkers/NewRuntime.
-	procs  atomic.Int64
-	pinned atomic.Bool
-	// cutoffOverride, when non-zero, replaces the automatic depth
-	// cutoff at the next (re)build. See SetDepthCutoff.
-	cutoffOverride atomic.Int32
-	aborted        atomic.Bool
-	closed         atomic.Bool
-	reg            *metrics.Registry
-	c              rtCounters
+	procs   atomic.Int64
+	pinned  atomic.Bool
+	aborted atomic.Bool
+	closed  atomic.Bool
+	reg     *metrics.Registry
+	c       rtCounters
 }
 
 // std is the process-wide default runtime behind the package-level
@@ -177,8 +174,9 @@ type Runtime struct {
 var std = newRuntime(0, metrics.Default)
 
 // Default returns the process-wide default runtime — the instance the
-// package-level Spawn/Do/Group delegate to. Engine entry points that
-// accept an optional *Runtime substitute Default for nil.
+// package-level SetWorkers, ResetWorkers and Workers act on. Engine
+// entry points that accept an optional *Runtime substitute Default for
+// nil.
 func Default() *Runtime { return std }
 
 // NewRuntime creates an isolated runtime. workers > 0 pins the worker
@@ -228,9 +226,6 @@ func (r *Runtime) resize(n int, pin bool) {
 		stop:    make(chan struct{}),
 		cutoff:  autoCutoff(n),
 	}
-	if o := r.cutoffOverride.Load(); o > 0 {
-		rt.cutoff = o
-	}
 	for i := range rt.workers {
 		w := &worker{
 			rt:    rt,
@@ -259,7 +254,7 @@ func (r *Runtime) resize(n int, pin bool) {
 }
 
 // Close retires the runtime's workers: the current generation drains
-// its deques and its goroutines exit. After Close, Spawn and Do still
+// its deques and its goroutines exit. After Close, forks still
 // execute their tasks (inline on the caller), so late calls stay
 // correct; they just no longer parallelize. Close is idempotent and
 // must not be called on the default runtime (that would strand the
@@ -278,10 +273,10 @@ func (r *Runtime) Close() {
 	}
 }
 
-// Abort makes the runtime discard work: subsequent Spawns return
+// Abort makes the runtime discard work: subsequent forks return
 // without running their task, queued tasks complete without executing
-// their bodies, and Do becomes a no-op. Results computed on an aborted
-// runtime are undefined — Abort exists for cancellation paths
+// their bodies, and Ctx.Do becomes a no-op. Results computed on an
+// aborted runtime are undefined — Abort exists for cancellation paths
 // (deadline exceeded, client gone) where the output is discarded
 // anyway; it bounds how much of an in-flight recursion still runs by
 // cutting every fork-join group it has not yet reached. Aborting the
@@ -298,7 +293,7 @@ func (r *Runtime) Abort() {
 // can poll it to stop early.
 func (r *Runtime) Aborted() bool { return r.aborted.Load() }
 
-// autoCutoff picks the fork depth at which Spawn switches to inline
+// autoCutoff picks the fork depth at which Ctx.Spawn switches to inline
 // execution: ~log2(p) levels saturate p workers for the binary and
 // 4-ary forks of the Figure-6 schedules, and two extra levels keep
 // roughly 4-8x parallel slack for stealing to balance, after which
@@ -333,10 +328,6 @@ func (rt *scheduler) wakeOne() {
 // resize or Close) the worker drains every deque of its generation and
 // exits.
 func (w *worker) run() {
-	id := goid()
-	w.ctx = &gctx{w: w}
-	registerCtx(id, w.ctx)
-	defer unregisterCtx(id)
 	c := &w.rt.owner.c
 	for {
 		if t := w.dq.pop(); t != nil {
@@ -396,9 +387,9 @@ func (rt *scheduler) stealFor(w *worker) *wtask {
 	return nil
 }
 
-// injectSeed drives victim selection for spawns from goroutines that
-// are not workers of the spawning runtime (the initial call of an
-// engine run, or a cross-runtime spawn).
+// injectSeed drives victim selection for spawns from contexts with no
+// worker of the live generation (a root, or a retired generation's
+// worker), and seeds each join's steal scan.
 var injectSeed atomic.Uint64
 
 func injectVictim(rt *scheduler) *worker {
@@ -406,33 +397,26 @@ func injectVictim(rt *scheduler) *worker {
 	return rt.workers[int(s%uint64(len(rt.workers)))]
 }
 
-// exec runs one task on a worker, recording the per-worker histogram
-// and keeping the goroutine's fork depth current for nested Spawns.
+// exec runs one task on a worker, recording the per-worker histogram.
 func (w *worker) exec(t *wtask) {
 	w.tasks.Inc()
-	b := int(t.depth)
-	if b >= depthBuckets {
-		b = depthBuckets - 1
-	}
-	w.depth[b].Inc()
-	old := w.ctx.depth
-	w.ctx.depth = t.depth
-	w.rt.runTask(t)
-	w.ctx.depth = old
+	w.depth[min(int(t.depth), depthBuckets-1)].Inc()
+	w.rt.runTask(t, w)
 }
 
-// runTask executes the task body and always closes done, so joiners
-// are released even if the body panics (the panic then propagates on
-// the executing goroutine, exactly as the pre-runtime pool behaved).
-// On an aborted runtime the body is skipped: the task completes — its
+// runTask executes the task body on w's goroutine (w nil: a goroutine
+// off the worker set), handing it a Ctx at the task's depth, and
+// always closes done, so joiners are released even if the body panics
+// (the panic then propagates on the executing goroutine). On an
+// aborted runtime the body is skipped: the task completes — its
 // joiners are released and the accounting invariants hold — without
 // doing its work.
-func (rt *scheduler) runTask(t *wtask) {
+func (rt *scheduler) runTask(t *wtask, w *worker) {
 	defer close(t.done)
 	if rt.owner.aborted.Load() {
 		return
 	}
-	t.fn()
+	t.fn(Ctx{r: rt.owner, w: w, depth: t.depth + 1})
 }
 
 // stealMinFor scans every deque of this generation for a task forked
@@ -454,34 +438,25 @@ func (rt *scheduler) stealMinFor(min int32, seed *uint64) *wtask {
 }
 
 // join blocks until t completes, helping with pending work instead of
-// idling: first the caller's own deque (its freshest forks — the
-// depth-first order a serial run would take next), then any deque of
-// t's generation, restricted to tasks no shallower than t. When no
-// helpable task exists, t is provably running on some goroutine, and
-// join parks on its done channel. Helping never crosses runtimes: only
-// the deques of t's own generation are scanned, so a joiner from one
-// job cannot be conscripted into another job's work.
-func (rt *scheduler) join(t *wtask) {
-	id := goid()
-	ctx := lookupCtx(id)
-	temp := false
-	if ctx == nil {
-		ctx = &gctx{}
-		registerCtx(id, ctx)
-		temp = true
-	}
-	seed := id*0x9e3779b97f4a7c15 + 0x6a09e667f3bcc909
+// idling: first the joiner's own deque (w's, when w is a worker of t's
+// generation: its freshest forks — the depth-first order a serial run
+// would take next), then any deque of t's generation, restricted to
+// tasks no shallower than t. A helped task runs with the joiner's
+// worker at its own depth. When no helpable task exists, t is provably
+// running on some goroutine, and join parks on its done channel.
+// Helping never crosses runtimes: only the deques of t's own
+// generation are scanned, so a joiner from one job cannot be
+// conscripted into another job's work.
+func (rt *scheduler) join(t *wtask, w *worker) {
+	seed := injectSeed.Add(0x9e3779b97f4a7c15) | 1
 	for {
 		select {
 		case <-t.done:
-			if temp {
-				unregisterCtx(id)
-			}
 			return
 		default:
 		}
 		var h *wtask
-		if w := ctx.w; w != nil && w.rt == rt {
+		if w != nil && w.rt == rt {
 			h = w.dq.pop()
 		}
 		if h == nil {
@@ -489,15 +464,9 @@ func (rt *scheduler) join(t *wtask) {
 		}
 		if h == nil {
 			<-t.done
-			if temp {
-				unregisterCtx(id)
-			}
 			return
 		}
 		rt.owner.c.help.Inc()
-		old := ctx.depth
-		ctx.depth = h.depth
-		rt.runTask(h)
-		ctx.depth = old
+		rt.runTask(h, w)
 	}
 }

@@ -20,16 +20,18 @@ func TestRuntimeIsolatedBudgets(t *testing.T) {
 
 	var n1, n2 atomic.Int64
 	load := func(r *Runtime, n *atomic.Int64) {
-		var g Group
+		root := r.Root()
+		waits := make([]func(), 8)
 		for i := 0; i < 200; i++ {
-			g = *r.NewGroup()
-			for j := 0; j < 8; j++ {
-				g.Go(func() {
+			for j := range waits {
+				waits[j] = root.Spawn(func(Ctx) {
 					n.Add(1)
 					time.Sleep(50 * time.Microsecond)
 				})
 			}
-			g.Wait()
+			for _, w := range waits {
+				w()
+			}
 		}
 	}
 	var wg sync.WaitGroup
@@ -83,12 +85,13 @@ func TestRuntimeCloseInlines(t *testing.T) {
 	r.Close()
 	r.Close() // idempotent
 	ran := false
-	r.Spawn(func() { ran = true })()
+	r.Root().Spawn(func(Ctx) { ran = true })()
 	if !ran {
 		t.Fatal("task spawned after Close did not run")
 	}
 	done := 0
-	r.Do(func() { done++ }, func() { done++ })
+	inc := func(Ctx) { done++ }
+	r.Root().Do(inc, inc)
 	if done != 2 {
 		t.Fatalf("Do after Close ran %d of 2 tasks", done)
 	}
@@ -107,9 +110,10 @@ func TestRuntimeAbortDiscards(t *testing.T) {
 		t.Fatal("Aborted() false after Abort")
 	}
 	ran := false
-	wait := r.Spawn(func() { ran = true })
+	set := func(Ctx) { ran = true }
+	wait := r.Root().Spawn(set)
 	wait() // must not block
-	r.Do(func() { ran = true }, func() { ran = true })
+	r.Root().Do(set, set)
 	if ran {
 		t.Fatal("aborted runtime executed a task body")
 	}
