@@ -197,3 +197,53 @@ func BenchmarkTauAnalytic(b *testing.B) {
 		_ = s.Tau(i&255, (i*3)&255, (i*7)&255)
 	}
 }
+
+// BenchmarkBaseCase times one 64² base case through TileKernel per
+// built-in op and block kind: A (diagonal, X is U, V and W), B (X is
+// V), C (X is U) and D (disjoint). It reports GFLOPS at two flops per
+// update of the set inside the block. The written tile is restored
+// with the timer stopped before every call, so each call runs on the
+// same input.
+func BenchmarkBaseCase(b *testing.B) {
+	const s = 64
+	ops := []struct {
+		name string
+		op   Op[float64]
+		set  UpdateSet
+		gen  func(rng *rand.Rand, n int) *matrix.Dense[float64]
+	}{
+		{"MinPlus", MinPlus[float64]{}, Full{}, floydWarshallInput},
+		{"LUFactor", LUFactor[float64]{}, LU{}, diagDominant},
+		{"GaussElim", GaussElim[float64]{}, Gaussian{}, diagDominant},
+	}
+	kinds := []struct {
+		name       string
+		i0, j0, k0 int
+	}{{"A", 0, 0, 0}, {"B", 0, s, 0}, {"C", s, 0, 0}, {"D", s, s, 0}}
+	for _, o := range ops {
+		m := o.gen(rand.New(rand.NewSource(7)), 2*s)
+		for _, kd := range kinds {
+			updates := 0
+			for i := kd.i0; i < kd.i0+s; i++ {
+				for j := kd.j0; j < kd.j0+s; j++ {
+					for k := kd.k0; k < kd.k0+s; k++ {
+						if o.set.Contains(i, j, k) {
+							updates++
+						}
+					}
+				}
+			}
+			x, u, v, w := blockTiles(m, kd.i0, kd.j0, kd.k0, s)
+			x0 := append([]float64(nil), x...)
+			b.Run(o.name+"/"+kd.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					copy(x, x0)
+					b.StartTimer()
+					TileKernel(o.op, o.set, x, u, v, w, kd.i0, kd.j0, kd.k0, s)
+				}
+				b.ReportMetric(2*float64(updates)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			})
+		}
+	}
+}

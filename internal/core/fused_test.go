@@ -18,6 +18,43 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
+// sameValue is sameBits with NaN compared as a class: NaN payloads are
+// outside the bit contract (DESIGN.md §10), and which one survives when
+// two meet depends on the operand order the compiler picks for an add.
+func sameValue(a, b float64) bool {
+	return sameBits(a, b) || a != a && b != b
+}
+
+// hostileInput returns an n×n matrix for the bit tests of the whole-row
+// paths: cells of either sign and mixed magnitude, with about one in six
+// of the first n/2 rows drawn from NaN, ±Inf, ±0, subnormals and
+// ±MaxFloat64. The diagonal is large, positive in the first half and
+// negative in the second, so Floyd-Warshall's B blocks take both the
+// row path and its negative-diagonal fallback, and the divisions of LU
+// and Gaussian elimination keep most cells finite. The last n/2 rows
+// hold no special: a −Inf reaching a Floyd-Warshall row as u sets the
+// whole row to −Inf, so the blocks over those rows keep the finite
+// values that tell one update order from another.
+func hostileInput(rng *rand.Rand, n int) *matrix.Dense[float64] {
+	specials := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, -0x1p-1040, math.MaxFloat64, -math.MaxFloat64,
+	}
+	m := matrix.NewSquare[float64](n)
+	m.Apply(func(i, j int, _ float64) float64 {
+		switch {
+		case i == j && 2*i < n:
+			return float64(4*n) + rng.Float64()
+		case i == j:
+			return -float64(4*n) - rng.Float64()
+		case 2*i < n && rng.Intn(6) == 0:
+			return specials[rng.Intn(len(specials))]
+		}
+		return (rng.Float64()*2 - 1) * math.Ldexp(1, rng.Intn(20)-10)
+	})
+	return m
+}
+
 // Differential tests for the fused block kernels (ops.go): every
 // engine must produce bit-identical output whether the op is passed as
 // the fused struct (block kernels engage on flat storage) or as its
@@ -257,11 +294,32 @@ func TestFusedIntOps(t *testing.T) {
 		RunGEP[int64](gotM, MulAdd[int64]{}, LU{})
 		requireEqual(t, wantM, gotM, "fused int64 mul-add")
 	}
+
+	// An integer w+x can wrap below x: with W[k,k] = 1 and MaxInt64
+	// cells, row k's own step changes it, so MinPlus's B block must not
+	// take its two row passes.
+	const s = 4
+	w, x := make([]int64, s*s), make([]int64, s*s)
+	for i := range x {
+		w[i], x[i] = 5, math.MaxInt64
+		if i%(s+1) == 0 {
+			w[i] = 1
+		}
+	}
+	want := append([]int64(nil), x...)
+	TileKernel[int64](MinPlus[int64]{}.Func(), Full{}, want, w, want, w, 0, s, 0, s)
+	TileKernel[int64](MinPlus[int64]{}, Full{}, x, w, x, w, 0, s, 0, s)
+	for i := range x {
+		if x[i] != want[i] {
+			t.Fatalf("int64 min-plus B block with wrapping cells: cell %d = %d, want %d", i, x[i], want[i])
+		}
+	}
 }
 
 // FuzzFusedVsGeneric drives the fused dispatch with fuzzer-chosen
 // size, base size, op and set, asserting bit-identity against the
-// bare-Func path on every instance.
+// bare-Func path on every instance: once on the op's own input, bit for
+// bit, and once on hostileInput, NaN compared as a class.
 func FuzzFusedVsGeneric(fz *testing.F) {
 	fz.Add(uint8(2), uint8(1), uint8(0), uint8(0), int64(1))
 	fz.Add(uint8(3), uint8(6), uint8(1), uint8(1), int64(2))
@@ -279,13 +337,17 @@ func FuzzFusedVsGeneric(fz *testing.F) {
 		}
 		sort.Strings(setNames) // map order is random; select deterministically
 		set := tc.sets[setNames[int(setSel)%len(setNames)]]
-		in := tc.gen(rng, n)
-		want := in.Clone()
-		RunIGEP[float64](want, tc.op.Func(), set, WithBaseSize[float64](base))
-		got := in.Clone()
-		RunIGEP[float64](got, tc.op, set, WithBaseSize[float64](base))
-		if !got.EqualFunc(want, sameBits) {
-			t.Fatalf("op=%s n=%d base=%d: fused diverged from flat", tc.name, n, base)
+		for _, c := range []struct {
+			in   *matrix.Dense[float64]
+			same func(a, b float64) bool
+		}{{tc.gen(rng, n), sameBits}, {hostileInput(rng, n), sameValue}} {
+			want := c.in.Clone()
+			RunIGEP[float64](want, tc.op.Func(), set, WithBaseSize[float64](base))
+			got := c.in.Clone()
+			RunIGEP[float64](got, tc.op, set, WithBaseSize[float64](base))
+			if !got.EqualFunc(want, c.same) {
+				t.Fatalf("op=%s n=%d base=%d: fused diverged from flat", tc.name, n, base)
+			}
 		}
 	})
 }

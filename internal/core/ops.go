@@ -16,17 +16,28 @@ import "gep/internal/vec"
 // out-of-core tiles and the disjoint blocks of RunDisjoint and the
 // Strassen and CALU leaves. It sees X, U, V and W as four row-major
 // operands with global indices and a flag saying whether X is
-// disjoint from the other three, and has at most two loop structures:
-// a row loop split at the pivot column (see span), exact for any
-// overlap, and — for MinPlus, MulAdd, MulSub and LUFactor — a row
-// kernel unrolled over k for disjoint blocks the update set fully
-// covers. The rows themselves run in internal/vec: its single-k row
-// updates (MinPlusRow, AddRow, SubRow) serve the split loops and its
-// covered-block kernels (MinPlusRows, MulAddRows, MulSubRows) the
-// disjoint blocks. For float64 on amd64 with AVX2 (not under -race)
-// they update four cells of a row per instruction, lanes across j, so
-// the contract below holds unchanged; everywhere else they are Go
-// loops.
+// disjoint from the other three, and has at most three loop
+// structures:
+//
+//   - a row kernel unrolled over k for disjoint blocks the update set
+//     fully covers (MinPlus, MulAdd, MulSub and LUFactor): the
+//     covered-block kernels MinPlusRows, MulAddRows and MulSubRows;
+//   - whole rows for the A, B and C blocks of the in-place engines
+//     and for GaussElim's covered blocks, over the standard sets only
+//     (MinPlus over Full, LUFactor over LU, GaussElim over Gaussian):
+//     each row takes its k in one multi-k row call (SubRowK,
+//     MinPlusRowK), right-looking over groups of pivots where the
+//     block's columns are its k-range (minPlusRowsInPlace, elimRows);
+//   - the fallback for every other block: a row loop split at the
+//     pivot column (see span), exact for any overlap and any Ranger,
+//     with one single-k row update (MinPlusRow, AddRow, SubRow) per
+//     segment.
+//
+// The rows themselves run in internal/vec. For float64 on amd64 with
+// AVX2 (not under -race) its kernels update four cells of a row per
+// instruction, lanes across j, so the contract below holds unchanged;
+// everywhere else they are Go loops. DESIGN.md §10 has the table of
+// which block takes which structure and why each is exact.
 //
 // The dispatch contract, enforced by the differential tests in
 // fused_test.go and tiles_test.go: a fused kernel must apply the same
@@ -121,9 +132,12 @@ func rows[T Real](o Operands[T]) vec.Block[T] {
 	return vec.Block[T]{X: o.X, U: o.U, V: o.V, XS: o.XS, US: o.US, VS: o.VS, M: o.S, K: o.S, N: o.S}
 }
 
-// MinPlus is the Floyd-Warshall op: f(x,u,v,w) = min(x, u+v). Its
-// kernel relaxes whole row segments with vec.MinPlusRow, u = U[i,k]
-// hoisted; min is insensitive to the w argument.
+// MinPlus is the Floyd-Warshall op: f(x,u,v,w) = min(x, u+v); min is
+// insensitive to the w argument. Its kernel takes whole rows:
+// vec.MinPlusRows on covered disjoint blocks and, over the Full set,
+// minPlusRowsInPlace on the B and C blocks of an in-place run. A
+// blocks, B blocks with a negative diagonal cell and every other set
+// run the split row loop.
 type MinPlus[T Real] struct{}
 
 // Func implements Op.
@@ -136,11 +150,13 @@ func (MinPlus[T]) Func() UpdateFunc[T] {
 	}
 }
 
-// Kernel implements Kerneler: vec.MinPlusRows on covered disjoint
-// blocks, the split row loop otherwise.
+// Kernel implements Kerneler.
 func (MinPlus[T]) Kernel(o Operands[T], rg Ranger) {
 	if o.Disjoint && blockCovered(rg, o.I, o.J, o.K, o.S) {
 		vec.MinPlusRows(rows(o))
+		return
+	}
+	if _, full := rg.(Full); full && !o.Disjoint && minPlusRowsInPlace(o) {
 		return
 	}
 	for k := 0; k < o.S; k++ {
@@ -157,6 +173,77 @@ func (MinPlus[T]) Kernel(o Operands[T], rg Ranger) {
 			}
 		}
 	}
+}
+
+// minPlusRowsInPlace runs an in-place Full-set B or C block of MinPlus
+// a whole row at a time and reports whether it did; A blocks, and B
+// blocks with a W[k,k] below 0, are left to the split loop.
+//
+// C block (J = K, X is U, V is the diagonal block): rows are
+// independent, and step k relaxes columns j <= k with u = X[i,k] read
+// before the pivot write and columns j > k with u read after it. Each
+// group of pivots runs its own columns as scalar code, recording both
+// u per k, then one vec.MinPlusRowK with the pre-pivot u over the
+// columns left of the group and one with the post-pivot u over those
+// right of it.
+//
+// B block (I = K, X is V, U is the diagonal block): two passes over
+// the rows in ascending order, the first over k < i, the second over
+// k >= i with X's own row i as V's first row. Row i at step k then
+// reads row k after steps 0..k-1, the state the split loop reads —
+// provided row k's own step k leaves it unchanged, which holds when
+// W[k,k] = U[k,k] is not below 0: min(x, w+x) = x for such w, NaN, ±0
+// and ±Inf included (for integers only w = 0, since w+x can wrap). A
+// negative diagonal cell changes row k mid-step, so rows before and
+// after k read different versions of it.
+func minPlusRowsInPlace[T Real](o Operands[T]) bool {
+	switch {
+	case o.J == o.K && disjointRange(o.I, o.K, o.S):
+		for i := 0; i < o.S; i++ {
+			x, u := o.X[i*o.XS:][:o.S], o.U[i*o.US:][:o.S]
+			for g := 0; g < o.S; g += pivots {
+				e := min(g+pivots, o.S)
+				var pre, post [pivots]T
+				for k := g; k < e; k++ {
+					vk := o.V[k*o.VS:][:e]
+					a := u[k]
+					for j := g; j <= k; j++ {
+						if d := a + vk[j]; d < x[j] {
+							x[j] = d
+						}
+					}
+					b := u[k]
+					for j := k + 1; j < e; j++ {
+						if d := b + vk[j]; d < x[j] {
+							x[j] = d
+						}
+					}
+					pre[k-g], post[k-g] = a, b
+				}
+				vec.MinPlusRowK(x[:g], pre[:e-g], o.V[g*o.VS:], o.VS)
+				vec.MinPlusRowK(x[e:], post[:e-g], o.V[g*o.VS+e:], o.VS)
+			}
+		}
+	case o.I == o.K && disjointRange(o.J, o.K, o.S):
+		// Row k's step k leaves it unchanged when w = W[k,k] is 0 or, in
+		// a floating-point type (where 1/2 is not 0), not below 0. An
+		// integer w > 0 can wrap w+x below x.
+		float := T(1)/2 != 0
+		for k := 0; k < o.S; k++ {
+			if w := o.W[k*o.WS+k]; w < 0 || w != 0 && !float {
+				return false
+			}
+		}
+		for i := 0; i < o.S; i++ {
+			vec.MinPlusRowK(o.X[i*o.XS:][:o.S], o.U[i*o.US:][:i], o.V, o.VS)
+		}
+		for i := 0; i < o.S; i++ {
+			vec.MinPlusRowK(o.X[i*o.XS:][:o.S], o.U[i*o.US:][i:o.S], o.V[i*o.VS:], o.VS)
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // MulAdd is the matrix-multiplication op: f(x,u,v,w) = x + u·v with
@@ -236,9 +323,11 @@ func (MulSub[T]) Kernel(o Operands[T], rg Ranger) {
 
 // GaussElim is the Gaussian-elimination op:
 // f(x,u,v,w) = x - (u/w)·v, two roundings after the division exactly as
-// in Func. The kernel hoists the multiplier m = u/w out of the j loop —
-// the same operands divided once per segment instead of per element,
-// so the quotient is bit-identical.
+// in Func. Every path forms the multiplier m = u/w once per (i, k) from
+// the operands Func divides, so the quotient is bit-identical. Over the
+// Gaussian set its kernel takes whole rows (elimRows): the covered
+// blocks, D blocks among them, and the A, B and C blocks of an
+// in-place run. Every other block and set runs the split row loop.
 type GaussElim[T Real] struct{}
 
 // Func implements Op.
@@ -250,9 +339,12 @@ func (GaussElim[T]) Func() UpdateFunc[T] {
 }
 
 // Kernel implements Kerneler. With the Gaussian set the interval never
-// contains j == k (members need k < j), but the split keeps the kernel
+// contains j == k (members need k < j), but the split keeps the loop
 // exact for any Ranger it meets.
 func (GaussElim[T]) Kernel(o Operands[T], rg Ranger) {
+	if _, ok := rg.(Gaussian); ok && elimRows(o, false) {
+		return
+	}
 	for k := 0; k < o.S; k++ {
 		vk, gk := o.V[k*o.VS:], o.K+k
 		for i := 0; i < o.S; i++ {
@@ -274,11 +366,13 @@ func (GaussElim[T]) Kernel(o Operands[T], rg Ranger) {
 //	f(x,u,v,w) = x/w      if j == k  (stores the multiplier l_ik)
 //	             x - u·v  if j != k  (elimination with the multiplier)
 //
-// The kernel stores the multiplier at the segment's pivot cell and
-// runs the elimination with u = l_ik registered. A block whose columns
-// miss its k-range has no j == k update, so there the LU update is
-// MulSub's, and a covered disjoint one — an in-place D block — runs
-// vec.MulSubRows.
+// A block whose columns miss its k-range has no j == k update, so
+// there the LU update is MulSub's, and a covered disjoint one — an
+// in-place D block — runs vec.MulSubRows. Over the LU set the A, B and
+// C blocks of an in-place run take whole rows (elimRows); every other
+// block and set runs the split row loop, which stores the multiplier
+// at the segment's pivot cell and runs the elimination with u = l_ik
+// re-read.
 type LUFactor[T Real] struct{}
 
 // Func implements Op.
@@ -295,6 +389,9 @@ func (LUFactor[T]) Func() UpdateFunc[T] {
 func (LUFactor[T]) Kernel(o Operands[T], rg Ranger) {
 	if o.Disjoint && disjointRange(o.J, o.K, o.S) && blockCovered(rg, o.I, o.J, o.K, o.S) {
 		vec.MulSubRows(rows(o))
+		return
+	}
+	if _, ok := rg.(LU); ok && elimRows(o, true) {
 		return
 	}
 	for k := 0; k < o.S; k++ {
@@ -315,6 +412,86 @@ func (LUFactor[T]) Kernel(o Operands[T], rg Ranger) {
 		}
 	}
 }
+
+// elimRows runs a block of LU decomposition (lu, the LU set) or
+// Gaussian elimination (the Gaussian set) a whole row at a time and
+// reports whether it did. In both sets row i takes the k < i of the
+// block's k-range, kn = clamp(I−K+i, 0, S) of them, each over the
+// columns j >= k (LU, whose j == k update divides the pivot cell) or
+// j > k (Gaussian); the multiplier of step k is u = U[i,k] read after
+// that division (LU) or U[i,k]/W[k,k] (Gaussian).
+//
+// In an in-place block row i reads only rows k < i of V, and those are
+// final before row i starts, so running the rows in ascending order
+// keeps every read of the split loop:
+//
+//   - columns right of the k-range (the B block, X is V, and Gaussian
+//     elimination's covered blocks): one vec.SubRowK per row over its
+//     kn k, the Gaussian multipliers formed into a stack buffer first;
+//   - columns equal to the k-range (the A block and the C block, X is
+//     U): a triangular solve per row, right-looking over groups of
+//     pivots. The group's own triangle runs as scalar code, then one
+//     vec.SubRowK applies its multipliers to the columns right of it.
+//
+// Partially covered disjoint blocks are left to the split loop, and so
+// is LU's covered disjoint block, which its Kernel runs first.
+func elimRows[T Real](o Operands[T], lu bool) bool {
+	// m holds the multipliers of one vec.SubRowK call: a pivot group of
+	// the triangular rows, or up to 64 k of the rectangular Gaussian
+	// rows, whose 64² block ran at half the speed with 8 k per call.
+	var m [64]T
+	tri := o.J == o.K && !o.Disjoint && (o.I == o.K || disjointRange(o.I, o.K, o.S))
+	rect := o.J >= o.K+o.S && (o.I == o.K && !o.Disjoint || !lu && o.I >= o.K+o.S)
+	switch {
+	case tri:
+		for i := 0; i < o.S; i++ {
+			kn := min(max(o.I-o.K+i, 0), o.S)
+			x, u := o.X[i*o.XS:][:o.S], o.U[i*o.US:][:o.S]
+			for g := 0; g < kn; g += pivots {
+				e := min(g+pivots, kn)
+				for k := g; k < e; k++ {
+					var a T
+					if lu {
+						x[k] /= o.W[k*o.WS+k]
+						a = u[k]
+					} else {
+						a = u[k] / o.W[k*o.WS+k]
+					}
+					m[k-g] = a
+					vk := o.V[k*o.VS:][:e]
+					for j := k + 1; j < e; j++ {
+						x[j] -= T(a * vk[j])
+					}
+				}
+				vec.SubRowK(x[e:], m[:e-g], o.V[g*o.VS+e:], o.VS)
+			}
+		}
+	case rect:
+		for i := 0; i < o.S; i++ {
+			kn := min(o.I-o.K+i, o.S)
+			x, u := o.X[i*o.XS:][:o.S], o.U[i*o.US:][:kn]
+			if lu {
+				vec.SubRowK(x, u, o.V, o.VS)
+				continue
+			}
+			for g := 0; g < kn; g += len(m) {
+				e := min(g+len(m), kn)
+				for k := g; k < e; k++ {
+					m[k-g] = u[k] / o.W[k*o.WS+k]
+				}
+				vec.SubRowK(x, m[:e-g], o.V[g*o.VS:], o.VS)
+			}
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// pivots is the pivot group of the triangular rows: each group runs
+// its own triangle as scalar code and hands its k to one vec.SubRowK or
+// vec.MinPlusRowK call over the rest of the row.
+const pivots = 8
 
 // clampJRange returns the set's column interval for (i, k) clipped to
 // the block's columns [j0, j0+s).

@@ -78,10 +78,17 @@ func runTileBlock(m *matrix.Dense[float64], op Op[float64], set UpdateSet, i0, j
 
 func bitsEqual(t *testing.T, label string, want, got *matrix.Dense[float64]) {
 	t.Helper()
+	cellsEqual(t, label, want, got, sameBits)
+}
+
+// cellsEqual fails the test at the first cell where same rejects the
+// pair.
+func cellsEqual(t *testing.T, label string, want, got *matrix.Dense[float64], same func(a, b float64) bool) {
+	t.Helper()
 	n := want.N()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if math.Float64bits(want.At(i, j)) != math.Float64bits(got.At(i, j)) {
+			if !same(want.At(i, j), got.At(i, j)) {
 				t.Fatalf("%s: cell (%d,%d) = %x, want %x", label, i, j,
 					math.Float64bits(got.At(i, j)), math.Float64bits(want.At(i, j)))
 			}
@@ -92,9 +99,12 @@ func bitsEqual(t *testing.T, label string, want, got *matrix.Dense[float64]) {
 // TestTileKernelMatchesGeneric: for every alias shape a base-case
 // block can take (diagonal, i-aligned, j-aligned, fully disjoint),
 // every built-in op × set pairing produces bit-identical results to
-// the generic Grid kernel on the same block.
+// the generic Grid kernel on the same block. Sides 7, 16 and 64 cross
+// the pivot groups of the whole-row paths, and the hostile input
+// (NaN, ±Inf, ±0, subnormals, negative cells and a negative diagonal
+// in the second half) reaches their fallbacks; on it alone NaN
+// compares as a class.
 func TestTileKernelMatchesGeneric(t *testing.T) {
-	const n, s = 8, 4
 	ops := []struct {
 		name string
 		op   Op[float64]
@@ -116,41 +126,54 @@ func TestTileKernelMatchesGeneric(t *testing.T) {
 		{"LU", LU{}},
 		{"NoRanger", Predicate{Pred: LU{}.Contains}}, // hides JRange: generic tier
 	}
-	blocks := []struct {
-		name       string
-		i0, j0, k0 int
-	}{
-		{"diagonal", 0, 0, 0},
-		{"i-aligned", 0, 4, 0}, // i0 == k0, j0 != k0: X=V, U=W
-		{"j-aligned", 4, 0, 0}, // j0 == k0, i0 != k0: X=U, V=W
-		{"disjoint", 4, 4, 0},  // all four distinct
-		{"reverse-k", 0, 0, 4}, // k-range after the block
-	}
-	rng := rand.New(rand.NewSource(11))
-	in := matrix.NewSquare[float64](n)
-	// Diagonally dominant keeps GaussElim/LUFactor divisions finite.
-	in.Apply(func(i, j int, _ float64) float64 {
-		if i == j {
-			return 16 + rng.Float64()
+	for _, s := range []int{4, 7, 16, 64} {
+		n := 2 * s
+		blocks := []struct {
+			name       string
+			i0, j0, k0 int
+		}{
+			{"diagonal", 0, 0, 0},
+			{"i-aligned", 0, s, 0},      // i0 == k0, j0 != k0: X=V, U=W
+			{"j-aligned", s, 0, 0},      // j0 == k0, i0 != k0: X=U, V=W
+			{"disjoint", s, s, 0},       // all four distinct
+			{"reverse-k", 0, 0, s},      // k-range after the block
+			{"i-aligned-late", s, 0, s}, // X=V left of the k-range
+			{"j-aligned-late", 0, s, s}, // X=U above the k-range
 		}
-		return rng.NormFloat64()
-	})
+		rng := rand.New(rand.NewSource(11))
+		dominant := matrix.NewSquare[float64](n)
+		// Diagonally dominant keeps GaussElim/LUFactor divisions finite.
+		dominant.Apply(func(i, j int, _ float64) float64 {
+			if i == j {
+				return 16 + rng.Float64()
+			}
+			return rng.NormFloat64()
+		})
+		inputs := []struct {
+			name string
+			in   *matrix.Dense[float64]
+			same func(a, b float64) bool
+		}{{"dominant", dominant, sameBits}, {"hostile", hostileInput(rng, n), sameValue}}
 
-	for _, o := range ops {
-		for _, st := range sets {
-			for _, b := range blocks {
-				label := fmt.Sprintf("%s/%s/%s", o.name, st.name, b.name)
-				want := in.Clone()
-				igepKernel[float64](want, o.op.Func(), st.set, b.i0, b.j0, b.k0, s)
-				fused, flat := kernelFusedCount.Value(), kernelFlatCount.Value()
-				got := runTileBlock(in, o.op, st.set, b.i0, b.j0, b.k0, s)
-				bitsEqual(t, label, want, got)
-				// Every shape of a built-in op over a Ranger set takes
-				// the op's fused kernel, never the flat loop.
-				_, kern := o.op.(Kerneler[float64])
-				if _, ranged := st.set.(Ranger); kern && ranged &&
-					(kernelFusedCount.Value() == fused || kernelFlatCount.Value() != flat) {
-					t.Fatalf("%s: tile ran the flat loop, want the fused kernel", label)
+		for _, input := range inputs {
+			in := input.in
+			for _, o := range ops {
+				for _, st := range sets {
+					for _, b := range blocks {
+						label := fmt.Sprintf("s=%d/%s/%s/%s/%s", s, input.name, o.name, st.name, b.name)
+						want := in.Clone()
+						igepKernel[float64](want, o.op.Func(), st.set, b.i0, b.j0, b.k0, s)
+						fused, flat := kernelFusedCount.Value(), kernelFlatCount.Value()
+						got := runTileBlock(in, o.op, st.set, b.i0, b.j0, b.k0, s)
+						cellsEqual(t, label, want, got, input.same)
+						// Every shape of a built-in op over a Ranger set takes
+						// the op's fused kernel, never the flat loop.
+						_, kern := o.op.(Kerneler[float64])
+						if _, ranged := st.set.(Ranger); kern && ranged &&
+							(kernelFusedCount.Value() == fused || kernelFlatCount.Value() != flat) {
+							t.Fatalf("%s: tile ran the flat loop, want the fused kernel", label)
+						}
+					}
 				}
 			}
 		}

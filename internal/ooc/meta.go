@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Tile metadata: the integrity layer's source of truth. Every tile
@@ -72,6 +73,11 @@ type metaTable struct {
 	mu  sync.Mutex
 	m   map[int64]tileMeta
 	idx []int64 // sorted offsets; nil when stale
+	// n is len(m), stored under mu by put and delete and read without
+	// it by empty and covering: the element path asks covering once or
+	// twice per access, and on a store that never used the tile path
+	// the answer is "not covered" without a mutex round-trip.
+	n atomic.Int64
 }
 
 func (mt *metaTable) init() { mt.m = make(map[int64]tileMeta) }
@@ -83,6 +89,7 @@ func (mt *metaTable) put(off int64, m tileMeta) {
 		mt.idx = nil
 	}
 	mt.m[off] = m
+	mt.n.Store(int64(len(mt.m)))
 	mt.mu.Unlock()
 }
 
@@ -100,27 +107,23 @@ func (mt *metaTable) delete(off int64) {
 	if _, ok := mt.m[off]; ok {
 		delete(mt.m, off)
 		mt.idx = nil
+		mt.n.Store(int64(len(mt.m)))
 	}
 	mt.mu.Unlock()
 }
 
 // empty reports whether the table has no entries. It is the fast-path
 // guard on the element API: a store that never used the tile path
-// pays one mutex round-trip and a length check.
-func (mt *metaTable) empty() bool {
-	mt.mu.Lock()
-	n := len(mt.m)
-	mt.mu.Unlock()
-	return n == 0
-}
+// pays one atomic load.
+func (mt *metaTable) empty() bool { return mt.n.Load() == 0 }
 
 // covering returns the tile whose logical byte range contains off.
 func (mt *metaTable) covering(off int64) (int64, tileMeta, bool) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	if len(mt.m) == 0 {
+	if mt.empty() {
 		return 0, tileMeta{}, false
 	}
+	mt.mu.Lock()
+	defer mt.mu.Unlock()
 	idx := mt.index()
 	i := sort.Search(len(idx), func(i int) bool { return idx[i] > off })
 	if i == 0 {

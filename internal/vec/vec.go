@@ -4,11 +4,15 @@
 // this package, and so do linalg's tiled comparators, so the
 // cache-oblivious and the cache-aware schedules share one kernel.
 //
-// There are two kinds of kernel:
+// There are three kinds of kernel:
 //
 //   - the single-k row updates MinPlusRow, AddRow and SubRow, which
-//     run the split row loops of in-place blocks and the whole of
-//     GaussElim and LUFactor;
+//     run core's split row loop (the fallback for the blocks no row
+//     path takes) and linalg's tiled comparators;
+//   - the multi-k row updates MinPlusRowK and SubRowK, which apply
+//     several k to one row: core's whole-row paths for the A, B and C
+//     blocks of Floyd-Warshall, LU and Gaussian elimination, and every
+//     row of MinPlusRows;
 //   - the covered-block kernels MinPlusRows, MulAddRows and
 //     MulSubRows, which apply every k of a Block to every cell of a
 //     disjoint X.
@@ -116,6 +120,106 @@ func SubRow[T Real](x, v []T, u T) {
 	}
 }
 
+// rowK returns a multi-k row kernel's operands as float64, and the
+// number n = len(x)&^3 of columns the assembly runs, when the row spans
+// at least one vector, u holds at least one k, T is float64 and the
+// AVX2 tier is selected; n is 0 otherwise. Its slicing checks every
+// bound the assembly relies on. The assertions are on pointers, so
+// they neither copy nor allocate, and nothing it returns escapes: the
+// callers pass it straight to the assembly, so a caller's multiplier
+// buffer can stay on its stack.
+func rowK[T Real](x, u, v []T, vs int) (xf, uf, vf []float64, n int) {
+	if len(x) < 4 || len(u) == 0 || !useAVX2 {
+		return nil, nil, nil, 0
+	}
+	p, isF64 := any(&x).(*[]float64)
+	if !isF64 {
+		return nil, nil, nil, 0
+	}
+	xf, uf, vf, n = *p, *any(&u).(*[]float64), *any(&v).(*[]float64), len(x)&^3
+	_ = vf[(len(uf)-1)*vs:][:n]
+	return xf, uf, vf, n
+}
+
+// MinPlusRowK relaxes the row x by the rows of V in the (min, +)
+// semiring: x[j] = min(x[j], u[k]+v[k*vs+j]) for k = 0, …, len(u)-1 in
+// turn and j < len(x). The Go loop runs four k per pass over the row,
+// each cell held in a register and stored once per four k.
+//
+// x must share no cell with u. V's first row may be x itself (v[j] the
+// same cell as x[j]), the shape of Floyd-Warshall's self-update: every
+// cell reads that row before its first store, so the k = 0 update sees
+// x as it was on entry, exactly as a single-k pass would. The assembly
+// and the Go loop both load the V cells of a pass before they store
+// the cell.
+func MinPlusRowK[T Real](x, u, v []T, vs int) {
+	if xf, uf, vf, n := rowK(x, u, v, vs); n > 0 {
+		minPlusRowK(&xf[0], &uf[0], &vf[0], vs, len(uf), n)
+		x, v = x[n:], v[n:]
+	}
+	if len(x) == 0 {
+		return
+	}
+	k := 0
+	for ; k+3 < len(u); k += 4 {
+		a0, a1, a2, a3 := u[k], u[k+1], u[k+2], u[k+3]
+		b0 := v[k*vs:][:len(x)]
+		b1 := v[(k+1)*vs:][:len(x)]
+		b2 := v[(k+2)*vs:][:len(x)]
+		b3 := v[(k+3)*vs:][:len(x)]
+		for j, c := range x {
+			if d := a0 + b0[j]; d < c {
+				c = d
+			}
+			if d := a1 + b1[j]; d < c {
+				c = d
+			}
+			if d := a2 + b2[j]; d < c {
+				c = d
+			}
+			if d := a3 + b3[j]; d < c {
+				c = d
+			}
+			x[j] = c
+		}
+	}
+	for ; k < len(u); k++ {
+		MinPlusRow(x, v[k*vs:][:len(x)], u[k])
+	}
+}
+
+// SubRowK sets x[j] = x[j] − round(u[k]·v[k*vs+j]) for k = 0, …,
+// len(u)-1 in turn and j < len(x): every product rounded before its
+// subtraction, in strict k order per cell. The Go loop runs four k per
+// pass over the row. x must share no cell with u or v.
+func SubRowK[T Real](x, u, v []T, vs int) {
+	if xf, uf, vf, n := rowK(x, u, v, vs); n > 0 {
+		mulSubRowK(&xf[0], &uf[0], &vf[0], vs, len(uf), n)
+		x, v = x[n:], v[n:]
+	}
+	if len(x) == 0 {
+		return
+	}
+	k := 0
+	for ; k+3 < len(u); k += 4 {
+		a0, a1, a2, a3 := u[k], u[k+1], u[k+2], u[k+3]
+		b0 := v[k*vs:][:len(x)]
+		b1 := v[(k+1)*vs:][:len(x)]
+		b2 := v[(k+2)*vs:][:len(x)]
+		b3 := v[(k+3)*vs:][:len(x)]
+		for j, c := range x {
+			c -= T(a0 * b0[j])
+			c -= T(a1 * b1[j])
+			c -= T(a2 * b2[j])
+			c -= T(a3 * b3[j])
+			x[j] = c
+		}
+	}
+	for ; k < len(u); k++ {
+		SubRow(x, v[k*vs:][:len(x)], u[k])
+	}
+}
+
 // Block is the operand set of a covered-block kernel: an M×N block X
 // updated from U (M×K) and V (K×N), three row-major views. Cell (i, j)
 // of X is X[i*XS+j], U[i,k] is U[i*US+k] and V[k,j] is V[k*VS+j]. X
@@ -134,60 +238,25 @@ func (o Block[T]) from(j int) Block[T] {
 
 // avx2Rows runs kernel over columns [0, N&^3) of every row of o when T
 // is float64 and the AVX2 tier is selected, and returns the number of
-// columns it covered (0 otherwise). Its slicing checks every bound the
-// assembly relies on.
+// columns it covered (0 otherwise).
 func avx2Rows[T Real](o *Block[T], kernel func(x, u, v *float64, vs, kn, n int)) int {
-	f, isF64 := any(o).(*Block[float64])
-	if !useAVX2 || !isF64 || f.K == 0 || f.N < 4 {
-		return 0
-	}
-	n := f.N &^ 3
-	_ = f.V[(f.K-1)*f.VS:][:n]
-	for i := 0; i < f.M; i++ {
-		x, u := f.X[i*f.XS:][:n], f.U[i*f.US:][:f.K]
-		kernel(&x[0], &u[0], &f.V[0], f.VS, f.K, n)
+	n := 0
+	for i := 0; i < o.M; i++ {
+		var xf, uf, vf []float64
+		if xf, uf, vf, n = rowK(o.X[i*o.XS:][:o.N], o.U[i*o.US:][:o.K], o.V, o.VS); n == 0 {
+			return 0
+		}
+		kernel(&xf[0], &uf[0], &vf[0], o.VS, o.K, n)
 	}
 	return n
 }
 
 // MinPlusRows relaxes X by U and V in the (min, +) semiring:
-// x[i,j] = min(x[i,j], u[i,k]+v[k,j]) for k = 0, …, K-1 in turn. The Go
-// loop takes one X row at a time, unrolled 4 ways over k, so each cell
-// is relaxed by four k in ascending order while held in a register and
-// stored once per four k (storing an unchanged value is harmless: only
-// X is written).
+// x[i,j] = min(x[i,j], u[i,k]+v[k,j]) for k = 0, …, K-1 in turn, one
+// MinPlusRowK per row of X.
 func MinPlusRows[T Real](o Block[T]) {
-	o = o.from(avx2Rows(&o, minPlusRowK))
-	x, u, v := o.X, o.U, o.V
 	for i := 0; i < o.M; i++ {
-		xr := x[i*o.XS:][:o.N]
-		ur := u[i*o.US:][:o.K]
-		k := 0
-		for ; k+3 < o.K; k += 4 {
-			a0, a1, a2, a3 := ur[k], ur[k+1], ur[k+2], ur[k+3]
-			b0 := v[k*o.VS:][:len(xr)]
-			b1 := v[(k+1)*o.VS:][:len(xr)]
-			b2 := v[(k+2)*o.VS:][:len(xr)]
-			b3 := v[(k+3)*o.VS:][:len(xr)]
-			for j, c := range xr {
-				if d := a0 + b0[j]; d < c {
-					c = d
-				}
-				if d := a1 + b1[j]; d < c {
-					c = d
-				}
-				if d := a2 + b2[j]; d < c {
-					c = d
-				}
-				if d := a3 + b3[j]; d < c {
-					c = d
-				}
-				xr[j] = c
-			}
-		}
-		for ; k < o.K; k++ {
-			MinPlusRow(xr, v[k*o.VS:][:o.N], ur[k])
-		}
+		MinPlusRowK(o.X[i*o.XS:][:o.N], o.U[i*o.US:][:o.K], o.V, o.VS)
 	}
 }
 
@@ -199,7 +268,9 @@ func MinPlusRows[T Real](o Block[T]) {
 // loaded and stored once per four values of k and each V element
 // loaded serves both rows.
 func MulAddRows[T Real](o Block[T]) {
-	o = o.from(avx2Rows(&o, mulAddRowK))
+	if o = o.from(avx2Rows(&o, mulAddRowK)); o.N == 0 {
+		return
+	}
 	x, u, v := o.X, o.U, o.V
 	i := 0
 	for ; i+1 < o.M; i += 2 {
@@ -250,7 +321,9 @@ func MulAddRows[T Real](o Block[T]) {
 // MulSubRows is MulAddRows with subtracting accumulation: X −= U·V, in
 // strict k order per cell.
 func MulSubRows[T Real](o Block[T]) {
-	o = o.from(avx2Rows(&o, mulSubRowK))
+	if o = o.from(avx2Rows(&o, mulSubRowK)); o.N == 0 {
+		return
+	}
 	x, u, v := o.X, o.U, o.V
 	i := 0
 	for ; i+1 < o.M; i += 2 {

@@ -73,9 +73,23 @@ var rowKernels = []struct {
 	{"SubRow", SubRow[float64]},
 }
 
+var rowKKernels = []struct {
+	name string
+	f    func(x, u, v []float64, vs int)
+	row  func(x, v []float64, u float64) // the single-k kernel it repeats
+}{
+	{"MinPlusRowK", MinPlusRowK[float64], MinPlusRow[float64]},
+	{"SubRowK", SubRowK[float64], SubRow[float64]},
+}
+
 // TestRowKernelsMatchGoLoops runs every single-k row kernel with both
 // tiers on every length, on sub-slices starting at each offset mod 4,
-// on distinct rows and on one row that is both x and v.
+// on distinct rows and on one row that is both x and v. It runs every
+// multi-k row kernel with both tiers on every length and several k
+// counts, over unaligned views with padded strides, and checks both
+// against the single-k kernel's Go loop applied once per k;
+// MinPlusRowK also runs with V's first row being x itself, the shape
+// of Floyd-Warshall's B-block rows.
 func TestRowKernelsMatchGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range rowKernels {
@@ -89,6 +103,42 @@ func TestRowKernelsMatchGoLoops(t *testing.T) {
 					tier, loops = both(x, func(x []float64) { k.f(x[off:], x[off:], u) })
 					sameBits(t, what+" aliased", tier, loops)
 				}
+			}
+		}
+	}
+	// repeat applies the single-k kernel k = 0, …, len(u)-1 in turn with
+	// the Go loops; vk returns V's row k at the time it is applied.
+	repeat := func(row func(x, v []float64, u float64), x, u []float64, vk func(k int) []float64) {
+		defer func(saved bool) { useAVX2 = saved }(useAVX2)
+		useAVX2 = false
+		for k, a := range u {
+			row(x, vk(k)[:len(x)], a)
+		}
+	}
+	for _, k := range rowKKernels {
+		for _, n := range lengths {
+			for _, kn := range []int{0, 1, 3, 4, 5, 8, 63} {
+				off := rng.Intn(4)
+				vs := n + rng.Intn(5)
+				x, u, v := fill(rng, off+n), fill(rng, kn), fill(rng, off+kn*vs)
+				what := fmt.Sprintf("%s k=%d n=%d off=%d", k.name, kn, n, off)
+				tier, loops := both(x, func(x []float64) { k.f(x[off:], u, v[off:], vs) })
+				sameBits(t, what, tier, loops)
+				want := append([]float64(nil), x...)
+				repeat(k.row, want[off:], u, func(r int) []float64 { return v[off+r*vs:] })
+				sameBits(t, what+" vs single-k", tier, want)
+
+				if k.name != "MinPlusRowK" || kn == 0 {
+					continue
+				}
+				// V's first row is x: the row and the rows of V share one
+				// buffer, x = buf[off:off+n].
+				buf := fill(rng, off+kn*vs)
+				tier, loops = both(buf, func(b []float64) { k.f(b[off:off+n], u, b[off:], vs) })
+				sameBits(t, what+" aliased", tier, loops)
+				want = append([]float64(nil), buf...)
+				repeat(k.row, want[off:off+n], u, func(r int) []float64 { return want[off+r*vs:] })
+				sameBits(t, what+" aliased vs single-k", tier, want)
 			}
 		}
 	}
@@ -137,6 +187,8 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		MinPlusRow(x[:s], v[:s], 1)
 		AddRow(x[:s], v[:s], 1)
 		SubRow(x[:s], v[:s], 1)
+		MinPlusRowK(x[:s], u[:s], v, s)
+		SubRowK(x[:s], u[:s], v, s)
 		MinPlusRows(b)
 		MulAddRows(b)
 		MulSubRows(b)
