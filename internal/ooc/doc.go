@@ -23,6 +23,20 @@
 //     internal/core kernel of the op, directly on resident tiles; it
 //     is bit-identical to the element path and to the in-core engines,
 //     and one to two orders of magnitude faster than the element path.
+//     Both ends of a run move whole tiles too: LoadTiles and LoadFunc
+//     fill fresh pins (PinTileZero), and Unload pins each tile once,
+//     copies its rows out and unpins it clean (a row-major matrix,
+//     which has no tiles, unloads cell by cell).
+//
+// Tile transfers reuse their buffers. A clean tile that leaves the
+// cache (evicted, or dropped by a sync) hands its Data to the next
+// fault, fresh pin or prefetch of the same size; a dirty victim's
+// buffer stays with its write-behind task and is not reused. The
+// encode, decode, payload and journal-record bytes of each transfer
+// come from a sync.Pool, since background tasks transfer concurrently.
+// Neither the free buffers nor the pooled bytes count against
+// Config.CacheSize, which bounds resident tiles only; resident plus
+// free tile buffers never exceed the cache's peak residency.
 //
 // The two regimes are kept coherent conservatively: pinning a tile
 // flushes and drops the pages overlapping it, and an element access
@@ -63,9 +77,10 @@
 //     IOTime report the transfer counters and modeled disk time that
 //     feed the Figure 7 rows in BENCH_ooc.json.
 //   - Matrix / NewMatrix with RowMajorLayout or MortonTiledLayout:
-//     the Grid view over the store; Load/Unload move whole matrices
-//     across the RAM boundary; Tiling/PinTile/PrefetchTile expose the
-//     tile regime when the layout is tile-contiguous.
+//     the Grid view over the store; Load/LoadTiles/LoadFunc/Unload
+//     move whole matrices across the RAM boundary (by the tile when
+//     the layout allows); Tiling/PinTile/PrefetchTile expose the tile
+//     regime when the layout is tile-contiguous.
 //   - RunIGEP / RunOptions: the tile-granular I-GEP driver.
 //   - Rect / TiledRect: rectangular views used by C-GEP's auxiliary
 //     buffers.

@@ -78,7 +78,10 @@ type journal struct {
 // in the journal. Raw writes go through the store's retry/injection
 // policy like every other transfer.
 func (j *journal) appendTile(s *Store, off int64, side int, flags uint32, paySum uint64, payload []byte) (int64, error) {
-	rec := make([]byte, jtrecSize+len(payload))
+	buf := getBytes(jtrecSize + len(payload))
+	defer bytePool.Put(buf)
+	rec := *buf
+	clear(rec[:jtrecSize])
 	rec[0] = 'T'
 	binary.LittleEndian.PutUint32(rec[4:], uint32(side))
 	binary.LittleEndian.PutUint64(rec[8:], uint64(off))
@@ -516,18 +519,16 @@ func (s *Store) applyGroup(offs []int64) error {
 		if !ok || m.flags&tileJournal == 0 {
 			continue
 		}
-		buf := make([]byte, m.physLen)
-		if err := s.readAtFile(s.jr.f, buf, m.jpos, off); err != nil {
-			return err
+		buf := getBytes(m.physLen)
+		err := s.readAtFile(s.jr.f, *buf, m.jpos, off)
+		if err == nil {
+			err = s.verify(off, m, *buf)
 		}
-		if got := Checksum(buf); got != m.sum {
-			checksumFailCount.Inc()
-			s.stats.checksumFail.Add(1)
-			return &CorruptError{Off: off, Side: m.side, Stripe: s.stripeOf(off), Want: m.sum, Got: got}
+		if err == nil {
+			err = s.writeRaw(*buf, off)
 		}
-		checksumOKCount.Inc()
-		s.stats.checksumOK.Add(1)
-		if err := s.writeRaw(buf, off); err != nil {
+		bytePool.Put(buf)
+		if err != nil {
 			return err
 		}
 		s.stats.journalBytes.Add(int64(m.physLen))

@@ -147,50 +147,63 @@ func (m *Matrix) Load(src *matrix.Dense[float64]) error {
 // LoadFunc fills the matrix tile by tile from f(i, j) — the scalable
 // load path: nothing is staged densely in RAM, each tile is pinned
 // fresh (no read), filled, and written back through the checksummed
-// tile path, so matrices far larger than RAM load with one tile
-// buffer resident. Requires a tile-contiguous layout.
+// tile path, so a matrix far larger than RAM loads within the tile
+// cache's budget (Config.CacheSize of resident tiles, plus the
+// write-behind in flight). Requires a tile-contiguous layout.
 func (m *Matrix) LoadFunc(f func(i, j int) float64) error {
-	if m.tiling == nil {
-		return fmt.Errorf("ooc: LoadFunc needs a tile-contiguous layout (use MortonTiledLayout)")
-	}
-	side := m.tiling.Side
-	nt := m.n / side
-	for ti := 0; ti < nt; ti++ {
-		for tj := 0; tj < nt; tj++ {
-			t, err := m.s.PinTileZero(m.TileOffset(ti, tj), side)
-			if err != nil {
-				return err
+	return m.eachTile("LoadFunc", true, func(data []float64, i0, j0 int) {
+		side := m.tiling.Side
+		for r := 0; r < side; r++ {
+			for c := 0; c < side; c++ {
+				data[r*side+c] = f(i0+r, j0+c)
 			}
-			for r := 0; r < side; r++ {
-				for c := 0; c < side; c++ {
-					t.Data[r*side+c] = f(ti*side+r, tj*side+c)
-				}
-			}
-			m.s.UnpinTile(t, true)
 		}
-	}
-	return m.s.Err()
+	})
 }
 
 // LoadTiles copies a dense in-core matrix into the store through the
-// tile path (see LoadFunc). It panics if the sizes differ.
+// tile path (see LoadFunc), one copy per row of each tile. It panics
+// if the sizes differ.
 func (m *Matrix) LoadTiles(src *matrix.Dense[float64]) error {
 	if src.N() != m.n {
 		panic("ooc: LoadTiles size mismatch")
 	}
-	return m.LoadFunc(src.At)
+	return m.eachTile("LoadTiles", true, func(data []float64, i0, j0 int) {
+		side := m.tiling.Side
+		for r := 0; r < side; r++ {
+			copy(data[r*side:(r+1)*side], src.Row(i0 + r)[j0:j0+side])
+		}
+	})
 }
 
-// Unload copies the matrix back into a fresh dense matrix, surfacing
-// the store's first I/O error.
+// Unload copies the matrix back into a fresh dense matrix. A
+// tile-contiguous matrix moves a tile at a time: each tile is pinned
+// once, its rows are copied out, and it is unpinned clean. Other
+// layouts go cell by cell through At. On an I/O error, including the
+// store's sticky one, Unload returns nil and the error.
 func (m *Matrix) Unload() (*matrix.Dense[float64], error) {
 	out := matrix.NewSquare[float64](m.n)
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			out.Set(i, j, m.At(i, j))
+	var err error
+	if m.tiling == nil {
+		for i := 0; i < m.n; i++ {
+			row := out.Row(i)
+			for j := range row {
+				row[j] = m.At(i, j)
+			}
 		}
+		err = m.s.Err()
+	} else {
+		err = m.eachTile("Unload", false, func(data []float64, i0, j0 int) {
+			side := m.tiling.Side
+			for r := 0; r < side; r++ {
+				copy(out.Row(i0 + r)[j0:j0+side], data[r*side:(r+1)*side])
+			}
+		})
 	}
-	return out, m.s.Err()
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Digest returns an XXH64 digest of the matrix's logical contents,
@@ -201,29 +214,50 @@ func (m *Matrix) Unload() (*matrix.Dense[float64], error) {
 // bit-identical-resume check the recovery matrix relies on. Requires a
 // tile-contiguous layout.
 func (m *Matrix) Digest() (uint64, error) {
+	var buf, sums []byte
+	var sumb [8]byte
+	err := m.eachTile("Digest", false, func(data []float64, _, _ int) {
+		if buf == nil {
+			buf = make([]byte, len(data)*8)
+		}
+		for i, v := range data {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		}
+		binary.LittleEndian.PutUint64(sumb[:], Checksum(buf))
+		sums = append(sums, sumb[:]...)
+	})
+	if err != nil {
+		return 0, err
+	}
+	return Checksum(sums), nil
+}
+
+// eachTile visits the tiles in row-major tile order. It pins each one,
+// fresh and zeroed when fill is set and read otherwise, passes its
+// data and first cell to f, and unpins it, dirty when fill is set. It
+// returns the first pin error or the store's sticky error; what names
+// the caller in the error of a layout without tiles.
+func (m *Matrix) eachTile(what string, fill bool, f func(data []float64, i0, j0 int)) error {
 	if m.tiling == nil {
-		return 0, fmt.Errorf("ooc: Digest needs a tile-contiguous layout (use MortonTiledLayout)")
+		return fmt.Errorf("ooc: %s needs a tile-contiguous layout (use MortonTiledLayout)", what)
+	}
+	pin := m.s.PinTile
+	if fill {
+		pin = m.s.PinTileZero
 	}
 	side := m.tiling.Side
 	nt := m.n / side
-	buf := make([]byte, side*side*8)
-	sums := make([]byte, 0, nt*nt*8)
-	var sumb [8]byte
 	for ti := 0; ti < nt; ti++ {
 		for tj := 0; tj < nt; tj++ {
-			t, err := m.s.PinTile(m.TileOffset(ti, tj), side)
+			t, err := pin(m.TileOffset(ti, tj), side)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			for i, v := range t.Data {
-				binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-			}
-			m.s.UnpinTile(t, false)
-			binary.LittleEndian.PutUint64(sumb[:], Checksum(buf))
-			sums = append(sums, sumb[:]...)
+			f(t.Data, ti*side, tj*side)
+			m.s.UnpinTile(t, fill)
 		}
 	}
-	return Checksum(sums), m.s.Err()
+	return m.s.Err()
 }
 
 // Rect is a rows×cols float64 region of a Store in row-major order; it

@@ -50,6 +50,19 @@ func (e *CorruptError) Error() string {
 // Unwrap lets errors.Is(err, ErrCorrupt) match.
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
+// verify checks payload, the physical bytes of the tile at off,
+// against the sum m records, counting the outcome.
+func (s *Store) verify(off int64, m tileMeta, payload []byte) error {
+	if got := Checksum(payload); got != m.sum {
+		checksumFailCount.Inc()
+		s.stats.checksumFail.Add(1)
+		return &CorruptError{Off: off, Side: m.side, Stripe: s.stripeOf(off), Want: m.sum, Got: got}
+	}
+	checksumOKCount.Inc()
+	s.stats.checksumOK.Add(1)
+	return nil
+}
+
 const (
 	// tileCompressed marks a zrle-encoded payload (compress.go).
 	tileCompressed uint32 = 1 << iota

@@ -511,16 +511,21 @@ func (s *Store) WriteFloat(off int64, v float64) {
 // compressed/journaled payloads correctly). It reports handled=false
 // when no tile covers off and the caller should use the page path;
 // before deciding, any live tile-cache state is synced so a dirty
-// resident tile covering off becomes visible as meta.
+// resident tile covering off becomes visible as meta. With no
+// resident, pending or waited-on tile there is nothing to sync and no
+// background task that could change the table, so the first lookup
+// stands.
 func (s *Store) elementViaTile(off int64, write bool, v float64) (float64, bool) {
 	mo, m, ok := s.meta.covering(off)
 	if !ok {
-		if err := s.syncForElement(); err != nil {
+		if len(s.tc.tiles) == 0 && len(s.tc.pending) == 0 && len(s.tc.waits) == 0 {
+			return 0, false
+		}
+		if err := s.SyncTiles(); err != nil {
 			s.setErr(err)
 			return 0, true
 		}
-		mo, m, ok = s.meta.covering(off)
-		if !ok {
+		if mo, m, ok = s.meta.covering(off); !ok {
 			return 0, false
 		}
 	}
@@ -614,17 +619,20 @@ func (s *Store) materializeRaw(p *page) error {
 			continue
 		}
 		logical := int64(m.side) * int64(m.side) * 8
-		raw, err := s.readTilePayload(mo, m)
+		buf, err := s.readTilePayload(mo, m)
 		if err != nil {
 			return err
 		}
+		raw := *buf
 		if m.flags&(tileCompressed|tileJournal) != 0 {
 			if err := s.writeRaw(raw, mo); err != nil {
+				bytePool.Put(buf)
 				return err
 			}
 		}
 		lo, hi := max64(mo, pstart), min64(mo+logical, pstart+ps)
 		copy(p.data[lo-pstart:hi-pstart], raw[lo-mo:hi-mo])
+		bytePool.Put(buf) // raw's last use
 		s.meta.delete(mo)
 	}
 	return nil
@@ -692,6 +700,7 @@ func (s *Store) Close() error {
 	if err := s.SyncTiles(); err != nil {
 		errs = append(errs, err)
 	}
+	s.tc.free = nil
 	if err := s.Flush(); err != nil {
 		errs = append(errs, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Tile-granular caching: the second, coarser regime of the store. The
@@ -32,11 +33,26 @@ import (
 // conservative: pinning or prefetching a tile first flushes and drops
 // every page overlapping its bytes, and element accesses route
 // through the tile path whenever a checksummed tile covers them.
+//
+// Tile buffers are reused. A clean tile that leaves the cache (evicted
+// by makeRoom, or evicted or dropped by syncTiles) puts its Data on the
+// cache's free list, and the next tile the store makes (a fault, a
+// fresh pin or a prefetch) takes the newest buffer there when it has
+// the right size. Only a tile that is clean, unpinned, fully loaded
+// and already out of the cache gives its buffer up: a dirty victim's
+// buffer belongs to its write-behind task until the write ends and is
+// left to the garbage collector. A buffer enters the list only by
+// leaving the cache and leaves it only by re-entering it (or when a
+// tile of another size drops the list), so resident plus free bytes
+// never exceed the cache's peak residency. The byte scratch of every
+// transfer comes from a sync.Pool (getBytes). Neither the free list
+// nor the pool counts against Config.CacheSize.
 
 // Tile is a pinned, resident quadrant of a store: Side()² float64
 // values in row-major order in Data. A Tile is valid between the
 // PinTile that returned it and the matching UnpinTile; the runtime
-// layer (run.go) and the kernels mutate Data in place.
+// layer (run.go) and the kernels mutate Data in place. After the
+// UnpinTile, Data may be handed to another tile.
 type Tile struct {
 	off  int64 // byte offset of the quadrant in the store
 	side int   // edge length in elements
@@ -82,6 +98,8 @@ type tileCache struct {
 	pending  map[int64]*pendingIO // in-flight write-backs by offset
 	inflight []chan struct{}      // per-stripe slots, shared by write-behind and prefetch
 	waits    []func()             // joins for every task spawned since the last sync
+
+	free [][]float64 // buffers of clean tiles that left the cache, newest last
 }
 
 func (c *tileCache) init(cfg Config) {
@@ -95,6 +113,34 @@ func (c *tileCache) init(cfg Config) {
 			c.inflight[i] = make(chan struct{}, cfg.WriteBehind)
 		}
 	}
+}
+
+// newTile makes a tile for the quadrant at off on the newest free
+// buffer when it has the tile's size, and on a fresh one otherwise. A
+// reused buffer holds its last tile's data: zero clears it, and a read
+// overwrites it. A free list of another size is dropped.
+func (c *tileCache) newTile(off int64, side int, zero bool) *Tile {
+	n := side * side
+	var data []float64
+	if k := len(c.free) - 1; k >= 0 && len(c.free[k]) == n {
+		data = c.free[k]
+		c.free[k] = nil
+		c.free = c.free[:k]
+		if zero {
+			clear(data)
+		}
+	} else {
+		c.free = nil
+		data = make([]float64, n)
+	}
+	return &Tile{off: off, side: side, Data: data}
+}
+
+// recycle moves the buffer of t, a clean, unpinned, fully loaded tile
+// already out of the cache, to the free list.
+func (c *tileCache) recycle(t *Tile) {
+	c.free = append(c.free, t.Data)
+	t.Data = nil
 }
 
 func (c *tileCache) pushLRU(t *Tile) {
@@ -158,9 +204,10 @@ func (s *Store) PinTile(off int64, side int) (*Tile, error) {
 	if err := s.makeRoom(size); err != nil {
 		return nil, err
 	}
-	t := &Tile{off: off, side: side, Data: make([]float64, side*side), pins: 1}
+	t := s.tc.newTile(off, side, false)
+	t.pins = 1
 	if err := s.readTile(t); err != nil {
-		return nil, err
+		return nil, err // the buffer goes with t, never into the cache
 	}
 	s.tc.tiles[off] = t
 	s.tc.bytes += size
@@ -196,9 +243,7 @@ func (s *Store) PinTileZero(off int64, side int) (*Tile, error) {
 			s.tc.unlinkLRU(t)
 		}
 		t.pins++
-		for i := range t.Data {
-			t.Data[i] = 0
-		}
+		clear(t.Data)
 		tileFreshCount.Inc()
 		return t, nil
 	}
@@ -212,7 +257,8 @@ func (s *Store) PinTileZero(off int64, side int) (*Tile, error) {
 	if err := s.makeRoom(size); err != nil {
 		return nil, err
 	}
-	t := &Tile{off: off, side: side, Data: make([]float64, side*side), pins: 1}
+	t := s.tc.newTile(off, side, true)
+	t.pins = 1
 	s.tc.tiles[off] = t
 	s.tc.bytes += size
 	tileFreshCount.Inc()
@@ -273,7 +319,8 @@ func (s *Store) PrefetchTile(off int64, side int) {
 		return
 	}
 	p := &pendingIO{}
-	t := &Tile{off: off, side: side, Data: make([]float64, side*side), loading: p, prefetched: true}
+	t := s.tc.newTile(off, side, false)
+	t.loading, t.prefetched = p, true
 	s.tc.tiles[off] = t
 	s.tc.bytes += size
 	s.tc.pushLRU(t)
@@ -319,7 +366,8 @@ func (s *Store) waitPending(off int64) error {
 }
 
 // makeRoom evicts unpinned, fully-loaded LRU tiles until need bytes
-// fit in the budget; dirty victims are written back in the background.
+// fit in the budget; dirty victims are written back in the background,
+// and clean ones leave their buffers to the next new tile.
 // When every resident tile is pinned or loading, the caller overcommits
 // instead (pinned tiles can never be evicted).
 func (s *Store) makeRoom(need int64) error {
@@ -336,10 +384,10 @@ func (s *Store) makeRoom(need int64) error {
 		c.unlinkLRU(victim)
 		delete(c.tiles, victim.off)
 		c.bytes -= victim.bytes()
-		if victim.dirty {
-			if err := s.writeBehindTile(victim); err != nil {
-				return err
-			}
+		if !victim.dirty {
+			c.recycle(victim)
+		} else if err := s.writeBehindTile(victim); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -438,6 +486,7 @@ func (s *Store) syncTiles(evict bool) error {
 			t.dirty = false
 			if !evict {
 				s.tc.drop(t)
+				s.tc.recycle(t)
 				continue
 			}
 		}
@@ -449,6 +498,9 @@ func (s *Store) syncTiles(evict bool) error {
 		if evict {
 			delete(s.tc.tiles, off)
 			s.tc.bytes -= t.bytes()
+			if !t.dirty {
+				s.tc.recycle(t)
+			}
 		}
 	}
 	if evict {
@@ -460,18 +512,25 @@ func (s *Store) syncTiles(evict bool) error {
 	return errors.Join(errs...)
 }
 
-// syncForElement keeps the element API coherent with the tile cache:
-// if any tile state exists, it is synced to disk first. The common
-// in-core-style workload (no tiles) pays only three length checks.
-func (s *Store) syncForElement() error {
-	if len(s.tc.tiles) == 0 && len(s.tc.pending) == 0 && len(s.tc.waits) == 0 {
-		return nil
-	}
-	return s.SyncTiles()
-}
-
 // ResidentTiles returns the number of tiles currently resident.
 func (s *Store) ResidentTiles() int { return len(s.tc.tiles) }
+
+// bytePool lends byte scratch to tile transfers: encode and decode
+// buffers, payloads and journal records. Write-behind and prefetch
+// tasks transfer concurrently with the driver, so the buffers come
+// from a sync.Pool rather than from the store, and each goes back
+// only after its last use.
+var bytePool sync.Pool
+
+// getBytes borrows a buffer of length n from bytePool.
+func getBytes(n int) *[]byte {
+	if b, ok := bytePool.Get().(*[]byte); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]byte, n)
+	return &b
+}
 
 // readTile fills t.Data from disk (one modeled tile transfer),
 // verifying the recorded checksum and decompressing when the payload
@@ -480,7 +539,7 @@ func (s *Store) ResidentTiles() int { return len(s.tc.tiles) }
 func (s *Store) readTile(t *Tile) error {
 	logical := int64(len(t.Data)) * 8
 	m, ok := s.meta.get(t.off)
-	var buf []byte
+	var buf *[]byte
 	if ok {
 		raw, err := s.readTilePayload(t.off, m)
 		if err != nil {
@@ -489,15 +548,18 @@ func (s *Store) readTile(t *Tile) error {
 		buf = raw
 		s.stats.tileBytesRead.Add(int64(m.physLen))
 	} else {
-		buf = make([]byte, logical)
-		if err := s.readRaw(buf, t.off); err != nil {
+		buf = getBytes(int(logical))
+		if err := s.readRaw(*buf, t.off); err != nil {
+			bytePool.Put(buf)
 			return err
 		}
 		s.stats.tileBytesRead.Add(logical)
 	}
+	b := *buf
 	for i := range t.Data {
-		t.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		t.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
+	bytePool.Put(buf)
 	s.stats.tileReads.Add(1)
 	s.stats.tileLogicalRead.Add(logical)
 	return nil
@@ -506,31 +568,32 @@ func (s *Store) readTile(t *Tile) error {
 // readTilePayload reads the physical payload recorded for the tile at
 // off — from the journal when the current version lives there, the
 // home slot otherwise — verifies its checksum, and returns the raw
-// logical bytes (decompressed when needed).
-func (s *Store) readTilePayload(off int64, m tileMeta) ([]byte, error) {
-	payload := make([]byte, m.physLen)
+// logical bytes (decompressed when needed) in a buffer borrowed from
+// bytePool, which the caller puts back after its last use.
+func (s *Store) readTilePayload(off int64, m tileMeta) (*[]byte, error) {
+	payload := getBytes(m.physLen)
 	var err error
 	if m.flags&tileJournal != 0 {
-		err = s.readAtFile(s.jr.f, payload, m.jpos, off)
+		err = s.readAtFile(s.jr.f, *payload, m.jpos, off)
 		s.stats.journalBytes.Add(int64(m.physLen))
 	} else {
-		err = s.readRaw(payload, off)
+		err = s.readRaw(*payload, off)
+	}
+	if err == nil {
+		err = s.verify(off, m, *payload)
 	}
 	if err != nil {
+		bytePool.Put(payload)
 		return nil, err
 	}
-	if got := Checksum(payload); got != m.sum {
-		checksumFailCount.Inc()
-		s.stats.checksumFail.Add(1)
-		return nil, &CorruptError{Off: off, Side: m.side, Stripe: s.stripeOf(off), Want: m.sum, Got: got}
-	}
-	checksumOKCount.Inc()
-	s.stats.checksumOK.Add(1)
 	if m.flags&tileCompressed == 0 {
 		return payload, nil
 	}
-	raw := make([]byte, int64(m.side)*int64(m.side)*8)
-	if err := zrleDecode(raw, payload); err != nil {
+	raw := getBytes(m.side * m.side * 8)
+	err = zrleDecode(*raw, *payload)
+	bytePool.Put(payload)
+	if err != nil {
+		bytePool.Put(raw)
 		return nil, fmt.Errorf("ooc: tile at %d: %w", off, err)
 	}
 	return raw, nil
@@ -542,7 +605,9 @@ func (s *Store) readTilePayload(off int64, m tileMeta) ([]byte, error) {
 // metadata and marks it clean.
 func (s *Store) writeTile(t *Tile) error {
 	logical := len(t.Data) * 8
-	raw := make([]byte, logical)
+	buf := getBytes(logical)
+	defer bytePool.Put(buf)
+	raw := *buf
 	for i, v := range t.Data {
 		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 	}
