@@ -136,7 +136,6 @@ func runOOC(args []string) int {
 
 	var ran int64
 	err = ooc.RunIGEP(m, op, set, ooc.RunOptions{
-		Prefetch:        true,
 		CheckpointEvery: *checkpoint,
 		StartBlock:      start,
 		OnCheckpoint: func(tag int64) {

@@ -77,7 +77,7 @@ func main() {
 		return m.Store().Err()
 	})
 	run("I-GEP tiles", ooc.MortonTiledLayout(16), func(m *ooc.Matrix) error {
-		return ooc.RunIGEP(m, minPlus, core.Full{}, ooc.RunOptions{Prefetch: true})
+		return ooc.RunIGEP(m, minPlus, core.Full{}, ooc.RunOptions{})
 	})
 
 	fmt.Printf("out-of-core Floyd-Warshall, n=%d, B=%d B, M=%d KB (matrix %d KB)\n\n",

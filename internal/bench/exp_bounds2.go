@@ -225,7 +225,7 @@ func bounds2OOC(w io.Writer, scale Scale) error {
 		s.ResetStats()
 		var runErr error
 		wall, mets := TimeBestMetered(1, func() {
-			runErr = ooc.RunStrassen(mc, ma, mb, e.crossover, ooc.RunOptions{Prefetch: true})
+			runErr = ooc.RunStrassen(mc, ma, mb, e.crossover, ooc.RunOptions{})
 		})
 		st := s.Stats()
 		if cerr := s.Close(); runErr == nil {

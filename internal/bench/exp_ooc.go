@@ -27,7 +27,7 @@ func init() {
 	})
 	Register(Experiment{
 		Name:  "ooc",
-		Title: "Tile-granular out-of-core I-GEP: element path vs resident-tile kernels vs prefetch; durable striped stores + crash recovery",
+		Title: "Tile-granular out-of-core I-GEP: element path vs resident-tile kernels; durable striped stores + crash recovery",
 		Run:   runOOCTiles,
 	})
 }
@@ -204,10 +204,9 @@ func runFig7b(w io.Writer, scale Scale) error {
 // runOOCTiles measures what the tile-granular runtime buys over the
 // element-at-a-time path on the same out-of-core I-GEP recursion: the
 // element engine calls ReadFloat/WriteFloat four times per update,
-// the tile engine runs the fused kernels on pinned resident quadrants,
-// and the prefetch variant additionally overlaps the next block's
-// reads (and all dirty write-backs) with compute. All three produce
-// bit-identical results; only staging differs.
+// and the tile engine runs the fused kernels on pinned resident
+// quadrants, faulted in on demand, while dirty write-backs overlap
+// compute. Both produce bit-identical results; only staging differs.
 func runOOCTiles(w io.Writer, scale Scale) error {
 	type config struct {
 		n, tile, pageSize int
@@ -234,11 +233,6 @@ func runOOCTiles(w io.Writer, scale Scale) error {
 		{"I-GEP(tile)", func(int) func(s *ooc.Store, m *ooc.Matrix) error {
 			return func(s *ooc.Store, m *ooc.Matrix) error {
 				return ooc.RunIGEP(m, fwUpdate, core.Full{}, ooc.RunOptions{})
-			}
-		}},
-		{"I-GEP(tile+prefetch)", func(int) func(s *ooc.Store, m *ooc.Matrix) error {
-			return func(s *ooc.Store, m *ooc.Matrix) error {
-				return ooc.RunIGEP(m, fwUpdate, core.Full{}, ooc.RunOptions{Prefetch: true})
 			}
 		}},
 	}
@@ -281,11 +275,11 @@ func runOOCTiles(w io.Writer, scale Scale) error {
 			return err
 		}
 	}
-	fmt.Fprintln(w, "\nExpected shape: identical results and identical transfer volume at tile")
-	fmt.Fprintln(w, "granularity, but the tile engines replace four interface calls and a")
-	fmt.Fprintln(w, "page-cache probe per update with fused kernels over resident buffers —")
-	fmt.Fprintln(w, "an order of magnitude of wall time — and prefetch hides part of the")
-	fmt.Fprintln(w, "remaining read stalls behind compute.")
+	fmt.Fprintln(w, "\nExpected shape: identical results, but the tile engine replaces four")
+	fmt.Fprintln(w, "interface calls and a page-cache probe per update with fused kernels over")
+	fmt.Fprintln(w, "resident buffers — an order of magnitude of wall time. Its reads are")
+	fmt.Fprintln(w, "demand faults at tile granularity; only the write-backs of evicted dirty")
+	fmt.Fprintln(w, "tiles overlap compute.")
 	fmt.Fprintln(w)
 	return runOOCDurable(w, scale)
 }
@@ -412,7 +406,7 @@ func runOOCDurable(w io.Writer, scale Scale) error {
 		var runErr error
 		wall, mets := TimeBestMetered(1, func() {
 			runErr = ooc.RunIGEP(m, core.LUFactor[float64]{}, core.LU{},
-				ooc.RunOptions{Prefetch: true, CheckpointEvery: c.checkpoint})
+				ooc.RunOptions{CheckpointEvery: c.checkpoint})
 		})
 		st, ioWait := s.Stats(), s.IOTime()
 		if cerr := s.Close(); runErr == nil {
@@ -475,7 +469,7 @@ func runCrashDrill(t *Table, c dconf) error {
 	if err != nil {
 		return err
 	}
-	opts := ooc.RunOptions{Prefetch: true, CheckpointEvery: c.checkpoint}
+	opts := ooc.RunOptions{CheckpointEvery: c.checkpoint}
 	var want uint64
 	runErr := ooc.RunIGEP(m, core.LUFactor[float64]{}, core.LU{}, opts)
 	if runErr == nil {

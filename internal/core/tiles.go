@@ -69,11 +69,10 @@ type Block struct {
 // IGEPBlocks enumerates the base-case blocks RunIGEP visits, in visit
 // order, for side length n (a power of two), base-case side base and
 // the given set's pruning (prune mirrors WithPrune; pass true for the
-// default). It is the prefetch oracle of the out-of-core runtime: the
-// tile driver walks this sequence one block ahead of the recursion and
-// faults the next block's tiles in the background. It runs igep itself
-// with a base-case hook that records each block, so position p+1 is
-// always the block the recursion executes after position p.
+// default). Callers count blocks with it: a run's total, or the
+// half-way point of a crash drill. It runs igep itself with a
+// base-case hook that records each block, so position p+1 is always
+// the block the recursion executes after position p.
 func IGEPBlocks(n, base int, set UpdateSet, prune bool) []Block {
 	checkPow2(n)
 	var blocks []Block

@@ -181,8 +181,8 @@ func TestTileKernelMatchesGeneric(t *testing.T) {
 }
 
 // TestIGEPBlocksMatchesRecursion: the enumeration visits exactly the
-// blocks the real recursion visits, in the same order — the contract
-// the out-of-core prefetcher depends on.
+// blocks the real recursion visits, in the same order, so a block
+// count or position taken from it names the block the recursion runs.
 func TestIGEPBlocksMatchesRecursion(t *testing.T) {
 	for _, tc := range []struct {
 		n, base int

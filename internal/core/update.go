@@ -206,10 +206,9 @@ func WithAuxFactory[T any](f func(rows, cols int) matrix.Rect[T]) Option[T] {
 // through to the normal fused → flat → generic hierarchy.
 //
 // The hook exists for storage layers whose base cases want custom
-// staging: internal/ooc pins the block's tiles into RAM, runs
-// TileKernel over the resident buffers, and prefetches the next
-// block's tiles in the background. Pair it with WithBaseSize matched
-// to the storage tile side so blocks align with tiles.
+// staging: internal/ooc pins the block's tiles into RAM and runs
+// TileKernel over the resident buffers. Pair it with WithBaseSize
+// matched to the storage tile side so blocks align with tiles.
 func WithBaseCase[T any](hook func(i0, j0, k0, s int) bool) Option[T] {
 	return func(c *config[T]) { c.baseHook = hook }
 }

@@ -16,25 +16,25 @@
 //     engine runs out-of-core as-is.
 //   - The tile regime: whole aligned quadrants of a Morton-tiled
 //     matrix pinned into resident []float64 buffers
-//     (PinTile/UnpinTile), with best-effort background prefetch
-//     (PrefetchTile) and background write-back of evicted dirty tiles.
-//     RunIGEP drives I-GEP at this granularity: core.TileKernel runs
-//     every block shape (diagonal, B, C and D) through the fused
-//     internal/core kernel of the op, directly on resident tiles; it
-//     is bit-identical to the element path and to the in-core engines,
-//     and one to two orders of magnitude faster than the element path.
-//     Both ends of a run move whole tiles too: LoadTiles and LoadFunc
-//     fill fresh pins (PinTileZero), and Unload pins each tile once,
-//     copies its rows out and unpins it clean (a row-major matrix,
-//     which has no tiles, unloads cell by cell).
+//     (PinTile/UnpinTile), faulted in on demand, with background
+//     write-back of evicted dirty tiles — the only transfer that
+//     overlaps compute. RunIGEP drives I-GEP at this granularity:
+//     core.TileKernel runs every block shape (diagonal, B, C and D)
+//     through the fused internal/core kernel of the op, directly on
+//     resident tiles; it is bit-identical to the element path and to
+//     the in-core engines, and one to two orders of magnitude faster
+//     than the element path. Both ends of a run move whole tiles too:
+//     LoadTiles and LoadFunc fill fresh pins (PinTileZero), and Unload
+//     pins each tile once, copies its rows out and unpins it clean (a
+//     row-major matrix, which has no tiles, unloads cell by cell).
 //
 // Tile transfers reuse their buffers. A clean tile that leaves the
-// cache (evicted, or dropped by a sync) hands its Data to the next
-// fault, fresh pin or prefetch of the same size; a dirty victim's
-// buffer stays with its write-behind task and is not reused. The
-// encode, decode, payload and journal-record bytes of each transfer
-// come from a sync.Pool, since background tasks transfer concurrently.
-// Neither the free buffers nor the pooled bytes count against
+// cache (evicted to make room, or by a sync) hands its Data to the next
+// fault or fresh pin of the same size; a dirty victim's buffer stays
+// with its write-behind task and is not reused. The encode, decode,
+// payload and journal-record bytes of each transfer come from a
+// sync.Pool, since write-behind tasks transfer concurrently. Neither
+// the free buffers nor the pooled bytes count against
 // Config.CacheSize, which bounds resident tiles only; resident plus
 // free tile buffers never exceed the cache's peak residency.
 //
@@ -79,8 +79,8 @@
 //   - Matrix / NewMatrix with RowMajorLayout or MortonTiledLayout:
 //     the Grid view over the store; Load/LoadTiles/LoadFunc/Unload
 //     move whole matrices across the RAM boundary (by the tile when
-//     the layout allows); Tiling/PinTile/PrefetchTile expose the tile
-//     regime when the layout is tile-contiguous.
+//     the layout allows); Tiling/PinTile expose the tile regime when
+//     the layout is tile-contiguous.
 //   - RunIGEP / RunOptions: the tile-granular I-GEP driver.
 //   - Rect / TiledRect: rectangular views used by C-GEP's auxiliary
 //     buffers.

@@ -396,7 +396,7 @@ func TestStripedRunBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := RunIGEP(m, core.GaussElim[float64]{}, core.Gaussian{},
-		RunOptions{Prefetch: true, CheckpointEvery: 3}); err != nil {
+		RunOptions{CheckpointEvery: 3}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.Unload()
@@ -640,7 +640,7 @@ func TestCheckpointRules(t *testing.T) {
 }
 
 // TestStressStripedStore churns a small striped, compressed, durable
-// store through the full API surface — pins, zero-pins, prefetch,
+// store through the full API surface — pins, zero-pins, clean pins,
 // element access, sync points, checkpoints — under the race detector,
 // against an in-RAM model of expected contents.
 func TestStressStripedStore(t *testing.T) {
@@ -705,8 +705,21 @@ func TestStressStripedStore(t *testing.T) {
 				model[ti][i] = float64(version)
 			}
 			s.UnpinTile(tl, true)
-		case 5: // prefetch (speculative, no observable effect)
-			s.PrefetchTile(off, side)
+		case 5: // clean pin: verify, unpin unwritten
+			tl, err := s.PinTile(off, side)
+			if err != nil {
+				t.Fatalf("iter %d: clean pin %d: %v", iter, ti, err)
+			}
+			for i, v := range tl.Data {
+				want := 0.0
+				if model[ti] != nil {
+					want = model[ti][i]
+				}
+				if v != want {
+					t.Fatalf("iter %d: clean pin tile %d cell %d = %g, want %g", iter, ti, i, v, want)
+				}
+			}
+			s.UnpinTile(tl, false)
 		case 6: // element read through whatever path covers it
 			k := rng.Intn(side * side)
 			want := 0.0

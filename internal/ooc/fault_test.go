@@ -25,7 +25,7 @@ func TestInjectedFaultExhaustsRetriesAsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMatrix(s, 8, 0, MortonTiledLayout(4))
-	runErr := RunIGEP(m, core.MinPlus[float64]{}, core.Full{}, RunOptions{Prefetch: true})
+	runErr := RunIGEP(m, core.MinPlus[float64]{}, core.Full{}, RunOptions{})
 	if runErr == nil {
 		t.Fatal("RunIGEP succeeded with every transfer failing")
 	}
@@ -81,7 +81,7 @@ func TestTransientFaultsRecoverByRetry(t *testing.T) {
 	if err := m.Load(in); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunIGEP(m, core.MinPlus[float64]{}, core.Full{}, RunOptions{Prefetch: true}); err != nil {
+	if err := RunIGEP(m, core.MinPlus[float64]{}, core.Full{}, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Retries == 0 {

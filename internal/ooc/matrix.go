@@ -12,8 +12,8 @@ import (
 // matrix.Grid[float64], so all GEP algorithms run on it unchanged —
 // the paper's point that the in-core cache-oblivious code works
 // out-of-core without modification. When its layout is tile-contiguous
-// (MortonTiledLayout), the tile API (PinTile/PrefetchTile) additionally
-// exposes whole aligned quadrants as resident flat buffers for the
+// (MortonTiledLayout), the tile API (PinTile) additionally exposes
+// whole aligned quadrants as resident flat buffers for the
 // tile-granular runtime of run.go.
 type Matrix struct {
 	s      *Store
@@ -121,12 +121,6 @@ func (m *Matrix) TileOffset(ti, tj int) int64 {
 // Store.PinTile. The matrix must have a tiling.
 func (m *Matrix) PinTile(ti, tj int) (*Tile, error) {
 	return m.s.PinTile(m.TileOffset(ti, tj), m.tiling.Side)
-}
-
-// PrefetchTile starts a best-effort background read of tile (ti, tj);
-// see Store.PrefetchTile. The matrix must have a tiling.
-func (m *Matrix) PrefetchTile(ti, tj int) {
-	m.s.PrefetchTile(m.TileOffset(ti, tj), m.tiling.Side)
 }
 
 // Load copies a dense in-core matrix into the store. It panics if the

@@ -4,7 +4,7 @@ import "gep/internal/metrics"
 
 // Tile-runtime telemetry. Incremented at tile/transfer granularity
 // (never per element); internal/bench snapshots them around each
-// experiment so BENCH_ooc.json rows can report, e.g., the prefetch hit
+// experiment so BENCH_ooc.json rows can report, e.g., the tile hit
 // rate, the checksum verification volume, or the journal traffic of a
 // durable run. docs/OPERATIONS.md carries the full inventory.
 var (
@@ -28,10 +28,6 @@ var (
 
 	scratchAllocCount = metrics.New("ooc.strassen.scratch.alloc")
 	scratchReuseCount = metrics.New("ooc.strassen.scratch.reuse")
-
-	prefetchIssuedCount = metrics.New("ooc.prefetch.issued")
-	prefetchHitCount    = metrics.New("ooc.prefetch.hit")
-	prefetchSkipCount   = metrics.New("ooc.prefetch.skip")
 
 	writeBehindCount   = metrics.New("ooc.writebehind")
 	retryCount         = metrics.New("ooc.retry")

@@ -14,11 +14,11 @@ import (
 // block, pins the block's ≤4 aligned quadrant tiles into RAM and runs
 // core.TileKernel straight over the resident flat buffers (reaching
 // the same fused kernels the in-core engines use), while the store
-// prefetches the next blocks' tiles and writes evicted dirty tiles
-// back in the background. The I/O schedule still transfers exactly the
-// quadrants the I-GEP recursion touches, in recursion order, so the
-// §4.1 transfer accounting is unchanged — only the per-element CPU
-// overhead and the compute/transfer serialization go away.
+// writes evicted dirty tiles back in the background. Every tile read
+// is a demand fault of a quadrant the I-GEP recursion touches, in
+// recursion order, so the §4.1 transfer accounting is unchanged — only
+// the per-element CPU overhead goes away, and the write-backs overlap
+// compute.
 //
 // Because core.RunIGEP visits base-case blocks in a deterministic
 // order, "number of completed blocks" is a complete progress cursor:
@@ -33,16 +33,12 @@ import (
 // unsynced (pair with Store.Abandon to simulate a kill).
 var ErrStopped = errors.New("ooc: run stopped at requested block")
 
-// RunOptions configures RunIGEP, and RunStrassen's Prefetch and Stop.
+// RunOptions configures RunIGEP, and RunStrassen's Stop.
 type RunOptions struct {
-	// Prefetch enables background read-ahead of the next blocks' tiles
-	// (issued after each block's pins, bounded by the store's
-	// per-stripe slots; see Store.PrefetchTile for the best-effort
-	// semantics).
+	// Prefetch has no effect: every tile read is a demand fault.
+	//
+	// Deprecated: ignored; the store does not read ahead.
 	Prefetch bool
-	// Lookahead is how many upcoming blocks to prefetch tiles for
-	// (0 means the default of 2). Ignored unless Prefetch is set.
-	Lookahead int
 
 	// CheckpointEvery, when positive, commits a durable sync point
 	// (Store.Checkpoint, tagged with the completed-block count) every
@@ -89,14 +85,6 @@ func RunIGEP(m *Matrix, op core.Op[float64], set core.UpdateSet, opts RunOptions
 		return errNotDurable
 	}
 	side := tl.Side
-	look := opts.Lookahead
-	if look <= 0 {
-		look = 2
-	}
-	var blocks []core.Block
-	if opts.Prefetch {
-		blocks = core.IGEPBlocks(m.N(), side, set, true)
-	}
 	pos := int64(0)
 	var runErr error
 	hook := func(i0, j0, k0, s int) bool {
@@ -130,14 +118,6 @@ func RunIGEP(m *Matrix, op core.Op[float64], set core.UpdateSet, opts RunOptions
 		}
 		if runErr == nil && opts.StopAfter > 0 && pos >= opts.StopAfter {
 			runErr = ErrStopped
-			return true
-		}
-		if runErr == nil && opts.Prefetch {
-			for _, b := range lookaheadBlocks(blocks, int(pos), look) {
-				for _, cd := range blockTileCoords(b.I/side, b.J/side, b.K/side) {
-					m.PrefetchTile(cd.r, cd.c)
-				}
-			}
 		}
 		return true
 	}
@@ -180,18 +160,6 @@ func blockTileCoords(ti, tj, tk int) []tcoord {
 		}
 	}
 	return coords
-}
-
-// lookaheadBlocks returns the next n blocks at/after position pos.
-func lookaheadBlocks(blocks []core.Block, pos, n int) []core.Block {
-	if pos >= len(blocks) {
-		return nil
-	}
-	end := pos + n
-	if end > len(blocks) {
-		end = len(blocks)
-	}
-	return blocks[pos:end]
 }
 
 // runBlock pins the block's tiles, runs the tile kernel over the

@@ -1,8 +1,10 @@
 package ooc
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"gep/internal/core"
@@ -38,8 +40,8 @@ func bitsEqual(t *testing.T, label string, want, got *matrix.Dense[float64]) {
 
 // TestRunIGEPBitIdenticalToInCore: the tile-granular out-of-core
 // driver produces Float64bits-identical results to the in-core fused
-// engines, across ops × sets × tile sides × page sizes × prefetch
-// on/off, under a cache budget that forces eviction and write-behind.
+// engines, across ops × sets × tile sides × page sizes, under a cache
+// budget that forces eviction and write-behind.
 func TestRunIGEPBitIdenticalToInCore(t *testing.T) {
 	const n = 32
 	cases := []struct {
@@ -62,37 +64,35 @@ func TestRunIGEPBitIdenticalToInCore(t *testing.T) {
 			want := in.Clone()
 			core.RunIGEP[float64](want, tc.op, tc.set, core.WithBaseSize[float64](side))
 			for _, pageSize := range []int{64, 512} {
-				for _, prefetch := range []bool{false, true} {
-					// Budget of 4 tiles: a block can pin up to 4, so
-					// every block cycles the cache.
-					cache := int64(4 * side * side * 8)
-					if cache < int64(pageSize) {
-						cache = int64(pageSize)
-					}
-					s, err := Create(t.TempDir(), Config{PageSize: pageSize, CacheSize: cache})
-					if err != nil {
-						t.Fatal(err)
-					}
-					m := NewMatrix(s, n, 0, MortonTiledLayout(side))
-					if err := m.Load(in); err != nil {
-						t.Fatal(err)
-					}
-					s.ResetStats()
-					if err := RunIGEP(m, tc.op, tc.set, RunOptions{Prefetch: prefetch}); err != nil {
-						t.Fatal(err)
-					}
-					st := s.Stats()
-					if st.TileReads == 0 || st.TileWrites == 0 {
-						t.Fatalf("%s side=%d: no tile traffic recorded: %+v", tc.name, side, st)
-					}
-					got, err := m.Unload()
-					if err != nil {
-						t.Fatal(err)
-					}
-					bitsEqual(t, tc.name, want, got)
-					if err := s.Close(); err != nil {
-						t.Fatal(err)
-					}
+				// Budget of 4 tiles: a block can pin up to 4, so
+				// every block cycles the cache.
+				cache := int64(4 * side * side * 8)
+				if cache < int64(pageSize) {
+					cache = int64(pageSize)
+				}
+				s, err := Create(t.TempDir(), Config{PageSize: pageSize, CacheSize: cache})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := NewMatrix(s, n, 0, MortonTiledLayout(side))
+				if err := m.Load(in); err != nil {
+					t.Fatal(err)
+				}
+				s.ResetStats()
+				if err := RunIGEP(m, tc.op, tc.set, RunOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				st := s.Stats()
+				if st.TileReads == 0 || st.TileWrites == 0 {
+					t.Fatalf("%s side=%d: no tile traffic recorded: %+v", tc.name, side, st)
+				}
+				got, err := m.Unload()
+				if err != nil {
+					t.Fatal(err)
+				}
+				bitsEqual(t, tc.name, want, got)
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
@@ -126,7 +126,7 @@ func TestRunIGEPMatchesElementPath(t *testing.T) {
 	if err := m2.Load(in); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunIGEP(m2, op, core.LU{}, RunOptions{Prefetch: true}); err != nil {
+	if err := RunIGEP(m2, op, core.LU{}, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m2.Unload()
@@ -243,5 +243,122 @@ func TestMortonTiledLayoutReuse(t *testing.T) {
 	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTileReadsAreDemandFaults: with the tile cache synced and the
+// counters reset before a run, every tile the run reads is a demand
+// fault (ooc.tile.fault), and the run moves a fixed number of tiles: a
+// change in those counts is a change in the transfer set that §4.1
+// counts. The first three cases use perfbench's ooc-tiles geometry;
+// the last starts from a matrix written through the element path.
+func TestTileReadsAreDemandFaults(t *testing.T) {
+	const n, side = 512, 64
+	cfg := Config{PageSize: 4096, CacheSize: n * n * 8 / 4, Stripes: 2}
+	layout := MortonTiledLayout(side)
+	// Each input returns the store, synced by the test before run.
+	type input func(t *testing.T) (s *Store, run func() error)
+	load := func(t *testing.T, s *Store, base int64, in *matrix.Dense[float64]) *Matrix {
+		m := NewMatrix(s, in.N(), base, layout)
+		if err := m.LoadTiles(in); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	lu := func(t *testing.T) (*Store, func() error) {
+		s, err := Create(t.TempDir(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := load(t, s, 0, randomInput(n, 71))
+		return s, func() error { return RunIGEP(m, core.LUFactor[float64]{}, core.LU{}, RunOptions{}) }
+	}
+	multiply := func(t *testing.T) (*Store, func() error) {
+		s, err := Create(t.TempDir(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := int64(n * n * 8)
+		a, b := load(t, s, 0, randomDense(n, 72)), load(t, s, bytes, randomDense(n, 73))
+		c := NewMatrix(s, n, 2*bytes, layout)
+		return s, func() error { return RunStrassen(c, a, b, n, RunOptions{}) }
+	}
+	resume := func(t *testing.T) (*Store, func() error) {
+		const every = 64
+		dir := filepath.Join(t.TempDir(), "st")
+		s, err := CreateAt(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := load(t, s, 0, randomInput(n, 74))
+		if err := s.Checkpoint(0); err != nil {
+			t.Fatal(err)
+		}
+		half := int64(len(core.IGEPBlocks(n, side, core.LU{}, true)) / 2)
+		err = RunIGEP(m, core.LUFactor[float64]{}, core.LU{}, RunOptions{CheckpointEvery: every, StopAfter: half})
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("crash run: %v, want ErrStopped", err)
+		}
+		s.Abandon()
+		rcfg := cfg
+		rcfg.Stripes = 0 // the journal header holds the geometry
+		if s, err = Open(dir, rcfg); err != nil {
+			t.Fatal(err)
+		}
+		info, err := s.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = NewMatrix(s, n, 0, layout)
+		return s, func() error {
+			return RunIGEP(m, core.LUFactor[float64]{}, core.LU{},
+				RunOptions{CheckpointEvery: every, StartBlock: info.Frontier})
+		}
+	}
+	elementLoad := func(t *testing.T) (*Store, func() error) {
+		const n, side = 256, 32
+		s, err := Create(t.TempDir(), Config{PageSize: 4096, CacheSize: n * n * 8 / 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMatrix(s, n, 0, MortonTiledLayout(side))
+		if err := m.Load(randomInput(n, 75)); err != nil {
+			t.Fatal(err)
+		}
+		return s, func() error { return RunIGEP(m, core.LUFactor[float64]{}, core.LU{}, RunOptions{}) }
+	}
+
+	type transfers struct{ reads, writes int64 }
+	cases := []struct {
+		name     string
+		input    input
+		expected transfers
+	}{
+		{"lu", lu, transfers{180, 95}},
+		{"classical multiply", multiply, transfers{1024, 64}},
+		{"resume after crash", resume, transfers{136, 66}},
+		{"lu after element load", elementLoad, transfers{111, 74}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, run := tc.input(t)
+			defer s.Close()
+			if err := s.SyncTiles(); err != nil {
+				t.Fatal(err)
+			}
+			s.ResetStats()
+			faults := tileFaultCount.Value()
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			if got := tileFaultCount.Value() - faults; st.TileReads != got {
+				t.Errorf("%d tile reads but %d demand faults", st.TileReads, got)
+			}
+			if got := (transfers{st.TileReads, st.TileWrites}); got != tc.expected {
+				t.Errorf("tile reads/writes = %d/%d, want %d/%d",
+					got.reads, got.writes, tc.expected.reads, tc.expected.writes)
+			}
+		})
 	}
 }

@@ -48,9 +48,9 @@ type Config struct {
 	Compress bool
 
 	// Runtime is the par runtime background tasks (write-behind,
-	// prefetch, journal apply) spawn on; nil uses the package-level
-	// default runtime. A server hosting several stores gives each job's
-	// store its own runtime for isolation.
+	// journal apply) spawn on; nil uses the package-level default
+	// runtime. A server hosting several stores gives each job's store
+	// its own runtime for isolation.
 	Runtime *par.Runtime
 
 	// MaxRetries is how many times a failed raw transfer is retried
@@ -124,8 +124,8 @@ type Stats struct {
 }
 
 // storeStats holds the live counters. Atomics, because background
-// write-behind and prefetch tasks count their transfers concurrently
-// with the driver goroutine.
+// write-behind tasks count their transfers concurrently with the
+// driver goroutine.
 type storeStats struct {
 	pageReads, pageWrites, hits, faults atomic.Int64
 	tileReads, tileWrites               atomic.Int64
@@ -140,7 +140,7 @@ type storeStats struct {
 // Store is a file-backed float64 array with two caching regimes: an
 // LRU page cache serving the element API (ReadFloat/WriteFloat, the
 // matrix.Grid path), and a tile cache (tile.go) serving whole-quadrant
-// Pin/Prefetch for the tile-granular out-of-core runtime. The byte
+// Pin/Unpin for the tile-granular out-of-core runtime. The byte
 // space is striped across one or more backing files (stripe.go), every
 // tile payload is checksummed (meta.go) and optionally compressed
 // (compress.go), and durable stores (CreateAt/Open) additionally run
@@ -153,8 +153,8 @@ type storeStats struct {
 // offset (falling back to the page path elsewhere).
 //
 // The element API and the tile API must be driven from one goroutine
-// (the engine's); the store's own background tasks (prefetch reads,
-// write-behind, journal apply) are internally synchronized.
+// (the engine's); the store's own background tasks (write-behind,
+// journal apply) are internally synchronized.
 type Store struct {
 	files   []*os.File // stripe files (len 1 without striping)
 	dir     string     // durable store directory ("" for temp stores)
@@ -423,8 +423,8 @@ func (s *Store) Stats() Stats {
 }
 
 // ResetStats zeroes the counters (cache contents are kept). It first
-// joins the background reads and write-backs still in flight, so no
-// transfer started before the reset is counted after it.
+// joins the write-backs still in flight, so no transfer started before
+// the reset is counted after it.
 func (s *Store) ResetStats() {
 	for _, w := range s.tc.waits {
 		w()
@@ -450,11 +450,11 @@ func (s *Store) IOTime() time.Duration {
 
 // Err returns the first I/O error the store has observed, from any
 // path: a failed element access (whose API cannot return errors — the
-// matrix.Grid contract), a failed background write-back, or a failed
-// prefetch. It is sticky, like (*bufio.Scanner).Err: the first error
-// is kept (an individual failed read returns 0, a failed write is
-// dropped, and later accesses still proceed normally), so callers
-// check Err once after a run rather than after every access.
+// matrix.Grid contract) or a failed background write-back. It is
+// sticky, like (*bufio.Scanner).Err: the first error is kept (an
+// individual failed read returns 0, a failed write is dropped, and
+// later accesses still proceed normally), so callers check Err once
+// after a run rather than after every access.
 func (s *Store) Err() error {
 	s.errMu.Lock()
 	defer s.errMu.Unlock()

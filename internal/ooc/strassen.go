@@ -45,10 +45,10 @@ import (
 // side is clamped up to it; crossover ≥ n runs the purely classical
 // tile loop (the comparator the bounds2 experiment uses).
 //
-// Of opts it reads Prefetch and Stop. Stop is polled once per C tile
-// of the leaf loop and once per tile of each quadrant addition;
-// returning true ends the run with ErrStopped, leaving the store
-// unsynced as RunIGEP does.
+// Of opts it reads Stop, which is polled once per C tile of the leaf
+// loop and once per tile of each quadrant addition; returning true
+// ends the run with ErrStopped, leaving the store unsynced as RunIGEP
+// does.
 func RunStrassen(c, a, b *Matrix, crossover int, opts RunOptions) error {
 	if c.s != a.s || c.s != b.s {
 		return fmt.Errorf("ooc: RunStrassen needs c, a, b in one store")
@@ -84,7 +84,6 @@ func RunStrassen(c, a, b *Matrix, crossover int, opts RunOptions) error {
 	rs := &strassenOOC{
 		s:        c.s,
 		ts:       ts,
-		prefetch: opts.Prefetch,
 		stop:     opts.Stop,
 		layout:   MortonTiledLayout(ts),
 		next:     (scratch + 4095) &^ 4095,
@@ -107,7 +106,6 @@ func RunStrassen(c, a, b *Matrix, crossover int, opts RunOptions) error {
 type strassenOOC struct {
 	s        *Store
 	ts       int
-	prefetch bool
 	stop     func() bool // RunOptions.Stop; nil never stops
 	layout   LayoutFunc
 	next     int64           // bump pointer for fresh scratch matrices
@@ -184,10 +182,6 @@ func (rs *strassenOOC) Leaf(c, a, b mview, s int) error {
 					rs.s.UnpinTile(at, false)
 					rs.s.UnpinTile(ct, true)
 					return err
-				}
-				if rs.prefetch && tk+1 < nt {
-					rs.s.PrefetchTile(a.off(ti, tk+1), rs.ts)
-					rs.s.PrefetchTile(b.off(tk+1, tj), rs.ts)
 				}
 				core.DisjointBlock[float64](core.MulAdd[float64]{}, core.Full{},
 					ct.Data, rs.ts, at.Data, rs.ts, bt.Data, rs.ts, bt.Data, rs.ts, rs.ts)

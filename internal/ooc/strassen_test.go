@@ -42,8 +42,8 @@ func strassenStore(t *testing.T, n, side int, cache int64, a, b *matrix.Dense[fl
 
 // TestRunStrassenBitIdenticalToInCore: the tile-granular Strassen
 // driver must be Float64bits-identical to the in-core MulStrassen at
-// the same crossover, across tile sides, cache budgets that force
-// eviction and scratch spills, and prefetch on/off.
+// the same crossover, across tile sides and cache budgets that force
+// eviction and scratch spills.
 func TestRunStrassenBitIdenticalToInCore(t *testing.T) {
 	const n = 64
 	a, b := randomDense(n, 90), randomDense(n, 91)
@@ -55,20 +55,18 @@ func TestRunStrassenBitIdenticalToInCore(t *testing.T) {
 				continue // crossover is clamped up to the tile side
 			}
 			for _, cache := range []int64{3 * int64(side) * int64(side) * 8, 1 << 20} {
-				for _, prefetch := range []bool{false, true} {
-					s, mc, ma, mb := strassenStore(t, n, side, cache, a, b)
-					err := RunStrassen(mc, ma, mb, co, RunOptions{Prefetch: prefetch})
-					if err != nil {
-						t.Fatalf("co=%d side=%d cache=%d: RunStrassen: %v", co, side, cache, err)
-					}
-					got, err := mc.Unload()
-					if err != nil {
-						t.Fatalf("unload: %v", err)
-					}
-					bitsEqual(t, "RunStrassen", want, got)
-					if err := s.Close(); err != nil {
-						t.Fatalf("close: %v", err)
-					}
+				s, mc, ma, mb := strassenStore(t, n, side, cache, a, b)
+				err := RunStrassen(mc, ma, mb, co, RunOptions{})
+				if err != nil {
+					t.Fatalf("co=%d side=%d cache=%d: RunStrassen: %v", co, side, cache, err)
+				}
+				got, err := mc.Unload()
+				if err != nil {
+					t.Fatalf("unload: %v", err)
+				}
+				bitsEqual(t, "RunStrassen", want, got)
+				if err := s.Close(); err != nil {
+					t.Fatalf("close: %v", err)
 				}
 			}
 		}
@@ -213,9 +211,9 @@ func TestRunStrassenStop(t *testing.T) {
 func FuzzStrassenBackends(f *testing.F) {
 	// TestRunStrassenBitIdenticalToInCore's n = 64, tile 16, 3-tile
 	// cache case, at crossovers 16 and 32.
-	f.Add(int64(90), uint8(3), uint8(2), uint8(0), uint8(0), false)
-	f.Add(int64(90), uint8(3), uint8(2), uint8(1), uint8(0), true)
-	f.Fuzz(func(t *testing.T, seed int64, nLog, tileShift, coShift, cacheTiles uint8, prefetch bool) {
+	f.Add(int64(90), uint8(3), uint8(2), uint8(0), uint8(0))
+	f.Add(int64(90), uint8(3), uint8(2), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, nLog, tileShift, coShift, cacheTiles uint8) {
 		n := 8 << (nLog % 5)
 		side := n >> (int(tileShift) % (bits.Len(uint(n)) - 3)) // n/side ≤ n/8
 		co := side << (int(coShift) % (bits.Len(uint(n/side)) + 1))
@@ -230,7 +228,7 @@ func FuzzStrassenBackends(f *testing.F) {
 
 		s, mc, ma, mb := strassenStore(t, n, side, cache, a, b)
 		defer s.Close()
-		if err := RunStrassen(mc, ma, mb, co, RunOptions{Prefetch: prefetch}); err != nil {
+		if err := RunStrassen(mc, ma, mb, co, RunOptions{}); err != nil {
 			t.Fatalf("n=%d side=%d co=%d cache=%d: RunStrassen: %v", n, side, co, cache, err)
 		}
 		got, err := mc.Unload()

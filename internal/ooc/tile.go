@@ -15,6 +15,8 @@ import (
 // Morton-tiled layout) into resident []float64 buffers that the fused
 // kernels of internal/core run on directly, then writes dirty tiles
 // back in the background while the engine computes the next block.
+// That write-behind is the cache's only background task: every read
+// is a demand fault, so a resident tile is always fully loaded.
 //
 // Transfer accounting is at tile granularity: one TileRead/TileWrite
 // (one modeled seek plus size/rate, see Store.IOTime) per tile moved,
@@ -30,23 +32,22 @@ import (
 // a durable store, journaled (journal.go) instead of written home;
 // every fault-in verifies the recorded checksum and surfaces a
 // mismatch as *CorruptError. Coherence with the page cache stays
-// conservative: pinning or prefetching a tile first flushes and drops
-// every page overlapping its bytes, and element accesses route
-// through the tile path whenever a checksummed tile covers them.
+// conservative: pinning a tile first flushes and drops every page
+// overlapping its bytes, and element accesses route through the tile
+// path whenever a checksummed tile covers them.
 //
 // Tile buffers are reused. A clean tile that leaves the cache (evicted
-// by makeRoom, or evicted or dropped by syncTiles) puts its Data on the
-// cache's free list, and the next tile the store makes (a fault, a
-// fresh pin or a prefetch) takes the newest buffer there when it has
-// the right size. Only a tile that is clean, unpinned, fully loaded
-// and already out of the cache gives its buffer up: a dirty victim's
-// buffer belongs to its write-behind task until the write ends and is
-// left to the garbage collector. A buffer enters the list only by
-// leaving the cache and leaves it only by re-entering it (or when a
-// tile of another size drops the list), so resident plus free bytes
-// never exceed the cache's peak residency. The byte scratch of every
-// transfer comes from a sync.Pool (getBytes). Neither the free list
-// nor the pool counts against Config.CacheSize.
+// by makeRoom or by syncTiles) puts its Data on the cache's free list,
+// and the next tile the store makes (a fault or a fresh pin) takes the
+// newest buffer there when it has the right size. Only a tile that is
+// clean, unpinned and already out of the cache gives its buffer up: a
+// dirty victim's buffer belongs to its write-behind task until the
+// write ends and is left to the garbage collector. A buffer enters the
+// list only by leaving the cache and leaves it only by re-entering it
+// (or when a tile of another size drops the list), so resident plus
+// free bytes never exceed the cache's peak residency. The byte scratch
+// of every transfer comes from a sync.Pool (getBytes). Neither the
+// free list nor the pool counts against Config.CacheSize.
 
 // Tile is a pinned, resident quadrant of a store: Side()² float64
 // values in row-major order in Data. A Tile is valid between the
@@ -62,9 +63,7 @@ type Tile struct {
 
 	dirty      bool
 	pins       int
-	loading    *pendingIO // in-flight background read, nil once resident
-	prefetched bool       // inserted by PrefetchTile, for hit accounting
-	prev, next *Tile      // LRU links while resident and unpinned
+	prev, next *Tile // LRU links while resident and unpinned
 }
 
 // Side returns the tile's edge length in elements.
@@ -73,10 +72,10 @@ func (t *Tile) Side() int { return t.side }
 // bytes returns the tile's resident size.
 func (t *Tile) bytes() int64 { return int64(len(t.Data)) * 8 }
 
-// pendingIO tracks one background task. wait joins it (executing it
-// in-place if it is still queued, so a join can never hang on a
-// stranded task); err is written by the task before it completes, so
-// reading it after wait() is race-free.
+// pendingIO tracks one background write-back. wait joins it
+// (executing it in-place if it is still queued, so a join can never
+// hang on a stranded task); err is written by the task before it
+// completes, so reading it after wait() is race-free.
 type pendingIO struct {
 	wait func()
 	err  error
@@ -96,8 +95,8 @@ type tileCache struct {
 	bytes      int64 // resident bytes, pinned and unpinned
 
 	pending  map[int64]*pendingIO // in-flight write-backs by offset
-	inflight []chan struct{}      // per-stripe slots, shared by write-behind and prefetch
-	waits    []func()             // joins for every task spawned since the last sync
+	inflight []chan struct{}      // per-stripe write-behind slots
+	waits    []func()             // joins for every write-back spawned since the last sync
 
 	free [][]float64 // buffers of clean tiles that left the cache, newest last
 }
@@ -136,8 +135,8 @@ func (c *tileCache) newTile(off int64, side int, zero bool) *Tile {
 	return &Tile{off: off, side: side, Data: data}
 }
 
-// recycle moves the buffer of t, a clean, unpinned, fully loaded tile
-// already out of the cache, to the free list.
+// recycle moves the buffer of t, a clean, unpinned tile already out of
+// the cache, to the free list.
 func (c *tileCache) recycle(t *Tile) {
 	c.free = append(c.free, t.Data)
 	t.Data = nil
@@ -173,46 +172,7 @@ func (c *tileCache) unlinkLRU(t *Tile) {
 // UnpinTile. Pinned tiles are never evicted, so a caller holding the
 // ≤4 tiles of one base-case block may exceed the cache budget
 // transiently (counted by the ooc.tile.overcommit metric).
-func (s *Store) PinTile(off int64, side int) (*Tile, error) {
-	if t, ok := s.tc.tiles[off]; ok {
-		if t.side != side {
-			return nil, fmt.Errorf("ooc: tile at %d pinned with side %d, resident with side %d", off, side, t.side)
-		}
-		if err := s.finishLoad(t); err != nil {
-			s.tc.drop(t)
-			return nil, err
-		}
-		if t.prefetched {
-			t.prefetched = false
-			prefetchHitCount.Inc()
-		}
-		if t.pins == 0 {
-			s.tc.unlinkLRU(t)
-		}
-		t.pins++
-		tileHitCount.Inc()
-		return t, nil
-	}
-	tileFaultCount.Inc()
-	size := int64(side) * int64(side) * 8
-	if err := s.waitPending(off); err != nil {
-		return nil, err
-	}
-	if err := s.dropPages(off, size); err != nil {
-		return nil, err
-	}
-	if err := s.makeRoom(size); err != nil {
-		return nil, err
-	}
-	t := s.tc.newTile(off, side, false)
-	t.pins = 1
-	if err := s.readTile(t); err != nil {
-		return nil, err // the buffer goes with t, never into the cache
-	}
-	s.tc.tiles[off] = t
-	s.tc.bytes += size
-	return t, nil
-}
+func (s *Store) PinTile(off int64, side int) (*Tile, error) { return s.pin(off, side, false) }
 
 // PinTileZero pins the side×side quadrant at byte offset off as a
 // zeroed resident tile WITHOUT reading it from disk: the caller
@@ -225,27 +185,30 @@ func (s *Store) PinTile(off int64, side int) (*Tile, error) {
 // write-back of the range — scratch offsets are recycled — then drop
 // overlapping pages and make room); an already-resident tile is
 // re-zeroed in place.
-func (s *Store) PinTileZero(off int64, side int) (*Tile, error) {
+func (s *Store) PinTileZero(off int64, side int) (*Tile, error) { return s.pin(off, side, true) }
+
+// pin is PinTile (zero false) and PinTileZero (zero true). A resident
+// tile is pinned again, and cleared when zero; any other goes through
+// the coherence walk and is read from disk, or cleared when zero.
+func (s *Store) pin(off int64, side int, zero bool) (*Tile, error) {
 	if t, ok := s.tc.tiles[off]; ok {
 		if t.side != side {
 			return nil, fmt.Errorf("ooc: tile at %d pinned with side %d, resident with side %d", off, side, t.side)
-		}
-		if err := s.finishLoad(t); err != nil {
-			// The failed read's content is don't-care here, but the
-			// error may be the store's sticky fault — surface it.
-			s.tc.drop(t)
-			return nil, err
-		}
-		if t.prefetched {
-			t.prefetched = false
 		}
 		if t.pins == 0 {
 			s.tc.unlinkLRU(t)
 		}
 		t.pins++
-		clear(t.Data)
-		tileFreshCount.Inc()
+		if zero {
+			clear(t.Data)
+			tileFreshCount.Inc()
+		} else {
+			tileHitCount.Inc()
+		}
 		return t, nil
+	}
+	if !zero {
+		tileFaultCount.Inc()
 	}
 	size := int64(side) * int64(side) * 8
 	if err := s.waitPending(off); err != nil {
@@ -257,11 +220,15 @@ func (s *Store) PinTileZero(off int64, side int) (*Tile, error) {
 	if err := s.makeRoom(size); err != nil {
 		return nil, err
 	}
-	t := s.tc.newTile(off, side, true)
+	t := s.tc.newTile(off, side, zero)
 	t.pins = 1
+	if zero {
+		tileFreshCount.Inc()
+	} else if err := s.readTile(t); err != nil {
+		return nil, err // the buffer goes with t, never into the cache
+	}
 	s.tc.tiles[off] = t
 	s.tc.bytes += size
-	tileFreshCount.Inc()
 	return t, nil
 }
 
@@ -281,78 +248,6 @@ func (s *Store) UnpinTile(t *Tile, dirty bool) {
 	}
 }
 
-// slot returns the in-flight slot channel of the stripe owning off.
-func (c *tileCache) slot(s *Store, off int64) chan struct{} {
-	return c.inflight[s.stripeOf(off)]
-}
-
-// PrefetchTile starts a background read of the quadrant at off so a
-// later PinTile finds it resident. It is speculative and best-effort:
-// it never blocks on a full slot and never evicts resident data to
-// make room — when either would be needed, the prefetch is skipped
-// (counted by ooc.prefetch.skip). Failures are equally silent; the
-// eventual PinTile re-reads synchronously and reports them.
-func (s *Store) PrefetchTile(off int64, side int) {
-	if s.tc.writeBehind <= 0 {
-		return // asynchrony disabled
-	}
-	if _, ok := s.tc.tiles[off]; ok {
-		return
-	}
-	if _, ok := s.tc.pending[off]; ok {
-		return // our own write-back is still in flight
-	}
-	size := int64(side) * int64(side) * 8
-	if s.tc.bytes+size > s.tc.budget {
-		prefetchSkipCount.Inc()
-		return
-	}
-	if err := s.dropPages(off, size); err != nil {
-		s.setErr(err)
-		return
-	}
-	slot := s.tc.slot(s, off)
-	select {
-	case slot <- struct{}{}:
-	default:
-		prefetchSkipCount.Inc()
-		return
-	}
-	p := &pendingIO{}
-	t := s.tc.newTile(off, side, false)
-	t.loading, t.prefetched = p, true
-	s.tc.tiles[off] = t
-	s.tc.bytes += size
-	s.tc.pushLRU(t)
-	p.wait = s.spawn(func() {
-		defer func() { <-slot }()
-		p.err = s.readTile(t)
-	})
-	s.tc.waits = append(s.tc.waits, p.wait)
-	prefetchIssuedCount.Inc()
-}
-
-// finishLoad joins a tile's in-flight prefetch read, if any.
-func (s *Store) finishLoad(t *Tile) error {
-	if t.loading == nil {
-		return nil
-	}
-	t.loading.wait()
-	err := t.loading.err
-	t.loading = nil
-	return err
-}
-
-// drop removes an unpinned resident tile without writing it back
-// (used when its contents are known invalid, e.g. a failed prefetch).
-func (c *tileCache) drop(t *Tile) {
-	if t.pins == 0 {
-		c.unlinkLRU(t)
-	}
-	delete(c.tiles, t.off)
-	c.bytes -= t.bytes()
-}
-
 // waitPending joins an in-flight write-back of the byte range at off,
 // surfacing its error.
 func (s *Store) waitPending(off int64) error {
@@ -365,18 +260,15 @@ func (s *Store) waitPending(off int64) error {
 	return p.err
 }
 
-// makeRoom evicts unpinned, fully-loaded LRU tiles until need bytes
-// fit in the budget; dirty victims are written back in the background,
-// and clean ones leave their buffers to the next new tile.
-// When every resident tile is pinned or loading, the caller overcommits
-// instead (pinned tiles can never be evicted).
+// makeRoom evicts unpinned LRU tiles until need bytes fit in the
+// budget; dirty victims are written back in the background, and clean
+// ones leave their buffers to the next new tile. When every resident
+// tile is pinned, the caller overcommits instead (pinned tiles can
+// never be evicted).
 func (s *Store) makeRoom(need int64) error {
 	c := &s.tc
 	for c.bytes+need > c.budget {
 		victim := c.tail
-		for victim != nil && victim.loading != nil {
-			victim = victim.prev
-		}
 		if victim == nil {
 			tileOvercommitCount.Inc()
 			return nil
@@ -401,7 +293,7 @@ func (s *Store) writeBehindTile(t *Tile) error {
 	if s.tc.writeBehind <= 0 {
 		return s.writeTile(t)
 	}
-	slot := s.tc.slot(s, t.off)
+	slot := s.tc.inflight[s.stripeOf(t.off)]
 	for {
 		select {
 		case slot <- struct{}{}:
@@ -438,7 +330,7 @@ func (s *Store) writeBehindTile(t *Tile) error {
 	return nil
 }
 
-// drainOne joins the oldest outstanding background task.
+// drainOne joins the oldest outstanding write-back.
 func (s *Store) drainOne() {
 	if len(s.tc.waits) == 0 {
 		return
@@ -447,7 +339,7 @@ func (s *Store) drainOne() {
 	s.tc.waits = s.tc.waits[1:]
 }
 
-// SyncTiles drains every background task, writes every dirty unpinned
+// SyncTiles drains every write-back, writes every dirty unpinned
 // resident tile back, and evicts all unpinned tiles, returning every
 // error of the whole drain joined into one (errors.Join) — a
 // multi-stripe failure reports every failed stripe, and errors.Is
@@ -479,17 +371,6 @@ func (s *Store) syncTiles(evict bool) error {
 		if t.pins > 0 {
 			continue
 		}
-		if t.loading != nil {
-			// Prefetch joined above; a failed one leaves the tile
-			// invalid but clean — dropping it is the whole cleanup.
-			t.loading = nil
-			t.dirty = false
-			if !evict {
-				s.tc.drop(t)
-				s.tc.recycle(t)
-				continue
-			}
-		}
 		if t.dirty {
 			if err := s.writeTile(t); err != nil {
 				errs = append(errs, err)
@@ -516,8 +397,8 @@ func (s *Store) syncTiles(evict bool) error {
 func (s *Store) ResidentTiles() int { return len(s.tc.tiles) }
 
 // bytePool lends byte scratch to tile transfers: encode and decode
-// buffers, payloads and journal records. Write-behind and prefetch
-// tasks transfer concurrently with the driver, so the buffers come
+// buffers, payloads and journal records. Write-behind tasks transfer
+// concurrently with the driver, so the buffers come
 // from a sync.Pool rather than from the store, and each goes back
 // only after its last use.
 var bytePool sync.Pool

@@ -216,9 +216,8 @@ func TestTilePathMatchesElementPath(t *testing.T) {
 }
 
 // TestTileBufferReuse runs the tile drivers at a 3-tile budget with
-// prefetch and write-behind on, so clean tiles hand their buffers to
-// new ones while dirty victims are still being written in the
-// background. Every run must match its in-core engine bit for bit, and
+// write-behind on, so clean tiles hand their buffers to new ones while
+// dirty victims are still being written in the background. Every run must match its in-core engine bit for bit, and
 // an Unload right after a run stopped with write-behind in flight must
 // match the in-core engine stopped after the same block. CI runs it
 // under -race, ten times.
@@ -265,7 +264,7 @@ func TestTileBufferReuse(t *testing.T) {
 		s := open(t)
 		ma, mb := load(t, s, 0, a), load(t, s, bytes, b)
 		mc := NewMatrix(s, n, 2*bytes, MortonTiledLayout(side))
-		if err := RunStrassen(mc, ma, mb, co, RunOptions{Prefetch: true}); err != nil {
+		if err := RunStrassen(mc, ma, mb, co, RunOptions{}); err != nil {
 			t.Fatalf("RunStrassen crossover %d: %v", co, err)
 		}
 		bitsEqual(t, "RunStrassen", want, unload(t, mc))
@@ -284,7 +283,7 @@ func TestTileBufferReuse(t *testing.T) {
 		core.RunIGEP[float64](want, g.op, g.set, core.WithBaseSize[float64](side))
 		s := open(t)
 		m := load(t, s, 0, in)
-		if err := RunIGEP(m, g.op, g.set, RunOptions{Prefetch: true}); err != nil {
+		if err := RunIGEP(m, g.op, g.set, RunOptions{}); err != nil {
 			t.Fatalf("RunIGEP %s: %v", g.name, err)
 		}
 		bitsEqual(t, "RunIGEP "+g.name, want, unload(t, m))
@@ -301,7 +300,7 @@ func TestTileBufferReuse(t *testing.T) {
 			}))
 		s = open(t)
 		m = load(t, s, 0, in)
-		if err := RunIGEP(m, g.op, g.set, RunOptions{Prefetch: true, StopAfter: stop}); !errors.Is(err, ErrStopped) {
+		if err := RunIGEP(m, g.op, g.set, RunOptions{StopAfter: stop}); !errors.Is(err, ErrStopped) {
 			t.Fatalf("RunIGEP %s with StopAfter: %v, want ErrStopped", g.name, err)
 		}
 		bitsEqual(t, "RunIGEP "+g.name+" stopped", want, unload(t, m))

@@ -26,31 +26,41 @@ type TiledPlan struct {
 // BuildTiledPlan constructs the plan and records each leaf's tile
 // footprint, in the same traversal order Flatten assigns leaf nodes.
 func BuildTiledPlan(w Workload, n, g int) *TiledPlan {
-	if n <= 0 || n&(n-1) != 0 || g <= 0 || g&(g-1) != 0 || g > n {
-		panic(fmt.Sprintf("sched: BuildTiledPlan(%d, %d): need powers of two with g <= n", n, g))
-	}
-	tp := &TiledPlan{R: n / g}
-	b := &tileBuilder{tp: tp, w: w, g: g}
-	if w == MM {
-		tp.Plan = b.mm(0, 0, 0, n)
-	} else {
-		tp.Plan = b.abcd(0, 0, 0, n)
-	}
-	return tp
+	b := newTileBuilder("BuildTiledPlan", w, n, g, true)
+	p := b.plan()
+	return &TiledPlan{Plan: p, R: n / g, tiles: b.tiles}
 }
 
+// tileBuilder builds a workload's Figure 6 plan (BuildPlan), and with
+// record set also each leaf's distinct tiles in construction order
+// (BuildTiledPlan).
 type tileBuilder struct {
-	tp *TiledPlan
-	w  Workload
-	g  int
+	w      Workload
+	n, g   int
+	record bool
+	tiles  [][]int32
 }
 
-func (b *tileBuilder) leaf(xi, xj, k0, s int) Plan {
-	work := blockWork(b.w, xi, xj, k0, s)
-	if work == 0 {
-		return nil
+func newTileBuilder(caller string, w Workload, n, g int, record bool) *tileBuilder {
+	if n <= 0 || n&(n-1) != 0 || g <= 0 || g&(g-1) != 0 || g > n {
+		panic(fmt.Sprintf("sched: %s(%d, %d): need powers of two with g <= n", caller, n, g))
 	}
-	r := int32(b.tp.R)
+	return &tileBuilder{w: w, n: n, g: g, record: record}
+}
+
+func (b *tileBuilder) plan() Plan {
+	if b.w == MM {
+		return b.mm(0, 0, 0, b.n)
+	}
+	return b.abcd(0, 0, 0, b.n)
+}
+
+// leaf is the base-case block at (xi, xj, k0) doing work > 0 updates.
+func (b *tileBuilder) leaf(xi, xj, k0 int, work int64) Plan {
+	if !b.record {
+		return Leaf{Work: work}
+	}
+	r := int32(b.n / b.g)
 	ti, tj, tk := int32(xi/b.g), int32(xj/b.g), int32(k0/b.g)
 	ids := make([]int32, 0, 4)
 	add := func(a, c int32) {
@@ -66,23 +76,24 @@ func (b *tileBuilder) leaf(xi, xj, k0, s int) Plan {
 	add(ti, tk) // U
 	add(tk, tj) // V
 	add(tk, tk) // W
-	b.tp.tiles = append(b.tp.tiles, ids)
+	b.tiles = append(b.tiles, ids)
 	return Leaf{Work: work}
 }
 
 func (b *tileBuilder) abcd(xi, xj, k0, s int) Plan {
-	if blockWork(b.w, xi, xj, k0, s) == 0 {
-		return nil
+	work := blockWork(b.w, xi, xj, k0, s)
+	if work == 0 {
+		return nil // pruned (line 1 of Figure 6)
 	}
 	if s <= b.g {
-		return b.leaf(xi, xj, k0, s)
+		return b.leaf(xi, xj, k0, work)
 	}
 	h := s / 2
 	rec := func(a, c, k int) Plan { return b.abcd(a, c, k, h) }
 	iK, jK := xi == k0, xj == k0
 	var steps []Plan
 	switch {
-	case iK && jK:
+	case iK && jK: // A
 		steps = []Plan{
 			rec(xi, xj, k0),
 			Par{rec(xi, xj+h, k0), rec(xi+h, xj, k0)},
@@ -91,21 +102,21 @@ func (b *tileBuilder) abcd(xi, xj, k0, s int) Plan {
 			Par{rec(xi+h, xj, k0+h), rec(xi, xj+h, k0+h)},
 			rec(xi, xj, k0+h),
 		}
-	case iK:
+	case iK: // B
 		steps = []Plan{
 			Par{rec(xi, xj, k0), rec(xi, xj+h, k0)},
 			Par{rec(xi+h, xj, k0), rec(xi+h, xj+h, k0)},
 			Par{rec(xi+h, xj, k0+h), rec(xi+h, xj+h, k0+h)},
 			Par{rec(xi, xj, k0+h), rec(xi, xj+h, k0+h)},
 		}
-	case jK:
+	case jK: // C
 		steps = []Plan{
 			Par{rec(xi, xj, k0), rec(xi+h, xj, k0)},
 			Par{rec(xi, xj+h, k0), rec(xi+h, xj+h, k0)},
 			Par{rec(xi, xj+h, k0+h), rec(xi+h, xj+h, k0+h)},
 			Par{rec(xi, xj, k0+h), rec(xi+h, xj, k0+h)},
 		}
-	default:
+	default: // D
 		steps = []Plan{
 			Par{rec(xi, xj, k0), rec(xi, xj+h, k0), rec(xi+h, xj, k0), rec(xi+h, xj+h, k0)},
 			Par{rec(xi, xj, k0+h), rec(xi, xj+h, k0+h), rec(xi+h, xj, k0+h), rec(xi+h, xj+h, k0+h)},
@@ -116,7 +127,7 @@ func (b *tileBuilder) abcd(xi, xj, k0, s int) Plan {
 
 func (b *tileBuilder) mm(xi, xj, k0, s int) Plan {
 	if s <= b.g {
-		return b.leaf(xi, xj, k0, s)
+		return b.leaf(xi, xj, k0, int64(s)*int64(s)*int64(s))
 	}
 	h := s / 2
 	rec := func(a, c, k int) Plan { return b.mm(a, c, k, h) }

@@ -82,70 +82,7 @@ func blockWork(w Workload, xi, xj, k0, s int) int64 {
 // BuildPlan constructs the recursion plan for an n×n problem with
 // base-case (grain) side g. n and g must be powers of two with g <= n.
 func BuildPlan(w Workload, n, g int) Plan {
-	if n <= 0 || n&(n-1) != 0 || g <= 0 || g&(g-1) != 0 || g > n {
-		panic(fmt.Sprintf("sched: BuildPlan(%d, %d): need powers of two with g <= n", n, g))
-	}
-	if w == MM {
-		return mmPlan(0, 0, 0, n, g)
-	}
-	return abcdPlan(w, 0, 0, 0, n, g)
-}
-
-func abcdPlan(w Workload, xi, xj, k0, s, g int) Plan {
-	work := blockWork(w, xi, xj, k0, s)
-	if work == 0 {
-		return nil // pruned (line 1 of Figure 6)
-	}
-	if s <= g {
-		return Leaf{Work: work}
-	}
-	h := s / 2
-	rec := func(a, b, c int) Plan { return abcdPlan(w, a, b, c, h, g) }
-	iK, jK := xi == k0, xj == k0
-	var steps []Plan
-	switch {
-	case iK && jK: // A
-		steps = []Plan{
-			rec(xi, xj, k0),
-			Par{rec(xi, xj+h, k0), rec(xi+h, xj, k0)},
-			rec(xi+h, xj+h, k0),
-			rec(xi+h, xj+h, k0+h),
-			Par{rec(xi+h, xj, k0+h), rec(xi, xj+h, k0+h)},
-			rec(xi, xj, k0+h),
-		}
-	case iK: // B
-		steps = []Plan{
-			Par{rec(xi, xj, k0), rec(xi, xj+h, k0)},
-			Par{rec(xi+h, xj, k0), rec(xi+h, xj+h, k0)},
-			Par{rec(xi+h, xj, k0+h), rec(xi+h, xj+h, k0+h)},
-			Par{rec(xi, xj, k0+h), rec(xi, xj+h, k0+h)},
-		}
-	case jK: // C
-		steps = []Plan{
-			Par{rec(xi, xj, k0), rec(xi+h, xj, k0)},
-			Par{rec(xi, xj+h, k0), rec(xi+h, xj+h, k0)},
-			Par{rec(xi, xj+h, k0+h), rec(xi+h, xj+h, k0+h)},
-			Par{rec(xi, xj, k0+h), rec(xi+h, xj, k0+h)},
-		}
-	default: // D
-		steps = []Plan{
-			Par{rec(xi, xj, k0), rec(xi, xj+h, k0), rec(xi+h, xj, k0), rec(xi+h, xj+h, k0)},
-			Par{rec(xi, xj, k0+h), rec(xi, xj+h, k0+h), rec(xi+h, xj, k0+h), rec(xi+h, xj+h, k0+h)},
-		}
-	}
-	return compactSeq(steps)
-}
-
-func mmPlan(xi, xj, k0, s, g int) Plan {
-	if s <= g {
-		return Leaf{Work: int64(s) * int64(s) * int64(s)}
-	}
-	h := s / 2
-	rec := func(a, b, c int) Plan { return mmPlan(a, b, c, h, g) }
-	return compactSeq([]Plan{
-		Par{rec(xi, xj, k0), rec(xi, xj+h, k0), rec(xi+h, xj, k0), rec(xi+h, xj+h, k0)},
-		Par{rec(xi, xj, k0+h), rec(xi, xj+h, k0+h), rec(xi+h, xj, k0+h), rec(xi+h, xj+h, k0+h)},
-	})
+	return newTileBuilder("BuildPlan", w, n, g, false).plan()
 }
 
 // compactSeq drops nil (pruned) children and unwraps singleton groups.

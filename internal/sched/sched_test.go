@@ -1,6 +1,9 @@
 package sched
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestLeafAndCombinators(t *testing.T) {
 	p := Seq{Leaf{10}, Par{Leaf{5}, Leaf{7}}, Leaf{3}}
@@ -154,6 +157,21 @@ func TestBuildPlanValidation(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestBuildPlanIsTiledPlan: BuildPlan and BuildTiledPlan build the
+// same Figure 6 DAG, node for node, so the experiments that schedule
+// the one (fig12, scaling) and replay the other (lemma31) run the same
+// recursion.
+func TestBuildPlanIsTiledPlan(t *testing.T) {
+	for _, w := range []Workload{FW, GE, MM} {
+		for _, ng := range [][2]int{{8, 1}, {32, 4}, {64, 8}, {256, 16}} {
+			n, g := ng[0], ng[1]
+			if !reflect.DeepEqual(BuildPlan(w, n, g), BuildTiledPlan(w, n, g).Plan) {
+				t.Errorf("%v n=%d g=%d: BuildPlan differs from BuildTiledPlan's plan", w, n, g)
+			}
+		}
 	}
 }
 

@@ -109,7 +109,6 @@ func runDurableGEP(st *StorageSpec, rt *par.Runtime, in *matrix.Dense[float64],
 		return nil, err
 	}
 	err = ooc.RunIGEP(m, op, set, ooc.RunOptions{
-		Prefetch:        true,
 		CheckpointEvery: st.every(),
 		Stop:            rt.Aborted,
 	})
@@ -155,7 +154,7 @@ func runDurableMultiply(st *StorageSpec, rt *par.Runtime, a, b *matrix.Dense[flo
 		err = s.Checkpoint(0)
 	}
 	if err == nil {
-		err = ooc.RunStrassen(lc, la, lb, crossover, ooc.RunOptions{Prefetch: true, Stop: rt.Aborted})
+		err = ooc.RunStrassen(lc, la, lb, crossover, ooc.RunOptions{Stop: rt.Aborted})
 	}
 	if err != nil {
 		s.Abandon()
