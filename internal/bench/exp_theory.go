@@ -117,11 +117,7 @@ func runTable2(w io.Writer, scale Scale) error {
 	t.Row("os/arch", h.OS+"/"+h.Arch)
 	t.Row("cpus", h.CPUs)
 	t.Row("measured peak GFLOPS", h.PeakGFLOPS)
-	tier := "Go loops (scalar)"
-	if vec.AVX2() {
-		tier = "AVX2, 4 lanes, no FMA"
-	}
-	t.Row("float64 row kernels", tier)
+	t.Row("float64 row kernels", vec.Tier())
 	if _, err := t.WriteTo(w); err != nil {
 		return err
 	}

@@ -13,10 +13,11 @@ import (
 // cycle on its machines). Go code on an unknown container has no
 // published peak, so we measure one: the throughput of independent
 // multiply-then-add chains over register-resident accumulators
-// (vec.MulAddChains), as wide as the float64 kernels run — four lanes
-// when the AVX2 tier is selected, scalar otherwise. That is the same
-// figure of merit — the fastest FP rate the kernels' instructions reach
-// on this machine — and every kernel is scored against it.
+// (vec.MulAddChains), as wide as the float64 kernels run — eight lanes
+// on the AVX-512 tier, four on the AVX2 tier, scalar otherwise. That is
+// the same figure of merit — the fastest FP rate the kernels'
+// instructions reach on this machine — and every kernel is scored
+// against it.
 
 var (
 	peakOnce sync.Once

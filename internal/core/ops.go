@@ -33,11 +33,12 @@ import "gep/internal/vec"
 //     with one single-k row update (MinPlusRow, AddRow, SubRow) per
 //     segment.
 //
-// The rows themselves run in internal/vec. For float64 on amd64 with
-// AVX2 (not under -race) its kernels update four cells of a row per
-// instruction, lanes across j, so the contract below holds unchanged;
-// everywhere else they are Go loops. DESIGN.md §10 has the table of
-// which block takes which structure and why each is exact.
+// The rows themselves run in internal/vec. For float64 on amd64 (not
+// under -race) its assembly updates eight cells of a row per
+// instruction on hosts with AVX-512 and four on hosts with AVX2 alone,
+// lanes across j, so the contract below holds unchanged on either
+// tier; everywhere else they are Go loops. DESIGN.md §10 has the table
+// of which block takes which structure and why each is exact.
 //
 // The dispatch contract, enforced by the differential tests in
 // fused_test.go and tiles_test.go: a fused kernel must apply the same

@@ -338,7 +338,7 @@ func TestLUTournamentPivot(t *testing.T) {
 // TestAdmissionControl exercises every rejection path: bad op, bad
 // size, oversized job, queue overflow, worker/deadline caps.
 func TestAdmissionControl(t *testing.T) {
-	s, ts := newTestServer(t, Config{QueueDepth: 1, MaxConcurrent: 1, MaxN: 512, MaxWorkers: 2})
+	s, ts := newTestServer(t, Config{QueueDepth: 1, MaxConcurrent: 1, MaxN: 1024, MaxWorkers: 2})
 
 	cases := []struct {
 		name string
@@ -347,7 +347,7 @@ func TestAdmissionControl(t *testing.T) {
 	}{
 		{"unknown op", Spec{Op: "qr", N: 64}, http.StatusBadRequest},
 		{"non-pow2", Spec{Op: "lu", N: 65}, http.StatusBadRequest},
-		{"too large", Spec{Op: "lu", N: 1024}, http.StatusRequestEntityTooLarge},
+		{"too large", Spec{Op: "lu", N: 2048}, http.StatusRequestEntityTooLarge},
 		{"workers over cap", Spec{Op: "lu", N: 64, Workers: 99}, http.StatusBadRequest},
 		{"deadline over cap", Spec{Op: "lu", N: 64, DeadlineMS: int64(time.Hour / time.Millisecond * 100)}, http.StatusBadRequest},
 		{"bad data length", Spec{Op: "lu", N: 64, Data: []float64{1, 2, 3}}, http.StatusBadRequest},
@@ -381,7 +381,10 @@ func TestAdmissionControl(t *testing.T) {
 
 	// Overflow: the single executor is busy with a slow job, the depth-1
 	// queue holds one more, the next submission must bounce with 429.
-	if _, err := s.Submit(Spec{Op: "apsp", N: 512, Workers: 1}); err != nil {
+	// The slow job is an n = 1024 APSP, as in the cancel and shutdown
+	// tests: with the vector kernels an n = 512 one can finish inside
+	// the 20 ms pause.
+	if _, err := s.Submit(Spec{Op: "apsp", N: 1024, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // let the executor pick it up

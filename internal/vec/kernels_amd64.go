@@ -20,6 +20,21 @@ var hasAVX2 = func() bool {
 	return ebx&(1<<5) != 0
 }()
 
+// hasAVX512 reports that, beyond AVX2, the CPU has AVX512F (CPUID leaf
+// 7 EBX bit 16) and the OS saves the opmask and ZMM state as well: XCR0
+// bits 1, 2, 5, 6 and 7 (XMM, YMM, opmask, the upper halves of ZMM0-15,
+// and ZMM16-31).
+var hasAVX512 = hasAVX2 && func() bool {
+	const state = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+	if xcr0, _ := xgetbv(); xcr0&state != state {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0
+}()
+
+func init() { useAVX512 = hasAVX512 }
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

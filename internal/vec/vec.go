@@ -17,16 +17,18 @@
 //     MulSubRows, which apply every k of a Block to every cell of a
 //     disjoint X.
 //
-// Each is a Go loop for every Real element type. For float64 on amd64
-// with AVX2, and not under -race, an assembly tier (kernels_amd64.s)
-// runs the first len&^3 columns of every row four cells per
-// instruction, and the Go loop finishes the row. Lanes run across j,
-// so each cell still applies its updates in ascending k with the Go
-// loop's roundings, and the outputs are bit-identical to the Go
-// loops'. The tier is selected once, at init, from what the platform
-// reports (CPUID and XGETBV); no option, flag or environment variable
-// moves it. The race build runs the Go loops so that the race detector
-// sees every kernel write.
+// Each is a Go loop for every Real element type. For float64 on amd64,
+// and not under -race, an assembly file (kernels_amd64.s) runs the
+// first len&^3 columns of every row, and the Go loop finishes the last
+// len mod 4. It has two tiers: with AVX-512 it runs columns [0, n&^7)
+// eight cells per instruction in ZMM registers and a last group of
+// four in YMM; with AVX2 alone it runs all n four cells per
+// instruction. Lanes run across j, so each cell still applies its
+// updates in ascending k with the Go loop's roundings, and both tiers'
+// outputs are bit-identical to the Go loops'. The tier is selected
+// once, at init, from what the platform reports (CPUID and XGETBV); no
+// option, flag or environment variable moves it. The race build runs
+// the Go loops so that the race detector sees every kernel write.
 package vec
 
 // Real is the constraint of the kernels: any ordered numeric type the
@@ -37,16 +39,31 @@ type Real interface {
 		~float32 | ~float64
 }
 
-// useAVX2 selects the assembly tier for float64 rows. It is the one
-// switch the tests clear to run the Go loops.
-var useAVX2 = hasAVX2
+// useAVX2 selects the assembly for float64 rows, and useAVX512 its
+// eight-lane path, which every assembly routine reads; it is set at
+// init where the host has AVX-512 (kernels_amd64.go). They are the
+// switches the tests use to run each tier: AVX2 with useAVX512
+// cleared, the Go loops with useAVX2 cleared.
+var (
+	useAVX2   = hasAVX2
+	useAVX512 bool
+)
 
-// AVX2 reports whether float64 kernels run the AVX2 tier.
-func AVX2() bool { return useAVX2 }
+// Tier names the instructions that run float64 rows: "AVX-512, 8
+// lanes, no FMA", "AVX2, 4 lanes, no FMA" or "Go loops (scalar)".
+func Tier() string {
+	switch {
+	case useAVX2 && useAVX512:
+		return "AVX-512, 8 lanes, no FMA"
+	case useAVX2:
+		return "AVX2, 4 lanes, no FMA"
+	}
+	return "Go loops (scalar)"
+}
 
 // rowF64 returns a single-k row kernel's operands as float64 when the
-// row spans at least one vector (four cells), T is float64 and the
-// AVX2 tier is selected. The length is tested first, so short and
+// row spans at least four cells, T is float64 and the assembly is
+// selected. The length is tested first, so short and
 // empty rows skip the assertions; those are on pointers, so they
 // neither copy nor allocate. The single-k kernels call it under
 // "if hasAVX2": in builds without the assembly hasAVX2 is the constant
@@ -122,8 +139,8 @@ func SubRow[T Real](x, v []T, u T) {
 
 // rowK returns a multi-k row kernel's operands as float64, and the
 // number n = len(x)&^3 of columns the assembly runs, when the row spans
-// at least one vector, u holds at least one k, T is float64 and the
-// AVX2 tier is selected; n is 0 otherwise. Its slicing checks every
+// at least four cells, u holds at least one k, T is float64 and the
+// assembly is selected; n is 0 otherwise. Its slicing checks every
 // bound the assembly relies on. The assertions are on pointers, so
 // they neither copy nor allocate, and nothing it returns escapes: the
 // callers pass it straight to the assembly, so a caller's multiplier
@@ -236,10 +253,10 @@ func (o Block[T]) from(j int) Block[T] {
 	return o
 }
 
-// avx2Rows runs kernel over columns [0, N&^3) of every row of o when T
-// is float64 and the AVX2 tier is selected, and returns the number of
+// asmRows runs kernel over columns [0, N&^3) of every row of o when T
+// is float64 and the assembly is selected, and returns the number of
 // columns it covered (0 otherwise).
-func avx2Rows[T Real](o *Block[T], kernel func(x, u, v *float64, vs, kn, n int)) int {
+func asmRows[T Real](o *Block[T], kernel func(x, u, v *float64, vs, kn, n int)) int {
 	n := 0
 	for i := 0; i < o.M; i++ {
 		var xf, uf, vf []float64
@@ -268,7 +285,7 @@ func MinPlusRows[T Real](o Block[T]) {
 // loaded and stored once per four values of k and each V element
 // loaded serves both rows.
 func MulAddRows[T Real](o Block[T]) {
-	if o = o.from(avx2Rows(&o, mulAddRowK)); o.N == 0 {
+	if o = o.from(asmRows(&o, mulAddRowK)); o.N == 0 {
 		return
 	}
 	x, u, v := o.X, o.U, o.V
@@ -321,7 +338,7 @@ func MulAddRows[T Real](o Block[T]) {
 // MulSubRows is MulAddRows with subtracting accumulation: X −= U·V, in
 // strict k order per cell.
 func MulSubRows[T Real](o Block[T]) {
-	if o = o.from(avx2Rows(&o, mulSubRowK)); o.N == 0 {
+	if o = o.from(asmRows(&o, mulSubRowK)); o.N == 0 {
 		return
 	}
 	x, u, v := o.X, o.U, o.V
@@ -376,13 +393,17 @@ func MulSubRows[T Real](o Block[T]) {
 // flops it executed and a sum of the chains (which callers keep, so
 // the work is not dead). It is the calibration kernel of
 // bench.PeakGFLOPS: the fastest multiply-add rate the selected tier
-// reaches with every operand in a register. The AVX2 tier runs twelve
-// 4-lane chains, VMULPD then VADDPD; the Go loop runs eight scalar
-// chains.
+// reaches with every operand in a register. The AVX-512 tier runs 24
+// 8-lane chains and the AVX2 tier twelve 4-lane chains, VMULPD then
+// VADDPD; the Go loop runs eight scalar chains.
 func MulAddChains(iters int) (flops, sum float64) {
 	const m, c = 0.999999, 1e-9
 	if useAVX2 {
-		return float64(iters) * 12 * 4 * 2, mulAddChains(iters, m, c)
+		chains, lanes := 12, 4
+		if useAVX512 {
+			chains, lanes = 24, 8
+		}
+		return float64(iters) * float64(chains*lanes) * 2, mulAddChains(iters, m, c)
 	}
 	a0, a1, a2, a3 := 1.0, 1.1, 1.2, 1.3
 	a4, a5, a6, a7 := 1.4, 1.5, 1.6, 1.7

@@ -7,14 +7,16 @@ import (
 	"testing"
 )
 
-// The tests compare the AVX2 tier with the Go loops by clearing
-// useAVX2, the package's one switch; none of them runs in parallel.
-// Where the tier is not built or not selected both runs take the Go
-// loops and the comparisons hold trivially.
+// The tests compare each assembly tier the host has with the Go loops
+// by setting the package's switches, useAVX2 and useAVX512; none of
+// them runs in parallel. Where no tier is built or selected only the
+// Go loops run and the comparisons hold trivially.
 
 // lengths are the row lengths the tests cover: every tail (len mod 4)
-// around zero and around a 64-wide base case.
-var lengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 61, 62, 63, 64, 65, 66, 67}
+// around zero and around a 64-wide base case, and 12 and 60, where the
+// assembly's last four columns run in YMM after the ZMM loop and no Go
+// tail follows.
+var lengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 60, 61, 62, 63, 64, 65, 66, 67}
 
 // specials are the cell values every input mixes in. The NaN carries
 // the payload x86 gives every NaN an operation creates (Inf−Inf,
@@ -43,22 +45,61 @@ func fill(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-// both runs f on a copy of x with the AVX2 tier selected as detected
-// and on another copy with the Go loops, and returns the two results.
-func both(x []float64, f func(x []float64)) (tier, loops []float64) {
-	tier, loops = append([]float64(nil), x...), append([]float64(nil), x...)
-	defer func(saved bool) { useAVX2 = saved }(useAVX2)
-	f(tier)
-	useAVX2 = false
-	f(loops)
-	return tier, loops
+// tier is one setting of the package's switches.
+type tier struct {
+	name         string
+	avx2, avx512 bool
+}
+
+// tiers are the tiers this host runs: AVX-512, AVX2 with the wide path
+// off, and the Go loops, the last always present. It reads the
+// switches as init set them, so it is called outside any tier's use.
+func tiers() []tier {
+	var ts []tier
+	if hasAVX2 && useAVX512 {
+		ts = append(ts, tier{"avx512", true, true})
+	}
+	if hasAVX2 {
+		ts = append(ts, tier{"avx2", true, false})
+	}
+	return append(ts, goLoops)
+}
+
+// use selects t and returns a func that restores the switches.
+func (t tier) use() (restore func()) {
+	saved2, saved512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = t.avx2, t.avx512
+	return func() { useAVX2, useAVX512 = saved2, saved512 }
+}
+
+// goLoops is the tier every other is compared with.
+var goLoops = tier{"go", false, false}
+
+// onTiers runs f on a copy of x with the Go loops and on a fresh copy
+// per assembly tier, fails the test where a tier's bits differ from
+// the Go loops', and returns the Go loops' result.
+func onTiers(t *testing.T, what string, x []float64, f func(x []float64)) []float64 {
+	t.Helper()
+	run := func(tr tier) []float64 {
+		defer tr.use()()
+		y := append([]float64(nil), x...)
+		f(y)
+		return y
+	}
+	loops := run(goLoops)
+	for _, tr := range tiers() {
+		if tr != goLoops {
+			sameBits(t, what+" "+tr.name, run(tr), loops)
+		}
+	}
+	return loops
 }
 
 func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: cell %d = %v (%#x), Go loop %v (%#x)", what, i,
+			t.Fatalf("%s: cell %d = %v (%#x), want %v (%#x)", what, i,
 				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
@@ -82,11 +123,11 @@ var rowKKernels = []struct {
 	{"SubRowK", SubRowK[float64], SubRow[float64]},
 }
 
-// TestRowKernelsMatchGoLoops runs every single-k row kernel with both
-// tiers on every length, on sub-slices starting at each offset mod 4,
+// TestRowKernelsMatchGoLoops runs every single-k row kernel on every
+// tier and length, on sub-slices starting at each offset mod 4,
 // on distinct rows and on one row that is both x and v. It runs every
-// multi-k row kernel with both tiers on every length and several k
-// counts, over unaligned views with padded strides, and checks both
+// multi-k row kernel on every tier and length and several k counts,
+// over unaligned views with padded strides, and checks the result
 // against the single-k kernel's Go loop applied once per k;
 // MinPlusRowK also runs with V's first row being x itself, the shape
 // of Floyd-Warshall's B-block rows.
@@ -98,10 +139,8 @@ func TestRowKernelsMatchGoLoops(t *testing.T) {
 				x, v := fill(rng, n+off), fill(rng, n+3)
 				for _, u := range append(specials, fill(rng, 4)...) {
 					what := fmt.Sprintf("%s n=%d off=%d u=%v", k.name, n, off, u)
-					tier, loops := both(x, func(x []float64) { k.f(x[off:], v[3:], u) })
-					sameBits(t, what, tier, loops)
-					tier, loops = both(x, func(x []float64) { k.f(x[off:], x[off:], u) })
-					sameBits(t, what+" aliased", tier, loops)
+					onTiers(t, what, x, func(x []float64) { k.f(x[off:], v[3:], u) })
+					onTiers(t, what+" aliased", x, func(x []float64) { k.f(x[off:], x[off:], u) })
 				}
 			}
 		}
@@ -109,8 +148,7 @@ func TestRowKernelsMatchGoLoops(t *testing.T) {
 	// repeat applies the single-k kernel k = 0, …, len(u)-1 in turn with
 	// the Go loops; vk returns V's row k at the time it is applied.
 	repeat := func(row func(x, v []float64, u float64), x, u []float64, vk func(k int) []float64) {
-		defer func(saved bool) { useAVX2 = saved }(useAVX2)
-		useAVX2 = false
+		defer goLoops.use()()
 		for k, a := range u {
 			row(x, vk(k)[:len(x)], a)
 		}
@@ -122,11 +160,10 @@ func TestRowKernelsMatchGoLoops(t *testing.T) {
 				vs := n + rng.Intn(5)
 				x, u, v := fill(rng, off+n), fill(rng, kn), fill(rng, off+kn*vs)
 				what := fmt.Sprintf("%s k=%d n=%d off=%d", k.name, kn, n, off)
-				tier, loops := both(x, func(x []float64) { k.f(x[off:], u, v[off:], vs) })
-				sameBits(t, what, tier, loops)
+				got := onTiers(t, what, x, func(x []float64) { k.f(x[off:], u, v[off:], vs) })
 				want := append([]float64(nil), x...)
 				repeat(k.row, want[off:], u, func(r int) []float64 { return v[off+r*vs:] })
-				sameBits(t, what+" vs single-k", tier, want)
+				sameBits(t, what+" vs single-k", got, want)
 
 				if k.name != "MinPlusRowK" || kn == 0 {
 					continue
@@ -134,11 +171,10 @@ func TestRowKernelsMatchGoLoops(t *testing.T) {
 				// V's first row is x: the row and the rows of V share one
 				// buffer, x = buf[off:off+n].
 				buf := fill(rng, off+kn*vs)
-				tier, loops = both(buf, func(b []float64) { k.f(b[off:off+n], u, b[off:], vs) })
-				sameBits(t, what+" aliased", tier, loops)
+				got = onTiers(t, what+" aliased", buf, func(b []float64) { k.f(b[off:off+n], u, b[off:], vs) })
 				want = append([]float64(nil), buf...)
 				repeat(k.row, want[off:off+n], u, func(r int) []float64 { return want[off+r*vs:] })
-				sameBits(t, what+" aliased vs single-k", tier, want)
+				sameBits(t, what+" aliased vs single-k", got, want)
 			}
 		}
 	}
@@ -153,8 +189,8 @@ var blockKernels = []struct {
 	{"MulSubRows", MulSubRows[float64]},
 }
 
-// TestBlockKernelsMatchGoLoops runs every covered-block kernel with
-// both tiers on blocks of every column count, several row and k
+// TestBlockKernelsMatchGoLoops runs every covered-block kernel on
+// every tier, on blocks of every column count, several row and k
 // counts, and unaligned views with padded strides.
 func TestBlockKernelsMatchGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -167,59 +203,64 @@ func TestBlockKernelsMatchGoLoops(t *testing.T) {
 					x := fill(rng, off+m*xs)
 					u, v := fill(rng, off+m*us), fill(rng, off+kn*vs)
 					what := fmt.Sprintf("%s m=%d k=%d n=%d off=%d", k.name, m, kn, n, off)
-					tier, loops := both(x, func(x []float64) {
+					onTiers(t, what, x, func(x []float64) {
 						k.f(Block[float64]{X: x[off:], U: u[off:], V: v[off:], XS: xs, US: us, VS: vs, M: m, K: kn, N: n})
 					})
-					sameBits(t, what, tier, loops)
 				}
 			}
 		}
 	}
 }
 
-// TestKernelsAllocateNothing checks that the float64 dispatch (a
-// pointer assertion per call) boxes nothing.
+// TestKernelsAllocateNothing checks that on every tier the float64
+// dispatch (a pointer assertion per call) boxes nothing.
 func TestKernelsAllocateNothing(t *testing.T) {
 	const s = 64
 	x, u, v := make([]float64, s*s), make([]float64, s*s), make([]float64, s*s)
 	b := Block[float64]{X: x, U: u, V: v, XS: s, US: s, VS: s, M: s, K: s, N: s}
-	if a := testing.AllocsPerRun(10, func() {
-		MinPlusRow(x[:s], v[:s], 1)
-		AddRow(x[:s], v[:s], 1)
-		SubRow(x[:s], v[:s], 1)
-		MinPlusRowK(x[:s], u[:s], v, s)
-		SubRowK(x[:s], u[:s], v, s)
-		MinPlusRows(b)
-		MulAddRows(b)
-		MulSubRows(b)
-	}); a != 0 {
-		t.Fatalf("%v allocations per round, want 0", a)
+	for _, tr := range tiers() {
+		restore := tr.use()
+		a := testing.AllocsPerRun(10, func() {
+			MinPlusRow(x[:s], v[:s], 1)
+			AddRow(x[:s], v[:s], 1)
+			SubRow(x[:s], v[:s], 1)
+			MinPlusRowK(x[:s], u[:s], v, s)
+			SubRowK(x[:s], u[:s], v, s)
+			MinPlusRows(b)
+			MulAddRows(b)
+			MulSubRows(b)
+		})
+		restore()
+		if a != 0 {
+			t.Errorf("%s: %v allocations per round, want 0", tr.name, a)
+		}
 	}
 }
 
-// TestMulAddChains checks that the calibration kernel counts its flops
-// and that both tiers converge to the chains' fixed point c/(1−m).
+// TestMulAddChains checks that on every tier the calibration kernel
+// counts its flops and that its chains converge to their fixed point
+// c/(1−m).
 func TestMulAddChains(t *testing.T) {
-	defer func(saved bool) { useAVX2 = saved }(useAVX2)
-	for _, tier := range []bool{useAVX2, false} {
-		useAVX2 = tier
+	shape := map[string]struct{ chains, lanes float64 }{
+		"avx512": {24, 8}, "avx2": {12, 4}, "go": {8, 1},
+	}
+	for _, tr := range tiers() {
+		restore := tr.use()
 		const iters = 1 << 24
 		flops, sum := MulAddChains(iters)
-		chains, lanes := 8.0, 1.0 // the sum adds one lane of each chain
-		if tier {
-			chains, lanes = 12, 4
+		restore()
+		sh := shape[tr.name] // the sum adds one lane of each chain
+		if want := 2 * sh.chains * sh.lanes * iters; flops != want {
+			t.Errorf("%s: %v flops, want %v", tr.name, flops, want)
 		}
-		if want := 2 * chains * lanes * iters; flops != want {
-			t.Errorf("avx2=%v: %v flops, want %v", tier, flops, want)
-		}
-		if fixed := chains * 1e-9 / 1e-6; math.Abs(sum-fixed) > 1e-3*fixed {
-			t.Errorf("avx2=%v: chains sum to %v, want ≈ %v", tier, sum, fixed)
+		if fixed := sh.chains * 1e-9 / 1e-6; math.Abs(sum-fixed) > 1e-3*fixed {
+			t.Errorf("%s: chains sum to %v, want ≈ %v", tr.name, sum, fixed)
 		}
 	}
 }
 
 // BenchmarkRows times each covered-block kernel on one 64² block of
-// 64² operands, with the selected tier and with the Go loops.
+// 64² operands, on every tier the host has.
 func BenchmarkRows(b *testing.B) {
 	const s = 64
 	rng := rand.New(rand.NewSource(3))
@@ -229,10 +270,9 @@ func BenchmarkRows(b *testing.B) {
 	}
 	blk := Block[float64]{X: x, U: u, V: v, XS: s, US: s, VS: s, M: s, K: s, N: s}
 	for _, k := range blockKernels {
-		for _, tier := range []bool{useAVX2, false} {
-			b.Run(fmt.Sprintf("%s/avx2=%v", k.name, tier), func(b *testing.B) {
-				defer func(saved bool) { useAVX2 = saved }(useAVX2)
-				useAVX2 = tier
+		for _, tr := range tiers() {
+			b.Run(k.name+"/"+tr.name, func(b *testing.B) {
+				defer tr.use()()
 				for i := 0; i < b.N; i++ {
 					k.f(blk)
 				}
